@@ -10,13 +10,11 @@
 #ifndef HP_BENCH_BENCH_UTIL_HH
 #define HP_BENCH_BENCH_UTIL_HH
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/obs.hh"
@@ -117,65 +115,6 @@ geomean(const std::vector<double> &values)
         log_sum += std::log(v);
     }
     return std::exp(log_sum / double(values.size()));
-}
-
-/**
- * Appends one host-side performance record for @p bench to the JSON
- * array file named by HP_BENCH_JSON (no-op when unset). The file is
- * the bench trajectory (BENCH_<pr>.json): each record is an object of
- * numeric fields — wall-clock seconds, simulated MIPS — so future PRs
- * can diff host throughput against the committed history. The file is
- * read-modified-rewritten as a whole; records append in run order.
- */
-inline void
-appendBenchRecord(
-    const std::string &bench,
-    const std::vector<std::pair<std::string, double>> &fields)
-{
-    const char *path = hp::runtimeEnv("HP_BENCH_JSON");
-    if (path == nullptr || *path == '\0')
-        return;
-    std::string entry = "  {\"bench\": \"" + bench + "\"";
-    for (const auto &[name, value] : fields) {
-        char buf[48];
-        std::snprintf(buf, sizeof(buf), "%.4f", value);
-        entry += ", \"" + name + "\": " + buf;
-    }
-    entry += "}";
-
-    std::string existing;
-    if (std::FILE *f = std::fopen(path, "r")) {
-        char chunk[4096];
-        std::size_t n;
-        while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
-            existing.append(chunk, n);
-        std::fclose(f);
-    }
-    // Keep the file a well-formed JSON array: splice the new record in
-    // before the closing bracket, or start a fresh array.
-    std::string doc;
-    const std::size_t close = existing.rfind(']');
-    if (close == std::string::npos) {
-        doc = "[\n" + entry + "\n]\n";
-    } else {
-        std::size_t end = close;
-        while (end > 0 && (std::isspace(
-                               static_cast<unsigned char>(
-                                   existing[end - 1])) != 0 ||
-                           existing[end - 1] == ','))
-            --end;
-        doc = existing.substr(0, end);
-        doc += (doc.find('{') == std::string::npos) ? "\n" : ",\n";
-        doc += entry + "\n]\n";
-    }
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write bench trajectory: %s\n",
-                     path);
-        return;
-    }
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
 }
 
 /**

@@ -292,13 +292,6 @@ class CacheHierarchy : public MetadataMemory
     bool prefetch(Addr block, Origin origin, Cycle now,
                   bool to_l2 = false);
 
-    /** True if a demand for @p block would hit L1-I or merge. */
-    bool
-    wouldHitL1(Addr block) const
-    {
-        return l1i_.contains(block) || mshrs_.count(block) != 0;
-    }
-
     // ---- Timeless (functional) interface for fast-forward mode.
     // Contents, recency, and first-use tracking evolve exactly as on
     // the timing path, but no MSHR is allocated, no latency accrues,

@@ -38,7 +38,6 @@ class Tlb
 
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t misses() const { return misses_; }
-    Cycle walkLatency() const { return walkLatency_; }
 
     /** Registers this TLB's counters under @p prefix. */
     void

@@ -165,11 +165,6 @@ class HierarchicalPrefetcher final : public Prefetcher
 
     const HierarchicalStats &stats() const { return stats_; }
 
-    const HierarchicalConfig &config() const { return config_; }
-
-    /** Metadata Address Table occupancy (diagnostics). */
-    std::size_t tableOccupancy() const { return table_.occupancy(); }
-
     /**
      * Multi-tenant setup (DESIGN.md §12): called once before the run
      * when this core schedules @p count tenants. With @p partition

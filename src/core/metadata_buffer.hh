@@ -92,7 +92,6 @@ class MetadataReadArbiter
     {}
 
     bool enabled() const { return bytesPerCycle_ > 0; }
-    unsigned bytesPerCycle() const { return bytesPerCycle_; }
 
     /**
      * Claims the port for a @p bytes read issued at @p now.

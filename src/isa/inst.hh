@@ -54,14 +54,6 @@ isCall(InstKind kind)
     return kind == InstKind::Call || kind == InstKind::IndirectCall;
 }
 
-/** Returns true for kinds whose target is not encoded in the inst. */
-constexpr bool
-isIndirect(InstKind kind)
-{
-    return kind == InstKind::IndirectJump || kind == InstKind::IndirectCall
-        || kind == InstKind::Return;
-}
-
 /**
  * One retired (architectural-path) instruction.
  *

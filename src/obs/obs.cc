@@ -1,7 +1,6 @@
 #include "obs/obs.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <sstream>
 
@@ -16,17 +15,19 @@ namespace
 {
 
 std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
+envU64(const char *name, std::uint64_t fallback, std::uint64_t max)
 {
     const char *v = runtimeEnv(name);
     if (v == nullptr || *v == '\0')
         return fallback;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    fatalIf(end == v || *end != '\0',
-            std::string(name) + " must be a positive integer, got: " + v);
+    std::uint64_t parsed = 0;
+    std::string why;
+    if (!parseDecimal(v, max, &parsed, &why))
+        fatal(std::string(name) + "=" + v + ": " + why);
     return parsed;
 }
+
+} // namespace
 
 ObsConfig
 configFromEnv()
@@ -40,19 +41,25 @@ configFromEnv()
         cfg.attribution = (*v != '\0' && *v != '0');
     if (const char *v = runtimeEnv("HP_SPANS"))
         cfg.spans = (*v != '\0' && *v != '0');
+    // The maxima bound what a value allocates or loops over: the
+    // event ring is sized up front, 32 bytes per event.
     cfg.spanReservoir = static_cast<std::size_t>(
-        envU64("HP_SPAN_TOPK", cfg.spanReservoir));
+        envU64("HP_SPAN_TOPK", cfg.spanReservoir, std::uint64_t(1) << 20));
     if (cfg.spanReservoir == 0)
         cfg.spanReservoir = 1;
-    cfg.intervalInsts = envU64("HP_TS_INTERVAL", cfg.intervalInsts);
+    cfg.intervalInsts = envU64("HP_TS_INTERVAL", cfg.intervalInsts,
+                               std::uint64_t(1) << 48);
     if (cfg.intervalInsts == 0)
         cfg.intervalInsts = 1;
     cfg.traceCapacity = static_cast<std::size_t>(
-        envU64("HP_TRACE_CAP", cfg.traceCapacity));
+        envU64("HP_TRACE_CAP", cfg.traceCapacity, std::uint64_t(1) << 26));
     if (cfg.traceCapacity == 0)
         cfg.traceCapacity = 1;
     return cfg;
 }
+
+namespace
+{
 
 std::mutex &
 collectorMutex()

@@ -69,12 +69,14 @@ struct ObsConfig
         return attribution || spans || traceEnabled()
             || timeseriesEnabled();
     }
-    bool
-    anyEnabled() const
-    {
-        return attributionEnabled();
-    }
 };
+
+/**
+ * A fresh ObsConfig read from the HP_* environment. A numeric option
+ * that is not plain decimal digits, or is above its maximum, is fatal
+ * with a diagnostic naming the variable.
+ */
+ObsConfig configFromEnv();
 
 /**
  * The mutable global config. First access seeds it from the

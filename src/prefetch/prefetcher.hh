@@ -126,8 +126,6 @@ class Prefetcher
         return true;
     }
 
-    bool hasRequests() const { return !queue_.empty(); }
-
     std::size_t queueDepth() const { return queue_.size(); }
 
     /** Points the queue-squash emit site at @p sink (may be null). */
@@ -170,9 +168,6 @@ class Prefetcher
 
     /** The attached sink (null unless tracing); for subclass emits. */
     EventSink *eventSink() const { return obs_; }
-
-    /** The cycle last latched by noteCycle. */
-    Cycle obsNow() const { return obsNow_; }
 
     std::size_t maxQueue() const { return maxQueue_; }
 

@@ -260,8 +260,9 @@ struct SimConfig : CoreConfig
 };
 
 /**
- * 64-bit hash over every outcome-affecting field; the dedup key of the
- * experiment cache. Collisions are resolved with operator==.
+ * 64-bit hash of ExperimentRunner::configKey; the bucket of the
+ * experiment cache and the checkpoint store, and part of checkpoint
+ * file names. Collisions are resolved with operator==.
  */
 std::uint64_t configHash(const SimConfig &config);
 

@@ -1,8 +1,7 @@
 #include "sim/executor.hh"
 
-#include <cstdlib>
-
 #include "sim/runtime_options.hh"
+#include "util/logging.hh"
 
 namespace hp
 {
@@ -10,11 +9,14 @@ namespace hp
 unsigned
 Executor::defaultThreads()
 {
-    if (const char *env = runtimeEnv("HP_JOBS")) {
-        char *end = nullptr;
-        unsigned long jobs = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && jobs > 0 && jobs <= 1024)
+    const char *env = runtimeEnv("HP_JOBS");
+    if (env && *env) {
+        std::uint64_t jobs = 0;
+        std::string why = "must be at least 1"; // kept when it parses
+        if (parseDecimal(env, 1024, &jobs, &why) && jobs > 0)
             return unsigned(jobs);
+        warn(std::string("ignoring HP_JOBS=") + env + ": " + why +
+             "; using the hardware concurrency");
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;

@@ -59,7 +59,6 @@ MultiCoreSimulator::MultiCoreSimulator(const SimConfig &config)
 
     for (unsigned i = 0; i < n; ++i) {
         CoreInit init;
-        init.coreId = i;
         init.shared = shared_;
         // Round-robin tenant placement: core i hosts tenants
         // i, i+n, i+2n, ...
@@ -89,48 +88,35 @@ MultiCoreSimulator::run()
 {
     const std::uint64_t warmup = cfg_.warmupInsts;
     const std::uint64_t total = warmup + cfg_.measureInsts;
-
-    enum class Phase : std::uint8_t { Warmup, Measure, Done };
-    std::vector<Phase> ph(cores_.size(), Phase::Warmup);
-    unsigned live = coreCount();
-
     if (total == 0) {
         // Degenerate zero-instruction run: same shape as finishRun's.
-        for (unsigned i = 0; i < cores_.size(); ++i) {
+        for (unsigned i = 0; i < coreCount(); ++i) {
             cores_[i]->beginMeasurement();
-            results_[i] = cores_[i]->collectMetrics();
-            ph[i] = Phase::Done;
+            results_[i] = cores_[i]->endMeasurement(/*pay_advance=*/false);
         }
-        live = 0;
+        return combineResults();
     }
 
+    std::vector<bool> done(cores_.size(), false);
+    unsigned live = coreCount();
     // Cycle-interleaved lockstep, fixed core order: each pass gives
-    // every live core exactly one cycle, so contention on the shared
-    // levels resolves deterministically. Each core's own phase
-    // transitions follow the exact runWarmup/finishRun convention —
-    // beginMeasurement after the commit that crossed warmup, before
-    // that iteration's cycle advance — so a one-core consolidation
-    // is cycle-for-cycle the single-core run.
+    // every live core exactly one Simulator::step, so contention on
+    // the shared levels resolves deterministically. Each core's phase
+    // transitions are the single-core ones — beginMeasurement at the
+    // boundary of the cycle that crossed warmup, endMeasurement at the
+    // one that crossed the total — so a one-core consolidation is
+    // cycle-for-cycle the single-core run.
     while (live > 0) {
         for (unsigned i = 0; i < cores_.size(); ++i) {
-            if (ph[i] == Phase::Done)
+            if (done[i])
                 continue;
             Simulator &s = *cores_[i];
-            s.stepCycle(s.pf_ != nullptr);
-            if (s.sampler_)
-                s.sampler_->tick(s.committed_,
-                                 ph[i] == Phase::Measure);
-            if (ph[i] == Phase::Warmup && s.committed_ >= warmup) {
+            s.step();
+            if (!s.measuring() && s.committedInsts() >= warmup)
                 s.beginMeasurement();
-                ph[i] = Phase::Measure;
-            }
-            ++s.cycle_;
-            if (ph[i] == Phase::Measure && s.committed_ >= total) {
-                if (s.sampler_)
-                    s.sampler_->finalSample(s.committed_,
-                                            /*measuring=*/true);
-                results_[i] = s.collectMetrics();
-                ph[i] = Phase::Done;
+            if (s.measuring() && s.committedInsts() >= total) {
+                results_[i] = s.endMeasurement(/*pay_advance=*/true);
+                done[i] = true;
                 --live;
             }
         }

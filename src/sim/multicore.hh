@@ -56,15 +56,6 @@ class MultiCoreSimulator
 
     unsigned coreCount() const { return unsigned(cores_.size()); }
 
-    /** Core @p i's own measurement metrics (valid after run()). */
-    const SimMetrics &coreResult(unsigned i) const
-    {
-        return results_[i];
-    }
-
-    /** The shared L2/LLC + arbitration state (inspection). */
-    const SharedLevels &shared() const { return *shared_; }
-
   private:
     /** Builds the combined SimMetrics out of results_ (run() tail). */
     SimMetrics combineResults() const;

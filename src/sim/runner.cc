@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
@@ -30,15 +31,14 @@ hashString(std::uint64_t seed, const std::string &s)
     return h;
 }
 
-std::uint64_t
-hashDouble(std::uint64_t seed, double d)
+/** Shortest decimal form that round-trips to exactly @p d: the key
+ *  stays exact, and a literal such as 0.65 prints as written. */
+std::string
+exactDouble(double d)
 {
-    // Bit-pattern hash: configs are compared with ==, and the doubles
-    // involved are set from literals, never computed.
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    __builtin_memcpy(&bits, &d, sizeof(bits));
-    return hashCombine(seed, bits);
+    char buf[32];
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), d);
+    return std::string(buf, r.ptr);
 }
 
 /**
@@ -60,117 +60,7 @@ std::atomic<std::size_t> g_runs{0};
 std::uint64_t
 configHash(const SimConfig &c)
 {
-    std::uint64_t h = hashString(0x9e3779b97f4a7c15ULL, c.workload);
-    for (std::uint64_t v :
-         {std::uint64_t(c.warmupInsts), std::uint64_t(c.measureInsts),
-          std::uint64_t(c.ftqEntries),
-          std::uint64_t(c.fetchBytesPerCycle),
-          std::uint64_t(c.bpBlocksPerCycle), std::uint64_t(c.btbEntries),
-          std::uint64_t(c.btbWays), std::uint64_t(c.rasDepth),
-          std::uint64_t(c.btbMissPenalty),
-          std::uint64_t(c.mispredictPenalty),
-          std::uint64_t(c.pipelineDepth), std::uint64_t(c.commitWidth),
-          std::uint64_t(c.robEntries),
-          std::uint64_t(c.backendStallPermille),
-          std::uint64_t(c.backendStallCycles)}) {
-        h = hashCombine(h, v);
-    }
-
-    const HierarchyParams &m = c.mem;
-    for (std::uint64_t v :
-         {std::uint64_t(m.l1iBytes), std::uint64_t(m.l1iWays),
-          std::uint64_t(m.l1iLatency), std::uint64_t(m.l1iMshrs),
-          std::uint64_t(m.l2Bytes), std::uint64_t(m.l2Ways),
-          std::uint64_t(m.l2Latency), std::uint64_t(m.llcBytes),
-          std::uint64_t(m.llcWays), std::uint64_t(m.llcLatency),
-          std::uint64_t(m.memLatency), std::uint64_t(m.itlbEntries),
-          std::uint64_t(m.itlbWalkLatency),
-          std::uint64_t(m.mshrsReservedForDemand),
-          std::uint64_t(m.metadataDramEvery)}) {
-        h = hashCombine(h, v);
-    }
-    h = hashDouble(h, m.l2InstFraction);
-    h = hashDouble(h, m.llcInstFraction);
-
-    h = hashCombine(h, std::uint64_t(c.prefetcher));
-    for (std::uint64_t v :
-         {std::uint64_t(c.efetch.tableEntries),
-          std::uint64_t(c.efetch.signatureDepth),
-          std::uint64_t(c.efetch.calleesPerEntry),
-          std::uint64_t(c.efetch.lookahead),
-          std::uint64_t(c.efetch.footprintEntries),
-          std::uint64_t(c.mana.regionBlocks),
-          std::uint64_t(c.mana.historyRegions),
-          std::uint64_t(c.mana.indexEntries),
-          std::uint64_t(c.mana.lookahead),
-          std::uint64_t(c.eip.tableEntries),
-          std::uint64_t(c.eip.tableWays),
-          std::uint64_t(c.eip.historyEntries),
-          std::uint64_t(c.eip.maxTargets),
-          std::uint64_t(c.eip.targetRunBlocks),
-          std::uint64_t(c.rdip.tableEntries),
-          std::uint64_t(c.rdip.signatureDepth),
-          std::uint64_t(c.rdip.blocksPerEntry),
-          std::uint64_t(c.hier.compressionEntries),
-          std::uint64_t(c.hier.metadataBufferBytes),
-          std::uint64_t(c.hier.matEntries),
-          std::uint64_t(c.hier.matWays),
-          std::uint64_t(c.hier.maxSegmentsPerBundle),
-          std::uint64_t(c.hier.aheadSegments),
-          std::uint64_t(c.hier.replayDedup),
-          std::uint64_t(c.hier.subSegmentPacing),
-          std::uint64_t(c.hier.supersedeRecords),
-          std::uint64_t(c.hier.trackBundleStats),
-          std::uint64_t(c.extPrefetchToL2),
-          std::uint64_t(c.extPrefetchesPerCycle),
-          std::uint64_t(c.trackReuse)}) {
-        h = hashCombine(h, v);
-    }
-    h = hashDouble(h, c.longRangePercentile);
-
-    for (std::uint64_t v :
-         {std::uint64_t(c.sample.intervals), c.sample.windowInsts,
-          c.sample.detailWarmupInsts, c.sample.seed}) {
-        h = hashCombine(h, v);
-    }
-    // Mixed in only when set, so hashes of scenario-less configs are
-    // unchanged from before the field existed.
-    if (!c.scenario.empty())
-        h = hashString(h, c.scenario);
-
-    // Multi-tenant block: mixed in only when enabled, keeping every
-    // pre-existing single-core hash byte-stable.
-    if (c.mt.enabled()) {
-        h = hashCombine(h, std::uint64_t(c.mt.tenants.size()));
-        for (const std::string &t : c.mt.tenants)
-            h = hashString(h, t);
-        for (std::uint64_t v :
-             {std::uint64_t(c.mt.cores), c.mt.switchQuantum,
-              std::uint64_t(c.mt.partitionMetadata),
-              std::uint64_t(c.mt.metadataReadBytesPerCycle),
-              std::uint64_t(c.mt.dramFillGapCycles),
-              std::uint64_t(c.mt.coreOverrides.size())}) {
-            h = hashCombine(h, v);
-        }
-        for (const CoreConfig &cc : c.mt.coreOverrides) {
-            for (std::uint64_t v :
-                 {std::uint64_t(cc.ftqEntries),
-                  std::uint64_t(cc.fetchBytesPerCycle),
-                  std::uint64_t(cc.bpBlocksPerCycle),
-                  std::uint64_t(cc.btbEntries),
-                  std::uint64_t(cc.btbWays), std::uint64_t(cc.rasDepth),
-                  std::uint64_t(cc.btbMissPenalty),
-                  std::uint64_t(cc.mispredictPenalty),
-                  std::uint64_t(cc.pipelineDepth),
-                  std::uint64_t(cc.commitWidth),
-                  std::uint64_t(cc.robEntries),
-                  std::uint64_t(cc.backendStallPermille),
-                  std::uint64_t(cc.backendStallCycles)}) {
-                h = hashCombine(h, v);
-            }
-        }
-    }
-    return h;
+    return hashString(0x9e3779b97f4a7c15ULL, ExperimentRunner::configKey(c));
 }
 
 std::string
@@ -188,9 +78,10 @@ ExperimentRunner::configKey(const SimConfig &c)
     const HierarchyParams &m = c.mem;
     key << m.l1iBytes << ',' << m.l1iWays << ',' << m.l1iLatency << ','
         << m.l1iMshrs << ',' << m.l2Bytes << ',' << m.l2Ways << ','
-        << m.l2Latency << ',' << m.l2InstFraction << ',' << m.llcBytes
+        << m.l2Latency << ',' << exactDouble(m.l2InstFraction) << ','
+        << m.llcBytes
         << ',' << m.llcWays << ',' << m.llcLatency << ','
-        << m.llcInstFraction << ',' << m.memLatency << ','
+        << exactDouble(m.llcInstFraction) << ',' << m.memLatency << ','
         << m.itlbEntries << ',' << m.itlbWalkLatency << ','
         << m.mshrsReservedForDemand << ',' << m.metadataDramEvery << '|';
 
@@ -213,7 +104,7 @@ ExperimentRunner::configKey(const SimConfig &c)
         << c.hier.supersedeRecords << ','
         << c.hier.trackBundleStats << '|';
     key << c.extPrefetchToL2 << '|' << c.extPrefetchesPerCycle << '|'
-        << c.trackReuse << '|' << c.longRangePercentile;
+        << c.trackReuse << '|' << exactDouble(c.longRangePercentile);
     // Appendix-style suffix: only present when sampling is on, so
     // every key from a non-sampled config (including the warmup key
     // embedded in the golden checkpoint blob) is byte-stable.

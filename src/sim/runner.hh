@@ -61,8 +61,12 @@ class ExperimentRunner
      *  executor when it has idle workers. */
     static RunPair runPair(const SimConfig &config);
 
-    /** Serializes every field that affects the simulation outcome
-     *  (debugging aid; the cache itself keys on configHash). */
+    /**
+     * The config's identity: every field that affects the simulation
+     * outcome, printed exactly (doubles in shortest round-trip form),
+     * so two configs share a key only if they simulate the same run.
+     * configHash hashes it; checkpoint blobs and run reports embed it.
+     */
     static std::string configKey(const SimConfig &config);
 
     /** Number of distinct simulations performed so far. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 
@@ -19,7 +20,8 @@ runtimeOptionTable()
     // then fast modes, then outputs, then diagnostics.
     static const std::vector<RuntimeOption> table = {
         {"HP_JOBS", "N", "",
-         "executor worker threads (default: hardware concurrency)"},
+         "executor worker threads, 1-1024 (default: hardware "
+         "concurrency)"},
         {"HP_CKPT", "0|1", "",
          "reuse warmed checkpoints across runs (default 1; 0 disables)"},
         {"HP_CKPT_DIR", "dir", "",
@@ -43,18 +45,37 @@ runtimeOptionTable()
          "track request spans and tail attribution on scenario runs"},
         {"HP_SPAN_TOPK", "N", "",
          "per-chain span reservoir bound (top-K worst + uniform sample; "
-         "default 64)"},
+         "default 64, max 2^20)"},
         {"HP_TRACE_CAP", "N", "",
-         "trace event capacity per run (oldest events dropped beyond)"},
-        {"HP_BENCH_JSON", "path", "",
-         "append one host-perf trajectory record (wall seconds, MIPS) "
-         "per bench run to this JSON array file"},
+         "trace event capacity per run (oldest events dropped beyond; "
+         "max 2^26)"},
         {"HP_LOG_LEVEL", "quiet|warn|info|debug", "",
          "diagnostic verbosity (also accepts 0-3; default warn)"},
         {"HP_CKPT_GOLDEN_REGEN", "1", "",
          "regenerate the golden checkpoint blob (test maintenance)"},
     };
     return table;
+}
+
+bool
+parseDecimal(const std::string &text, std::uint64_t max,
+              std::uint64_t *out, std::string *error)
+{
+    std::uint64_t value = 0;
+    const char *end = text.data() + text.size();
+    // from_chars into an unsigned type takes no sign, no whitespace
+    // and no prefix, and reports overflow instead of saturating.
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (text.empty() || ec == std::errc::invalid_argument || ptr != end) {
+        *error = "not a decimal number";
+        return false;
+    }
+    if (ec == std::errc::result_out_of_range || value > max) {
+        *error = "above the maximum " + std::to_string(max);
+        return false;
+    }
+    *out = value;
+    return true;
 }
 
 bool

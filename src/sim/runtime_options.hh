@@ -21,6 +21,7 @@
 #ifndef HP_SIM_RUNTIME_OPTIONS_HH
 #define HP_SIM_RUNTIME_OPTIONS_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,16 @@ std::vector<std::string> unknownRuntimeEnvVars();
  *         warn-once ctest asserts on.
  */
 std::vector<std::string> warnUnknownRuntimeEnvOnce();
+
+/**
+ * The one parser for numeric HP_* values (and the numeric fields of
+ * HP_SAMPLE): decimal digits only — no sign, whitespace or base
+ * prefix — and at most @p max, so neither a negative number nor an
+ * overflow can wrap into a huge value.
+ * @return false with a diagnostic in @p error otherwise.
+ */
+bool parseDecimal(const std::string &text, std::uint64_t max,
+                  std::uint64_t *out, std::string *error);
 
 /**
  * Generated help text for a bench binary: usage line, the common

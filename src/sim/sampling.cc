@@ -1,8 +1,8 @@
 #include "sim/sampling.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
+#include <limits>
 
 #include "sim/checkpoint.hh"
 #include "sim/multicore.hh"
@@ -129,17 +129,18 @@ parseSampleSpec(const std::string &spec, SampleConfig *out,
 
     std::uint64_t fields[4] = {0, sc.windowInsts, sc.detailWarmupInsts,
                                sc.seed};
+    // K lands in an unsigned; W, U and S are full 64-bit fields.
+    const std::uint64_t max[4] = {std::numeric_limits<unsigned>::max(),
+                                  ~std::uint64_t(0), ~std::uint64_t(0),
+                                  ~std::uint64_t(0)};
     for (std::size_t i = 0; i < tokens.size(); ++i) {
-        char *rest = nullptr;
-        const unsigned long long v =
-            std::strtoull(tokens[i].c_str(), &rest, 10);
-        if (tokens[i].empty() || rest == nullptr || *rest != '\0') {
+        std::string why;
+        if (!parseDecimal(tokens[i], max[i], &fields[i], &why)) {
             if (error)
-                *error = "bad sample spec field '" + tokens[i] +
-                         "' (want K,W[,U[,S]])";
+                *error = "bad sample spec field '" + tokens[i] + "': " +
+                         why + " (want K,W[,U[,S]])";
             return false;
         }
-        fields[i] = v;
     }
 
     sc.intervals = static_cast<unsigned>(fields[0]);
@@ -431,7 +432,7 @@ runSampled(const SimConfig &config)
         out.tailAttribution.reset();
     }
     // Scenario runs take the data-DRAM model from the scenario's
-    // primary service, matching Simulator::collectMetrics.
+    // primary service, matching Simulator::endMeasurement.
     const AppProfile &data_profile = config.scenario.empty()
         ? appProfile(config.workload)
         : appProfile(scenarioPrimaryProfile(

@@ -73,7 +73,6 @@ Simulator::makeTenant(const std::string &name)
 
 Simulator::Simulator(const SimConfig &config, const CoreInit &init)
     : cfg_(config),
-      coreId_(init.coreId),
       switchQuantum_(init.switchQuantum),
       partitionMetadata_(init.partitionMetadata),
       hier_(config.mem, init.shared),
@@ -173,8 +172,6 @@ Simulator::bindTenant(unsigned i)
 {
     activeTenant_ = i;
     TenantRt &t = tenants_[i];
-    profile_ = t.profile;
-    app_ = t.app;
     engine_ = t.engine.get();
     scenEngine_ = t.scenEngine.get();
     stream_ = scenEngine_ ? static_cast<InstStream *>(scenEngine_)
@@ -679,7 +676,7 @@ Simulator::beginMeasurement()
 }
 
 void
-Simulator::stepCycle(bool has_pf)
+Simulator::stepCycle()
 {
     // Multi-tenant quantum check; nextSwitchAt_ is 0 (never taken)
     // for single-tenant cores.
@@ -693,7 +690,7 @@ Simulator::stepCycle(bool has_pf)
 #endif
     hier_.tick(cycle_);
     stepPredict();
-    if (has_pf)
+    if (pf_)
         stepExtPrefetch();
     stepFetch();
     // BTB-miss resume.
@@ -710,24 +707,32 @@ Simulator::stepCycle(bool has_pf)
 }
 
 void
+Simulator::step()
+{
+    cycle_ += owesAdvance_;
+    stepCycle();
+    if (sampler_)
+        sampler_->tick(committed_, measuring());
+    owesAdvance_ = true;
+}
+
+void
+Simulator::runTo(std::uint64_t target)
+{
+    while (committed_ < target)
+        step();
+}
+
+void
 Simulator::runWarmup()
 {
     panicIf(measuring(), "runWarmup() after measurement began");
-    const std::uint64_t total = cfg_.warmupInsts + cfg_.measureInsts;
-    const bool has_pf = pf_ != nullptr;
-
-    // Stop inside the boundary iteration: after the commit step that
-    // crossed warmupInsts, before beginMeasurement() and the trailing
-    // cycle advance — exactly where a cold run would switch phases.
-    // With a zero-instruction total the loop never runs and
-    // finishRun() handles the degenerate boundary.
-    while (committed_ < total) {
-        stepCycle(has_pf);
-        if (sampler_)
-            sampler_->tick(committed_, /*measuring=*/false);
-        if (committed_ >= cfg_.warmupInsts)
-            return;
-        ++cycle_;
+    // Any run with instructions steps at least one cycle, even with a
+    // zero-instruction warmup: the measurement then starts from that
+    // cycle's boundary exactly like a nonzero one.
+    if (cfg_.warmupInsts + cfg_.measureInsts > 0) {
+        step();
+        runTo(cfg_.warmupInsts);
     }
 }
 
@@ -742,27 +747,21 @@ SimMetrics
 Simulator::finishRun()
 {
     const std::uint64_t total = cfg_.warmupInsts + cfg_.measureInsts;
-    const bool has_pf = pf_ != nullptr;
-
     beginMeasurement();
-    if (total > 0) {
-        // Complete the boundary iteration, then run measurement.
-        ++cycle_;
-        while (committed_ < total) {
-            stepCycle(has_pf);
-            if (sampler_)
-                sampler_->tick(committed_, /*measuring=*/true);
-            ++cycle_;
-        }
-    }
-    if (sampler_)
-        sampler_->finalSample(committed_, /*measuring=*/true);
-    return collectMetrics();
+    runTo(total);
+    return endMeasurement(/*pay_advance=*/total > 0);
 }
 
 SimMetrics
-Simulator::collectMetrics()
+Simulator::endMeasurement(bool pay_advance)
 {
+    if (pay_advance) {
+        cycle_ += owesAdvance_;
+        owesAdvance_ = false;
+    }
+    if (sampler_)
+        sampler_->finalSample(committed_, /*measuring=*/true);
+
     // Measurement phase = end-of-run snapshot minus the warmup one;
     // every scalar SimMetrics field derives from this single delta.
     StatsSnapshot delta =
@@ -806,45 +805,20 @@ Simulator::collectMetrics()
 }
 
 void
-Simulator::runBoundaryTo(std::uint64_t target)
-{
-    // Entered at a segment boundary — after the commit that crossed
-    // the previous target, before that iteration's cycle advance —
-    // and exits the same way, so segments chain exactly like the
-    // runWarmup/finishRun split does.
-    const bool has_pf = pf_ != nullptr;
-    while (committed_ < target) {
-        ++cycle_;
-        stepCycle(has_pf);
-        if (sampler_)
-            sampler_->tick(committed_, measuring());
-    }
-}
-
-void
 Simulator::advanceDetailed(std::uint64_t insts)
 {
     panicIf(measuring(), "advanceDetailed() after measurement began");
-    mode_ = SimMode::DetailedWarmup;
-    if (insts == 0)
-        return;
-    runBoundaryTo(committed_ + insts);
+    runTo(committed_ + insts);
 }
 
 SimMetrics
 Simulator::measureWindow(std::uint64_t insts)
 {
+    // Accounted like a full measurement phase; a window is terminal
+    // for its Simulator instance until the next restore.
     beginMeasurement();
-    if (insts > 0) {
-        runBoundaryTo(committed_ + insts);
-        // Mirror finishRun's trailing advance so the window's cycle
-        // count is accounted the same way as a full measurement
-        // phase. A window is terminal for its Simulator instance.
-        ++cycle_;
-    }
-    if (sampler_)
-        sampler_->finalSample(committed_, /*measuring=*/true);
-    return collectMetrics();
+    runTo(committed_ + insts);
+    return endMeasurement(/*pay_advance=*/insts > 0);
 }
 
 void
@@ -1072,10 +1046,13 @@ Simulator::serializeState(Ar &ar)
     // measurement, whatever this instance was doing previously — that
     // is what lets one Simulator replay checkpoint after checkpoint
     // (sim/sampling.cc) instead of paying construction per interval.
-    // The mode is control state, not checkpoint state, so it is reset
-    // rather than serialized and the byte stream is unchanged.
-    if constexpr (Ar::loading)
+    // The mode and the boundary's owed clock advance are control
+    // state, not checkpoint state, so they are reset rather than
+    // serialized and the byte stream is unchanged.
+    if constexpr (Ar::loading) {
         mode_ = SimMode::DetailedWarmup;
+        owesAdvance_ = true;
+    }
 }
 
 template void Simulator::serializeState(StateWriter &);

@@ -63,9 +63,6 @@ enum class SimMode : std::uint8_t
  */
 struct CoreInit
 {
-    /** Index of this core in the consolidation (stats labeling). */
-    unsigned coreId = 0;
-
     /** Shared L2/LLC plus DRAM/metadata arbitration state; nullptr =
      *  core-private levels (the single-core default). */
     std::shared_ptr<SharedLevels> shared;
@@ -109,9 +106,10 @@ class Simulator
 
     /**
      * Runs the warmup phase only, stopping at the exact measurement
-     * boundary: after the commit that crossed warmupInsts, before
-     * beginMeasurement() and the boundary iteration's cycle advance.
-     * The stopped state is what Checkpoint::capture serializes.
+     * boundary: after the cycle whose commit crossed warmupInsts,
+     * before beginMeasurement() and before that cycle's clock advance,
+     * which the next cycle (or the measurement end) pays. The stopped
+     * state is what Checkpoint::capture serializes.
      */
     void runWarmup();
 
@@ -138,7 +136,7 @@ class Simulator
     // ---- Segmented execution (the sampled-simulation building
     // blocks; see sim/sampling.hh). All three enter and leave the
     // engine at the same boundary convention as runWarmup: stopped
-    // after the commit that crossed the target, before the cycle
+    // after the commit that crossed the target, owing the clock
     // advance — so any sequence of segments composes. ----
 
     /**
@@ -165,12 +163,6 @@ class Simulator
 
     /** Commits so far (warmup + any segments). */
     std::uint64_t committedInsts() const { return committed_; }
-
-    /** Current engine mode. */
-    SimMode mode() const { return mode_; }
-
-    /** The built application (for inspection by examples/tests). */
-    const BuiltApp &app() const { return *app_; }
 
     /**
      * The unified stats registry: every component's counters under
@@ -265,8 +257,26 @@ class Simulator
      *  deltas at every span edge (obs/request_span.hh). */
     obs::SpanCounters spanCountersNow();
 
-    /** One iteration of the main loop (every per-cycle step). */
-    void stepCycle(bool has_pf);
+    /** The per-cycle pipeline: every stage of one cycle, in order. */
+    void stepCycle();
+
+    /**
+     * The one place a detailed cycle happens: pays the clock advance
+     * the previous cycle owes, runs stepCycle, ticks the time-series
+     * sampler, and leaves this cycle's advance owed. Every run loop —
+     * runWarmup, finishRun, advanceDetailed, measureWindow and the
+     * multi-core lockstep — is built on it.
+     */
+    void step();
+
+    /** Steps until the commit that crosses @p target. */
+    void runTo(std::uint64_t target);
+
+    /** Ends a measurement: pays the owed clock advance if
+     *  @p pay_advance (the budget was nonzero), takes the final
+     *  time-series sample and extracts SimMetrics from the
+     *  measurement-phase registry delta. */
+    SimMetrics endMeasurement(bool pay_advance);
 
     /** Builds tenant runtime state for @p name (ctor helper). */
     TenantRt makeTenant(const std::string &name);
@@ -284,23 +294,12 @@ class Simulator
     /** True while the measurement counters accumulate. */
     bool measuring() const { return mode_ == SimMode::DetailedMeasure; }
 
-    /**
-     * Detailed loop from one segment boundary to the next: completes
-     * the pending cycle advance, then steps until the commit that
-     * crosses @p target.
-     */
-    void runBoundaryTo(std::uint64_t target);
-
     /** One fast-forward instruction (see fastForward). */
     void ffStep(const DynInst &inst, bool has_pf, Addr &cur_block);
 
     /** Resynchronizes the decoupled front end to the commit point
      *  after a fast-forward segment. */
     void resyncFrontEnd();
-
-    /** Extracts SimMetrics from the measurement-phase registry delta
-     *  (the shared tail of finishRun and measureWindow). */
-    SimMetrics collectMetrics();
 
     /** Serializes the SoA window in the interleaved (AoS) byte layout
      *  the golden checkpoint blob pins. */
@@ -325,15 +324,12 @@ class Simulator
     // and stream_ is the one the per-cycle paths pull from.
     std::vector<TenantRt> tenants_;
     unsigned activeTenant_ = 0;
-    const AppProfile *profile_ = nullptr;
-    std::shared_ptr<const BuiltApp> app_;
     RequestEngine *engine_ = nullptr;
     ScenarioEngine *scenEngine_ = nullptr;
     InstStream *stream_ = nullptr;
 
     // Multi-tenant scheduling (inert in single-tenant runs:
     // nextSwitchAt_ stays 0 and the quantum check never fires).
-    unsigned coreId_ = 0;
     std::uint64_t switchQuantum_ = 0;
     std::uint64_t nextSwitchAt_ = 0;
     std::uint64_t contextSwitches_ = 0;
@@ -377,6 +373,11 @@ class Simulator
 
     std::uint64_t committed_ = 0;
     SimMode mode_ = SimMode::DetailedWarmup;
+
+    /** The last detailed cycle's clock advance is still unpaid (the
+     *  engine stopped at a segment boundary). A fresh simulator owes
+     *  nothing; a restore always lands at a boundary and owes it. */
+    bool owesAdvance_ = false;
 
     // Reuse-distance probe (Figure 12).
     ReuseDistanceTracker reuse_;

@@ -53,7 +53,12 @@ void
 fatal(const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s\n", msg.c_str());
-    std::exit(1);
+    // No static destructors: fatal may fire on an executor worker (a
+    // Simulator constructor is often the first reader of the HP_*
+    // options), where the global executor's destructor would try to
+    // join the very thread running it.
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 void

@@ -259,6 +259,28 @@ TEST_F(SamplerTest, SkipsJumpedBoundariesAndFinalSample)
     EXPECT_EQ(sampler.rows().size(), 2u);
 }
 
+// ---- Environment ----
+
+TEST(ObsConfigDeathTest, MalformedNumericOptionsAreFatal)
+{
+    // HP_TRACE_CAP=-1 once wrapped to SIZE_MAX, and the event ring's
+    // capacity doubling then looped forever; each numeric option now
+    // rejects a sign, an overflow and its maximum by name.
+    for (const char *name :
+         {"HP_TRACE_CAP", "HP_SPAN_TOPK", "HP_TS_INTERVAL"}) {
+        for (const char *bad : {"-1", "+5", " 5", "99999999999999999999"}) {
+            ::setenv(name, bad, 1);
+            EXPECT_DEATH(obs::configFromEnv(), name) << bad;
+        }
+        ::unsetenv(name);
+    }
+    ::setenv("HP_TRACE_CAP", "67108865", 1); // 2^26 + 1
+    EXPECT_DEATH(obs::configFromEnv(), "maximum 67108864");
+    ::setenv("HP_TRACE_CAP", "1000", 1);
+    EXPECT_EQ(obs::configFromEnv().traceCapacity, 1000u);
+    ::unsetenv("HP_TRACE_CAP");
+}
+
 // ---- Time-series CSV writer ----
 
 TEST(TimeseriesCsv, RowFormat)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <thread>
 #include <vector>
@@ -32,8 +33,15 @@ TEST(ExecutorTest, HpJobsOverridesDefaultThreads)
 
     setenv("HP_JOBS", "3", 1);
     EXPECT_EQ(Executor::defaultThreads(), 3u);
-    setenv("HP_JOBS", "not-a-number", 1);
-    EXPECT_GE(Executor::defaultThreads(), 1u);
+
+    // Anything but 1-1024 in plain digits warns and falls back to the
+    // hardware concurrency, including what strtoul would have taken.
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    for (const char *bad : {"not-a-number", "+3", " 3", "3 ", "0", "-1",
+                            "1025", "99999999999999999999"}) {
+        setenv("HP_JOBS", bad, 1);
+        EXPECT_EQ(Executor::defaultThreads(), hw) << "'" << bad << "'";
+    }
 
     if (saved)
         setenv("HP_JOBS", saved_value.c_str(), 1);

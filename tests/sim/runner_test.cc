@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sim/runner.hh"
 
 namespace hp
@@ -51,36 +58,90 @@ TEST(RunnerTest, ConfigHashDistinguishesKnobsAndMatchesEquality)
 
 TEST(RunnerTest, ConfigKeyDistinguishesEveryKnob)
 {
+    // Sampling and a consolidation with one core override are on, so
+    // their fields are part of the identity too.
     SimConfig base = quickConfig();
-    std::string base_key = ExperimentRunner::configKey(base);
+    base.sample.intervals = 4;
+    base.mt.tenants = {"caddy", "gin"};
+    base.mt.coreOverrides = {CoreConfig{}};
 
-    SimConfig c1 = base;
-    c1.prefetcher = PrefetcherKind::Hierarchical;
-    EXPECT_NE(ExperimentRunner::configKey(c1), base_key);
+    // One entry per config field: configHash is a hash of configKey,
+    // so a field the key misses would alias two configs in the
+    // experiment cache and the checkpoint store.
+#define KNOB(stmt) {#stmt, [](SimConfig &c) { stmt; }}
+    // A CoreConfig field, both inherited and in the core override.
+#define CORE_KNOB(field) KNOB(++c.field), KNOB(++c.mt.coreOverrides[0].field)
+    const std::vector<std::pair<const char *,
+                                std::function<void(SimConfig &)>>> knobs = {
+        KNOB(c.workload = "gin"), KNOB(++c.warmupInsts),
+        KNOB(++c.measureInsts), KNOB(c.prefetcher = PrefetcherKind::Eip),
+        KNOB(c.extPrefetchToL2 = true), KNOB(++c.extPrefetchesPerCycle),
+        KNOB(c.trackReuse = true), KNOB(c.longRangePercentile = 0.95),
+        KNOB(c.scenario = "scenario s"),
+        CORE_KNOB(ftqEntries), CORE_KNOB(fetchBytesPerCycle),
+        CORE_KNOB(bpBlocksPerCycle), CORE_KNOB(btbEntries),
+        CORE_KNOB(btbWays), CORE_KNOB(rasDepth), CORE_KNOB(btbMissPenalty),
+        CORE_KNOB(mispredictPenalty), CORE_KNOB(pipelineDepth),
+        CORE_KNOB(commitWidth), CORE_KNOB(robEntries),
+        CORE_KNOB(backendStallPermille), CORE_KNOB(backendStallCycles),
+        // HierarchyParams
+        KNOB(c.mem.l1iBytes *= 2), KNOB(++c.mem.l1iWays),
+        KNOB(++c.mem.l1iLatency), KNOB(++c.mem.l1iMshrs),
+        KNOB(c.mem.l2Bytes *= 2), KNOB(++c.mem.l2Ways),
+        KNOB(++c.mem.l2Latency), KNOB(c.mem.l2InstFraction = 0.7),
+        KNOB(c.mem.llcBytes *= 2), KNOB(++c.mem.llcWays),
+        KNOB(++c.mem.llcLatency), KNOB(c.mem.llcInstFraction = 0.5),
+        KNOB(++c.mem.memLatency), KNOB(++c.mem.itlbEntries),
+        KNOB(++c.mem.itlbWalkLatency), KNOB(++c.mem.mshrsReservedForDemand),
+        KNOB(++c.mem.metadataDramEvery),
+        // Prefetcher configs
+        KNOB(++c.efetch.tableEntries), KNOB(++c.efetch.signatureDepth),
+        KNOB(++c.efetch.calleesPerEntry), KNOB(++c.efetch.lookahead),
+        KNOB(++c.efetch.footprintEntries), KNOB(++c.mana.regionBlocks),
+        KNOB(++c.mana.historyRegions), KNOB(++c.mana.indexEntries),
+        KNOB(++c.mana.lookahead), KNOB(++c.eip.tableEntries),
+        KNOB(++c.eip.tableWays), KNOB(++c.eip.historyEntries),
+        KNOB(++c.eip.maxTargets), KNOB(++c.eip.targetRunBlocks),
+        KNOB(++c.rdip.tableEntries), KNOB(++c.rdip.signatureDepth),
+        KNOB(++c.rdip.blocksPerEntry), KNOB(++c.hier.compressionEntries),
+        KNOB(++c.hier.metadataBufferBytes), KNOB(++c.hier.matEntries),
+        KNOB(++c.hier.matWays), KNOB(++c.hier.maxSegmentsPerBundle),
+        KNOB(++c.hier.aheadSegments),
+        KNOB(c.hier.replayDedup = !c.hier.replayDedup),
+        KNOB(c.hier.subSegmentPacing = !c.hier.subSegmentPacing),
+        KNOB(c.hier.supersedeRecords = !c.hier.supersedeRecords),
+        KNOB(c.hier.trackBundleStats = !c.hier.trackBundleStats),
+        // SampleConfig (enabled)
+        KNOB(++c.sample.intervals), KNOB(++c.sample.windowInsts),
+        KNOB(++c.sample.detailWarmupInsts), KNOB(++c.sample.seed),
+        // MultiTenantConfig (enabled)
+        KNOB(c.mt.tenants[1] = "echo"), KNOB(c.mt.tenants.push_back("echo")),
+        KNOB(++c.mt.cores), KNOB(++c.mt.switchQuantum),
+        KNOB(c.mt.partitionMetadata = true),
+        KNOB(++c.mt.metadataReadBytesPerCycle), KNOB(++c.mt.dramFillGapCycles),
+        KNOB(c.mt.coreOverrides.push_back(CoreConfig{})),
+        // Doubles are printed exactly: these agree with the defaults
+        // to 6 significant digits, where an ostream stops by default.
+        KNOB(c.mem.l2InstFraction = 0.6500001),
+        KNOB(c.mem.l2InstFraction = std::nextafter(0.65, 1.0)),
+        KNOB(c.longRangePercentile = 0.9000001),
+    };
+#undef CORE_KNOB
+#undef KNOB
 
-    SimConfig c2 = base;
-    c2.mem.l1iBytes *= 2;
-    EXPECT_NE(ExperimentRunner::configKey(c2), base_key);
-
-    SimConfig c3 = base;
-    c3.hier.matEntries = 1024;
-    EXPECT_NE(ExperimentRunner::configKey(c3), base_key);
-
-    SimConfig c4 = base;
-    c4.mana.lookahead = 7;
-    EXPECT_NE(ExperimentRunner::configKey(c4), base_key);
-
-    SimConfig c5 = base;
-    c5.extPrefetchToL2 = true;
-    EXPECT_NE(ExperimentRunner::configKey(c5), base_key);
-
-    SimConfig c6 = base;
-    c6.btbEntries = 0;
-    EXPECT_NE(ExperimentRunner::configKey(c6), base_key);
-
-    SimConfig c7 = base;
-    c7.workload = "gin";
-    EXPECT_NE(ExperimentRunner::configKey(c7), base_key);
+    std::set<std::string> keys = {ExperimentRunner::configKey(base)};
+    for (const auto &[name, perturb] : knobs) {
+        SimConfig c = base;
+        perturb(c);
+        ASSERT_FALSE(c == base) << name;
+        EXPECT_NE(ExperimentRunner::configKey(c),
+                  ExperimentRunner::configKey(base))
+            << name;
+        EXPECT_NE(configHash(c), configHash(base)) << name;
+        keys.insert(ExperimentRunner::configKey(c));
+    }
+    // No two perturbations collide either.
+    EXPECT_EQ(keys.size(), knobs.size() + 1);
 }
 
 TEST(RunnerTest, MeasurementConfigPinsOnlyUnreadFields)

@@ -77,6 +77,42 @@ TEST(RuntimeOptionsTest, WarnOnceReturnsOnce)
     ::unsetenv("HP_BOGUS_WARNME");
 }
 
+TEST(RuntimeOptionsTest, ParseDecimalAcceptsDigitsOnly)
+{
+    std::uint64_t v = 7;
+    std::string err;
+    ASSERT_TRUE(parseDecimal("0", 10, &v, &err));
+    EXPECT_EQ(v, 0u);
+    ASSERT_TRUE(parseDecimal("1024", 1024, &v, &err));
+    EXPECT_EQ(v, 1024u);
+    ASSERT_TRUE(parseDecimal("18446744073709551615", ~std::uint64_t(0),
+                             &v, &err));
+    EXPECT_EQ(v, ~std::uint64_t(0));
+
+    // No sign, whitespace, prefix or exponent: strtoull would accept
+    // the first four and wrap "-1" to 2^64-1.
+    for (const char *bad : {"-1", "+5", " 5", "5 ", "", "0x10", "1e3",
+                            "12abc"}) {
+        v = 7;
+        err.clear();
+        EXPECT_FALSE(parseDecimal(bad, ~std::uint64_t(0), &v, &err))
+            << "'" << bad << "'";
+        EXPECT_NE(err.find("not a decimal number"), std::string::npos)
+            << bad;
+        EXPECT_EQ(v, 7u) << bad; // untouched on failure
+    }
+
+    // Overflow and the per-option maximum are rejected, not clamped.
+    for (const char *big : {"18446744073709551616",
+                            "99999999999999999999"}) {
+        EXPECT_FALSE(parseDecimal(big, ~std::uint64_t(0), &v, &err))
+            << big;
+        EXPECT_NE(err.find("maximum"), std::string::npos) << big;
+    }
+    EXPECT_FALSE(parseDecimal("1025", 1024, &v, &err));
+    EXPECT_NE(err.find("maximum 1024"), std::string::npos);
+}
+
 TEST(RuntimeOptionsTest, HelpTextCoversFlagsAndEnv)
 {
     const std::string help =

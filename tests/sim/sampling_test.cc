@@ -164,6 +164,29 @@ TEST(ParseSampleSpecTest, RejectsMalformedSpecs)
     EXPECT_NE(err.find("window"), std::string::npos);
 }
 
+TEST(ParseSampleSpecTest, RejectsSignsWhitespaceAndOverflow)
+{
+    // Each of these used to parse "successfully" through strtoull:
+    // a sign wrapped to 2^64-1 (or K = 2^32-1), an overflow saturated,
+    // and K = 2^32+1 truncated to 1.
+    for (const char *bad :
+         {"-1,30000", "12,-1", "12,99999999999999999999",
+          "4294967297,30000", " 12,30000", "+12,30000", "12, 30000"}) {
+        SampleConfig sc;
+        sc.intervals = 99;
+        std::string err;
+        EXPECT_FALSE(parseSampleSpec(bad, &sc, &err)) << bad;
+        EXPECT_NE(err.find("bad sample spec field"), std::string::npos)
+            << bad << ": " << err;
+        EXPECT_EQ(sc.intervals, 99u) << bad; // untouched on failure
+    }
+
+    // The largest K an unsigned holds is still accepted.
+    SampleConfig sc;
+    ASSERT_TRUE(parseSampleSpec("4294967295,30000", &sc, nullptr));
+    EXPECT_EQ(sc.intervals, 4294967295u);
+}
+
 // ---- state-arithmetic archives --------------------------------------
 
 struct TinyStats
