@@ -40,7 +40,9 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
       l2_(lvl_->l2),
       llc_(lvl_->llc),
       itlb_(params.itlbEntries, params.itlbWalkLatency)
-{}
+{
+    mshrs_.reserve(params.l1iMshrs);
+}
 
 Cycle
 CacheHierarchy::dramQueueDelay(Cycle now)
@@ -65,11 +67,11 @@ CacheHierarchy::statsFor(Origin origin)
 void
 CacheHierarchy::recordExtOutcome(Addr block, bool useful)
 {
-    auto it = extIssueSeq_.find(block);
-    if (it == extIssueSeq_.end())
+    const std::uint64_t *issued = extIssueSeq_.find(block);
+    if (!issued)
         return;
-    std::uint64_t distance = fetchBlockSeq_ - it->second;
-    extIssueSeq_.erase(it);
+    std::uint64_t distance = fetchBlockSeq_ - *issued;
+    extIssueSeq_.erase(block);
 
     unsigned bin = 0;
     while (bin + 1 < HierarchyStats::kDistanceBins &&
@@ -84,18 +86,50 @@ CacheHierarchy::recordExtOutcome(Addr block, bool useful)
     }
 }
 
+CacheHierarchy::Mshr *
+CacheHierarchy::findMshr(Addr block)
+{
+    for (Mshr &mshr : mshrs_) {
+        if (mshr.block == block)
+            return &mshr;
+    }
+    return nullptr;
+}
+
+void
+CacheHierarchy::allocMshr(Mshr mshr)
+{
+    mshr.seq = mshrSeq_++;
+    nextFillAt_ = std::min(nextFillAt_, mshr.readyAt);
+    mshrs_.push_back(mshr);
+}
+
+void
+CacheHierarchy::completeEarliestFill()
+{
+    std::size_t first = 0;
+    for (std::size_t i = 1; i < mshrs_.size(); ++i) {
+        const Mshr &m = mshrs_[i];
+        const Mshr &f = mshrs_[first];
+        if (m.readyAt < f.readyAt ||
+            (m.readyAt == f.readyAt && m.seq < f.seq)) {
+            first = i;
+        }
+    }
+    const Mshr done = mshrs_[first];
+    mshrs_[first] = mshrs_.back();
+    mshrs_.pop_back();
+    nextFillAt_ = kNoFill;
+    for (const Mshr &m : mshrs_)
+        nextFillAt_ = std::min(nextFillAt_, m.readyAt);
+    completeFill(done);
+}
+
 void
 CacheHierarchy::tick(Cycle now)
 {
-    while (!completions_.empty() && completions_.begin()->first <= now) {
-        Addr block = completions_.begin()->second;
-        completions_.erase(completions_.begin());
-        auto it = mshrs_.find(block);
-        if (it == mshrs_.end())
-            continue;
-        completeFill(it->second);
-        mshrs_.erase(it);
-    }
+    while (!mshrs_.empty() && nextFillAt_ <= now)
+        completeEarliestFill();
 }
 
 void
@@ -216,8 +250,8 @@ CacheHierarchy::demandAccess(Addr block, Cycle now)
 
     ++stats_.demandL1Misses;
 
-    if (auto it = mshrs_.find(block); it != mshrs_.end()) {
-        Mshr &mshr = it->second;
+    if (Mshr *merged = findMshr(block)) {
+        Mshr &mshr = *merged;
         if (mshr.origin != Origin::Demand && !mshr.demandMerged) {
             ++statsFor(mshr.origin).lateMerges;
             HP_EMIT(obs_, emit(EventKind::PrefetchLate, now, block, 0,
@@ -290,8 +324,7 @@ CacheHierarchy::demandAccess(Addr block, Cycle now)
     mshr.fillLlc = probe.fillLlc;
     mshr.fromMem = probe.fromMem;
     mshr.demandMerged = true;
-    mshrs_.emplace(block, mshr);
-    completions_.emplace(mshr.readyAt, block);
+    allocMshr(mshr);
 #ifndef HP_NO_OBS
     if (obs_) {
         EventKind kind = probe.level == ServiceLevel::L2
@@ -319,7 +352,7 @@ CacheHierarchy::prefetch(Addr block, Origin origin, Cycle now, bool to_l2)
                            0, 0, org));
         return false;
     }
-    if (mshrs_.count(block)) {
+    if (findMshr(block)) {
         ++ps.redundant;
         HP_EMIT(obs_, emit(EventKind::PrefetchRedundant, now, block,
                            0, 1, org));
@@ -352,8 +385,7 @@ CacheHierarchy::prefetch(Addr block, Origin origin, Cycle now, bool to_l2)
     mshr.fillLlc = probe.fillLlc;
     mshr.fromMem = probe.fromMem;
     mshr.toL2Only = to_l2;
-    mshrs_.emplace(block, mshr);
-    completions_.emplace(mshr.readyAt, block);
+    allocMshr(mshr);
     HP_EMIT(obs_, emit(EventKind::PrefetchIssued, now, block, 0,
                        probe.latency, org));
     if (attr_.enabled() && !to_l2)
@@ -460,18 +492,10 @@ CacheHierarchy::functionalPrefetch(Addr block, Origin origin,
 void
 CacheHierarchy::drainInFlight()
 {
-    // completions_ is ordered by readyAt, so fills (and the evictions
-    // they cause) land in the order the timing path would retire them.
-    while (!completions_.empty()) {
-        Addr block = completions_.begin()->second;
-        completions_.erase(completions_.begin());
-        auto it = mshrs_.find(block);
-        if (it == mshrs_.end())
-            continue;
-        completeFill(it->second);
-        mshrs_.erase(it);
-    }
-    mshrs_.clear();
+    // Fills (and the evictions they cause) land in (readyAt,
+    // allocation) order, as the timing path would retire them.
+    while (!mshrs_.empty())
+        completeEarliestFill();
 }
 
 unsigned
@@ -578,14 +602,91 @@ CacheHierarchy::resetStats()
 
 template <class Ar>
 void
+CacheHierarchy::serializeMshrs(Ar &ar)
+{
+    if constexpr (Ar::loading) {
+        mshrs_.clear();
+        std::uint64_t n = 0;
+        ar.value(n);
+        if (n > params_.l1iMshrs) {
+            ar.markFailed();
+            return;
+        }
+        for (std::uint64_t i = 0; i < n; ++i) {
+            Addr key = 0;
+            Mshr mshr;
+            ar.value(key);
+            mshr.serializeState(ar);
+            if (key != mshr.block || findMshr(key)) {
+                ar.markFailed();
+                return;
+            }
+            mshrs_.push_back(mshr);
+        }
+        // The completion list must name every MSHR exactly once, at
+        // its readyAt; its order is the allocation order.
+        std::uint64_t m = 0;
+        ar.value(m);
+        if (m != n) {
+            ar.markFailed();
+            return;
+        }
+        constexpr std::uint64_t kUnlisted = ~std::uint64_t(0);
+        for (Mshr &mshr : mshrs_)
+            mshr.seq = kUnlisted;
+        for (std::uint64_t i = 0; i < m; ++i) {
+            Cycle ready = 0;
+            Addr block = 0;
+            ar.value(ready);
+            ar.value(block);
+            Mshr *mshr = findMshr(block);
+            if (!mshr || mshr->readyAt != ready ||
+                mshr->seq != kUnlisted) {
+                ar.markFailed();
+                return;
+            }
+            mshr->seq = i;
+        }
+        mshrSeq_ = n;
+        nextFillAt_ = kNoFill;
+        for (const Mshr &mshr : mshrs_)
+            nextFillAt_ = std::min(nextFillAt_, mshr.readyAt);
+    } else {
+        std::vector<Mshr *> order;
+        for (Mshr &mshr : mshrs_)
+            order.push_back(&mshr);
+        std::sort(order.begin(), order.end(),
+                  [](const Mshr *a, const Mshr *b) {
+                      return a->block < b->block;
+                  });
+        std::uint64_t n = order.size();
+        ar.value(n);
+        for (Mshr *mshr : order) {
+            ar.value(mshr->block);
+            mshr->serializeState(ar);
+        }
+        std::sort(order.begin(), order.end(),
+                  [](const Mshr *a, const Mshr *b) {
+                      return a->readyAt != b->readyAt
+                          ? a->readyAt < b->readyAt : a->seq < b->seq;
+                  });
+        ar.value(n);
+        for (const Mshr *mshr : order) {
+            ar.value(mshr->readyAt);
+            ar.value(mshr->block);
+        }
+    }
+}
+
+template <class Ar>
+void
 CacheHierarchy::serializeState(Ar &ar)
 {
     l1i_.serializeState(ar);
     l2_.serializeState(ar);
     llc_.serializeState(ar);
     itlb_.serializeState(ar);
-    io(ar, mshrs_);
-    io(ar, completions_);
+    serializeMshrs(ar);
     io(ar, extIssueSeq_);
     io(ar, fetchBlockSeq_);
     io(ar, metadataReads_);

@@ -17,9 +17,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -30,6 +28,7 @@
 #include "prefetch/prefetcher.hh"
 #include "stats/histogram.hh"
 #include "stats/registry.hh"
+#include "util/flat_map.hh"
 #include "util/types.hh"
 
 namespace hp
@@ -378,6 +377,10 @@ class CacheHierarchy : public MetadataMemory
         bool demandMerged = false;
         bool toL2Only = false;
         bool fromMem = false;
+        /** Allocation order: fills with equal readyAt complete oldest
+         *  first. Not serialized; the completion list's order carries
+         *  it (serializeMshrs). */
+        std::uint64_t seq = 0;
 
         template <class Ar>
         void
@@ -396,6 +399,17 @@ class CacheHierarchy : public MetadataMemory
 
     PrefetchStats &statsFor(Origin origin);
     void completeFill(const Mshr &mshr);
+
+    /** The live MSHR for @p block, or null. */
+    Mshr *findMshr(Addr block);
+    void allocMshr(Mshr mshr);
+    /** Retires the MSHR with the earliest (readyAt, seq) and lands
+     *  its fill. */
+    void completeEarliestFill();
+    /** The MSHR file in the layout of its former node containers: an
+     *  unordered_map<block, Mshr>, then the completion multimap of
+     *  (readyAt, block) in completion order. */
+    template <class Ar> void serializeMshrs(Ar &ar);
 
     /** Looks up L2/LLC/mem and returns (latency, fill flags, fromMem). */
     struct ProbeResult
@@ -428,11 +442,17 @@ class CacheHierarchy : public MetadataMemory
     SetAssocCache &llc_;
     Tlb itlb_;
 
-    std::unordered_map<Addr, Mshr> mshrs_;
-    std::multimap<Cycle, Addr> completions_;
+    /** Live MSHRs in no particular order; l1iMshrs slots are
+     *  reserved up front, so allocating one never touches the heap. */
+    std::vector<Mshr> mshrs_;
+    /** Earliest readyAt in mshrs_ (kNoFill when empty): tick() costs
+     *  one compare on the cycles no fill completes. */
+    static constexpr Cycle kNoFill = ~Cycle(0);
+    Cycle nextFillAt_ = kNoFill;
+    std::uint64_t mshrSeq_ = 0;
 
     /** Issue sequence (fetch-block units) of in-cache Ext prefetches. */
-    std::unordered_map<Addr, std::uint64_t> extIssueSeq_;
+    FlatMap<Addr, std::uint64_t> extIssueSeq_;
 
     void recordExtOutcome(Addr block, bool useful);
 

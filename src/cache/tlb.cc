@@ -1,5 +1,7 @@
 #include "cache/tlb.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 #include "util/serialize.hh"
 
@@ -10,6 +12,7 @@ Tlb::Tlb(unsigned entries, Cycle walk_latency)
     : entries_(entries), walkLatency_(walk_latency)
 {
     fatalIf(entries == 0, "TLB needs at least one entry");
+    lru_.reserve(entries);
 }
 
 Cycle
@@ -17,20 +20,16 @@ Tlb::translate(Addr addr)
 {
     ++accesses_;
     Addr page = pageAlign(addr);
-    auto it = map_.find(page);
-    if (it != map_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
+    auto it = std::find(lru_.begin(), lru_.end(), page);
+    if (it != lru_.end()) {
+        std::rotate(lru_.begin(), it, it + 1);
         return 0;
     }
 
     ++misses_;
-    if (map_.size() >= entries_) {
-        Addr victim = lru_.back();
+    if (lru_.size() >= entries_)
         lru_.pop_back();
-        map_.erase(victim);
-    }
-    lru_.push_front(page);
-    map_[page] = lru_.begin();
+    lru_.insert(lru_.begin(), page);
     return walkLatency_;
 }
 
@@ -48,12 +47,6 @@ Tlb::serializeState(Ar &ar)
     io(ar, lru_);
     io(ar, accesses_);
     io(ar, misses_);
-    if constexpr (Ar::loading) {
-        map_.clear();
-        map_.reserve(lru_.size());
-        for (auto it = lru_.begin(); it != lru_.end(); ++it)
-            map_[*it] = it;
-    }
 }
 
 template void Tlb::serializeState(StateWriter &);

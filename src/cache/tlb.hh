@@ -10,8 +10,7 @@
 #define HP_CACHE_TLB_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "stats/registry.hh"
 #include "util/types.hh"
@@ -53,24 +52,23 @@ class Tlb
      * Drops every resident translation (context-switch flush; the
      * modeled I-TLB is not ASID-tagged). Counters are untouched.
      */
-    void
-    flush()
-    {
-        lru_.clear();
-        map_.clear();
-    }
+    void flush() { lru_.clear(); }
 
-    /** Serializes/restores the LRU contents and counters; the lookup
-     *  map is rebuilt from the restored list (checkpointing). */
+    /** Serializes/restores the LRU contents and counters
+     *  (checkpointing). */
     template <class Ar> void serializeState(Ar &ar);
 
   private:
     unsigned entries_;
     Cycle walkLatency_;
 
-    /** LRU list of resident pages; front = MRU. */
-    std::list<Addr> lru_;
-    std::unordered_map<Addr, std::list<Addr>::iterator> map_;
+    /**
+     * Resident pages in recency order, front = MRU: a linear scan over
+     * at most entries_ pages in a vector reserved at construction, so
+     * a translation never allocates. It encodes exactly like the
+     * std::list it replaced.
+     */
+    std::vector<Addr> lru_;
 
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;

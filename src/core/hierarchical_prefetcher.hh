@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/compression_buffer.hh"
@@ -26,6 +25,7 @@
 #include "core/metadata_table.hh"
 #include "prefetch/prefetcher.hh"
 #include "stats/histogram.hh"
+#include "util/flat_map.hh"
 #include "util/hash.hh"
 
 namespace hp
@@ -261,7 +261,7 @@ class HierarchicalPrefetcher final : public Prefetcher
      * replay from thrashing the L1-I with copies of content the core
      * has already consumed.
      */
-    std::unordered_set<Addr> replayIssued_;
+    FlatSet<Addr> replayIssued_;
 
     // ---- Probes ----
     HierarchicalStats stats_;

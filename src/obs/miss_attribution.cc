@@ -24,9 +24,8 @@ MissAttribution::onPrefetchAccepted(Addr block)
     // An accepted prefetch supersedes a stale drop record: the block
     // now has a live fill in flight, so a subsequent miss is "late",
     // not "contention".
-    auto it = lines_.find(block);
-    if (it != lines_.end())
-        it->second.prefetchDropped = false;
+    if (LineState *line = lines_.find(block))
+        line->prefetchDropped = false;
 }
 
 void
@@ -78,9 +77,8 @@ MissAttribution::onMissMerge(Addr block, bool prefetch_origin, Cycle wait)
     }
     // Merging into a demand fill: this is the same miss episode as the
     // allocation that created the MSHR; repeat its cause.
-    auto it = lines_.find(block);
-    MissCause cause = it != lines_.end()
-        ? it->second.lastCause : MissCause::NeverPrefetched;
+    const LineState *line = lines_.find(block);
+    MissCause cause = line ? line->lastCause : MissCause::NeverPrefetched;
     account(cause, wait);
 }
 

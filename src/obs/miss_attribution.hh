@@ -26,10 +26,10 @@
  *                        wrong-path blocks (see DESIGN.md Section 5).
  *
  * The tracker keeps a small per-block history (flags + the class of
- * the last miss episode) in a hash map; the cost is confined to miss
- * and prefetch paths and only paid when attribution is enabled. The
- * counter block itself always exists so the registry's shape does not
- * depend on whether observability is on.
+ * the last miss episode) in a flat hash map; the cost is confined to
+ * miss and prefetch paths and only paid when attribution is enabled.
+ * The counter block itself always exists so the registry's shape does
+ * not depend on whether observability is on.
  */
 
 #ifndef HP_OBS_MISS_ATTRIBUTION_HH
@@ -38,9 +38,9 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 
 #include "stats/registry.hh"
+#include "util/flat_map.hh"
 #include "util/serialize.hh"
 #include "util/types.hh"
 
@@ -171,7 +171,7 @@ class MissAttribution
     MissCause classify(const LineState &line) const;
 
     bool enabled_ = false;
-    std::unordered_map<Addr, LineState> lines_;
+    FlatMap<Addr, LineState> lines_;
     Counters counters_;
 };
 

@@ -88,14 +88,14 @@ void
 EFetch::prefetchCallee(Addr callee)
 {
     Addr entry_block = blockAlign(callee);
-    auto it = footprints_.find(entry_block);
-    if (it == footprints_.end()) {
+    const Footprint *fp = footprints_.find(entry_block);
+    if (!fp) {
         // No learned footprint yet: prefetch the entry block only.
         push(entry_block);
         return;
     }
-    std::uint32_t vec0 = it->second.vec0 | 1u;
-    std::uint32_t vec1 = it->second.vec1;
+    std::uint32_t vec0 = fp->vec0 | 1u;
+    std::uint32_t vec1 = fp->vec1;
     while (vec0) {
         unsigned bit = __builtin_ctz(vec0);
         vec0 &= vec0 - 1;
@@ -114,7 +114,8 @@ EFetch::predictAndPrefetch()
     // Chain predictions: each predicted callee is hypothetically pushed
     // onto a copy of the stack to look up the next level.
     std::uint64_t sig = currentSignature();
-    std::vector<Addr> shadow = callStack_;
+    std::vector<Addr> &shadow = shadowStack_;
+    shadow.assign(callStack_.begin(), callStack_.end());
     unsigned emitted = 0;
     for (unsigned depth = 0;
          depth < config_.lookahead && emitted < config_.lookahead;
@@ -168,11 +169,13 @@ EFetch::onCommit(const DynInst &inst, Cycle now)
         if (block >= entry_block) {
             Addr delta = (block - entry_block) >> kBlockShift;
             if (delta < 64) {
-                Footprint &fp = footprints_[entry_block];
+                auto [fp, inserted] = footprints_.insert(entry_block);
+                if (inserted)
+                    footprintFifo_.push_back(entry_block);
                 if (delta < 32)
-                    fp.vec0 |= 1u << delta;
+                    fp->vec0 |= 1u << delta;
                 else
-                    fp.vec1 |= 1u << (delta - 32);
+                    fp->vec1 |= 1u << (delta - 32);
             }
         }
     }
@@ -191,9 +194,12 @@ EFetch::onCommit(const DynInst &inst, Cycle now)
         lastSignature_ = currentSignature();
         haveLastSignature_ = true;
 
-        // Bound the footprint table like a 4K-entry structure.
+        // Bound the footprint table like a 4K-entry structure. The
+        // victim is the oldest footprint, so it depends only on
+        // checkpointed state.
         if (footprints_.size() > config_.footprintEntries) {
-            footprints_.erase(footprints_.begin());
+            footprints_.erase(footprintFifo_.front());
+            footprintFifo_.pop_front();
         }
 
         predictAndPrefetch();
@@ -207,6 +213,20 @@ EFetch::onCommit(const DynInst &inst, Cycle now)
     }
 }
 
+bool
+EFetch::fifoMatchesFootprints() const
+{
+    if (footprintFifo_.size() != footprints_.size())
+        return false;
+    FlatSet<Addr> seen;
+    for (std::size_t i = 0; i < footprintFifo_.size(); ++i) {
+        const Addr key = footprintFifo_[i];
+        if (!footprints_.contains(key) || !seen.insert(key).second)
+            return false;
+    }
+    return true;
+}
+
 template <class Ar>
 void
 EFetch::serializeState(Ar &ar)
@@ -216,6 +236,14 @@ EFetch::serializeState(Ar &ar)
     io(ar, funcStack_);
     io(ar, footprints_);
     io(ar, footprintFifo_);
+    if constexpr (Ar::loading) {
+        // A FIFO that disagrees with the table would evict entries
+        // that are not there: reject the blob as a shape mismatch.
+        if (!fifoMatchesFootprints()) {
+            ar.markFailed();
+            return;
+        }
+    }
     io(ar, lastSignature_);
     io(ar, haveLastSignature_);
 }

@@ -17,10 +17,11 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "prefetch/prefetcher.hh"
+#include "util/flat_map.hh"
+#include "util/ring_buffer.hh"
 
 namespace hp
 {
@@ -109,6 +110,9 @@ class EFetch final : public Prefetcher
 
     template <class Ar> void serializeState(Ar &ar);
 
+    /** True when footprintFifo_ lists every footprint key once. */
+    bool fifoMatchesFootprints() const;
+
     std::uint64_t currentSignature() const;
     Entry &entryFor(std::uint64_t sig);
     void train(Addr callee);
@@ -124,9 +128,14 @@ class EFetch final : public Prefetcher
     /** Current function entry (for footprint training). */
     std::vector<Addr> funcStack_;
 
-    /** Per-callee touched-block vectors, LRU-bounded. */
-    std::unordered_map<Addr, Footprint> footprints_;
-    std::vector<Addr> footprintFifo_;
+    /** Scratch copy of callStack_ for chained predictions; a member
+     *  so a prediction reuses its capacity instead of allocating. */
+    std::vector<Addr> shadowStack_;
+
+    /** Per-callee touched-block vectors, FIFO-bounded. */
+    FlatMap<Addr, Footprint> footprints_;
+    /** footprints_ keys in insertion order: the eviction order. */
+    RingBuffer<Addr> footprintFifo_;
 
     std::uint64_t lastSignature_ = 0;
     bool haveLastSignature_ = false;

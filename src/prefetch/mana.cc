@@ -40,10 +40,20 @@ Mana::closeOpenRegion()
     history_[historyHead_] = open_;
     historyHead_ = (historyHead_ + 1) % history_.size();
     index_[open_.base] = pos;
-    // Bound the index like a 4K-entry table: drop an arbitrary entry
-    // when over capacity (models tag conflicts).
-    if (index_.size() > config_.indexEntries)
-        index_.erase(index_.begin());
+    // Bound the index like a 4K-entry table: drop the entry with the
+    // oldest history position when over capacity. The victim depends
+    // only on checkpointed state.
+    if (index_.size() > config_.indexEntries) {
+        Addr victim = 0;
+        std::uint64_t oldest = ~std::uint64_t(0);
+        index_.forEach([&](Addr base, std::uint64_t at) {
+            if (at < oldest) {
+                oldest = at;
+                victim = base;
+            }
+        });
+        index_.erase(victim);
+    }
     openValid_ = false;
 }
 
@@ -114,11 +124,10 @@ Mana::followStream(Addr block)
         ++divergences_;
     }
 
-    auto it = index_.find(block);
-    if (it != index_.end() && it->second >= oldest &&
-        it->second < historyCount_) {
+    const std::uint64_t *at = index_.find(block);
+    if (at && *at >= oldest && *at < historyCount_) {
         streaming_ = true;
-        streamPos_ = it->second;
+        streamPos_ = *at;
         issuedUpTo_ = streamPos_ + 1;
         issueAhead();
     }

@@ -14,10 +14,10 @@
 #define HP_PREFETCH_MANA_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "prefetch/prefetcher.hh"
+#include "util/flat_map.hh"
 
 namespace hp
 {
@@ -110,7 +110,7 @@ class Mana final : public Prefetcher
     std::uint64_t historyCount_ = 0;
 
     /** Region base -> absolute history position (latest). */
-    std::unordered_map<Addr, std::uint64_t> index_;
+    FlatMap<Addr, std::uint64_t> index_;
 
     /** Replay cursor: absolute history position of current region. */
     std::uint64_t streamPos_ = 0;

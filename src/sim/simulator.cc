@@ -307,10 +307,8 @@ void
 Simulator::ensureWindow(std::uint64_t up_to_seq)
 {
     while (windowBase_ + window_.size() <= up_to_seq) {
-        DynInst inst;
-        bool ok = stream_->next(inst);
+        const bool ok = stream_->next(window_.emplace_back());
         panicIf(!ok, "workload stream ended unexpectedly");
-        window_.push_back(inst);
         windowFetch_.push_back(kNotFetched);
     }
 }

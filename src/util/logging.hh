@@ -59,22 +59,24 @@ void logDebug(const std::string &msg);
 
 /**
  * Checks an invariant that must hold regardless of user input.
- * Unlike assert(), stays active in release builds.
+ * Unlike assert(), stays active in release builds. A macro, so the
+ * message (a std::string, often a concatenation) is built only when
+ * the check fails: per-instruction checks in the simulation loops
+ * must cost one compare, not a heap allocation.
  */
-inline void
-panicIf(bool condition, const std::string &msg)
-{
-    if (condition)
-        panic(msg);
-}
+#define panicIf(condition, msg)                                           \
+    do {                                                                  \
+        if (condition) [[unlikely]]                                       \
+            ::hp::panic(msg);                                             \
+    } while (0)
 
-/** Checks a user-facing precondition (configuration validity etc.). */
-inline void
-fatalIf(bool condition, const std::string &msg)
-{
-    if (condition)
-        fatal(msg);
-}
+/** Checks a user-facing precondition (configuration validity etc.);
+ *  like panicIf, builds its message only on failure. */
+#define fatalIf(condition, msg)                                           \
+    do {                                                                  \
+        if (condition) [[unlikely]]                                       \
+            ::hp::fatal(msg);                                             \
+    } while (0)
 
 /**
  * Rate-limited warning: prints at most @p limit times from this call

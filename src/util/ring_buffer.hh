@@ -57,6 +57,17 @@ class RingBuffer
         ++count_;
     }
 
+    /** Appends a default element and returns it, for callers that
+     *  fill the slot in place instead of copying a value in. */
+    T &
+    emplace_back()
+    {
+        if (count_ == buf_.size())
+            grow();
+        ++count_;
+        return back();
+    }
+
     void
     pop_front()
     {

@@ -22,8 +22,6 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <list>
-#include <map>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -31,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/flat_map.hh"
 #include "util/ring_buffer.hh"
 
 namespace hp
@@ -254,54 +253,12 @@ io(Ar &ar, std::deque<T> &d)
         io(ar, e);
 }
 
-template <class Ar, typename T>
-void
-io(Ar &ar, std::list<T> &l)
-{
-    std::uint64_t n = l.size();
-    ar.value(n);
-    if constexpr (Ar::loading) {
-        l.clear();
-        l.resize(n);
-    }
-    for (auto &e : l)
-        io(ar, e);
-}
-
 template <class Ar, typename A, typename B>
 void
 io(Ar &ar, std::pair<A, B> &p)
 {
     io(ar, p.first);
     io(ar, p.second);
-}
-
-/** Multimaps keep iteration order; equal keys stay in insertion
- *  order, which tick loops that pop equal-cycle entries rely on. */
-template <class Ar, typename K, typename V>
-void
-io(Ar &ar, std::multimap<K, V> &m)
-{
-    if constexpr (Ar::loading) {
-        std::uint64_t n = 0;
-        ar.value(n);
-        m.clear();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            K k{};
-            V v{};
-            io(ar, k);
-            io(ar, v);
-            m.emplace_hint(m.end(), std::move(k), std::move(v));
-        }
-    } else {
-        std::uint64_t n = m.size();
-        ar.value(n);
-        for (auto &kv : m) {
-            K k = kv.first;
-            io(ar, k);
-            io(ar, kv.second);
-        }
-    }
 }
 
 /** Unordered maps are emitted sorted by key so the encoding is
@@ -356,6 +313,45 @@ io(Ar &ar, std::unordered_set<K> &s)
         std::sort(keys.begin(), keys.end());
         for (K &k : keys)
             io(ar, k);
+    }
+}
+
+/** Flat maps and sets encode exactly like the std::unordered_map /
+ *  std::unordered_set they replaced: the count, then the keys sorted,
+ *  each followed by its value (maps only). */
+template <class Ar, typename K, typename V>
+void
+io(Ar &ar, FlatMap<K, V> &m)
+{
+    constexpr bool kHasValue = !std::is_same_v<V, FlatNoValue>;
+    if constexpr (Ar::loading) {
+        std::uint64_t n = 0;
+        ar.value(n);
+        m.clear();
+        // A corrupt count stops at the end of the stream, not at n.
+        m.reserve(std::min<std::uint64_t>(n, ar.remaining() / sizeof(K)));
+        for (std::uint64_t i = 0; i < n && !ar.failed(); ++i) {
+            K k{};
+            io(ar, k);
+            V &v = m[k];
+            if constexpr (kHasValue)
+                io(ar, v);
+        }
+    } else {
+        std::uint64_t n = m.size();
+        ar.value(n);
+        std::vector<std::pair<K, V>> entries;
+        entries.reserve(m.size());
+        m.forEach([&entries](K k, const V &v) { entries.emplace_back(k, v); });
+        std::sort(entries.begin(), entries.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
+                  });
+        for (auto &[k, v] : entries) {
+            io(ar, k);
+            if constexpr (kHasValue)
+                io(ar, v);
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/hierarchy.hh"
+#include "util/serialize.hh"
 
 namespace hp
 {
@@ -249,6 +250,119 @@ TEST(HierarchyTest, PrefetchAccuracyClampedToOne)
     normal.usefulL1 = 4;
     normal.lateMerges = 1;
     EXPECT_DOUBLE_EQ(normal.accuracy(), 0.5);
+}
+
+TEST(HierarchyTest, EqualReadyAtFillsCompleteInAllocationOrder)
+{
+    // Four cold misses to one L1-I set allocated in the same cycle all
+    // come back from memory at the same readyAt. They must land in
+    // allocation order (not address order), which shows in the order
+    // LRU evicts them once later fills flood the set.
+    HierarchyParams params = smallParams();
+    CacheHierarchy hier(params);
+    const unsigned sets = unsigned(params.l1iBytes / kBlockBytes /
+                                   params.l1iWays);
+    ASSERT_EQ(params.l1iWays, 4u);
+    const Addr order[] = {blk(3 * sets), blk(1 * sets), blk(2 * sets),
+                          blk(0)};
+    Cycle ready = 0;
+    for (Addr block : order) {
+        DemandResult r = hier.demandAccess(block, 0);
+        ASSERT_EQ(r.level, ServiceLevel::Mem);
+        ready = r.readyAt;
+    }
+    hier.tick(ready);
+    for (Addr block : order)
+        ASSERT_TRUE(hier.l1i().contains(block));
+
+    Cycle now = ready + 1;
+    for (unsigned i = 0; i < 4; ++i) {
+        DemandResult r = hier.demandAccess(blk((4 + i) * sets), now);
+        now = r.readyAt + 1;
+        hier.tick(now);
+        for (unsigned j = 0; j < 4; ++j) {
+            EXPECT_EQ(hier.l1i().contains(order[j]), j > i)
+                << "after fill " << i << ", block " << j;
+        }
+    }
+}
+
+std::vector<std::uint8_t>
+encodeHierarchy(CacheHierarchy &hier)
+{
+    StateWriter writer;
+    hier.serializeState(writer);
+    return writer.take();
+}
+
+/** Demand misses, merges and prefetches of every origin, leaving
+ *  several fills in flight, some sharing a readyAt out of address
+ *  order; plus a partly filled I-TLB with reordered recency. */
+void
+driveToLiveMshrs(CacheHierarchy &hier)
+{
+    DemandResult warm = hier.demandAccess(blk(40), 0);
+    hier.tick(warm.readyAt);
+    hier.prefetch(blk(41), Origin::Ext, 1);
+    hier.tick(500);
+    hier.demandAccess(blk(41), 500); // first use of the prefetch
+
+    hier.demandAccess(blk(9), 1000);
+    hier.demandAccess(blk(2), 1000); // same readyAt as blk(9)
+    hier.prefetch(blk(7), Origin::Fdip, 1000);
+    hier.prefetch(blk(5), Origin::Ext, 1003);
+    hier.prefetch(blk(6), Origin::Ext, 1003, /*to_l2=*/true);
+    hier.demandAccess(blk(7), 1005); // late merge into the FDIP fill
+    hier.demandAccess(blk(40), 1006); // L2 service, short latency
+    for (int i = 0; i < 3; ++i)
+        hier.noteFetchBlock();
+
+    hier.itlb().translate(0x400000);
+    hier.itlb().translate(0x7000);
+    hier.itlb().translate(0x9000);
+    hier.itlb().translate(0x400000); // back to MRU
+}
+
+TEST(HierarchyTest, LiveMshrsAndItlbRestoreAndReencodeIdentically)
+{
+    CacheHierarchy hier(smallParams());
+    driveToLiveMshrs(hier);
+    ASSERT_LT(hier.freeMshrs(), smallParams().l1iMshrs - 4);
+    const std::vector<std::uint8_t> bytes = encodeHierarchy(hier);
+
+    CacheHierarchy restored(smallParams());
+    restored.demandAccess(blk(99), 0); // a restore replaces this state
+    StateLoader loader(bytes.data(), bytes.size());
+    restored.serializeState(loader);
+    ASSERT_FALSE(loader.failed());
+    EXPECT_EQ(loader.remaining(), 0u);
+    EXPECT_EQ(encodeHierarchy(restored), bytes);
+    EXPECT_EQ(restored.freeMshrs(), hier.freeMshrs());
+
+    // Both copies retire the in-flight fills in the same order and
+    // stay identical through further traffic.
+    for (CacheHierarchy *h : {&hier, &restored}) {
+        h->tick(1100);
+        h->demandAccess(blk(2), 1100);
+        h->prefetch(blk(8), Origin::Ext, 1101);
+        h->itlb().translate(0xa000);
+        h->tick(5000);
+    }
+    EXPECT_EQ(encodeHierarchy(restored), encodeHierarchy(hier));
+}
+
+TEST(HierarchyTest, RestoreRejectsMoreMshrsThanTheFileHolds)
+{
+    CacheHierarchy hier(smallParams());
+    driveToLiveMshrs(hier);
+    const std::vector<std::uint8_t> bytes = encodeHierarchy(hier);
+
+    HierarchyParams tiny = smallParams();
+    tiny.l1iMshrs = 2;
+    CacheHierarchy small(tiny);
+    StateLoader loader(bytes.data(), bytes.size());
+    small.serializeState(loader);
+    EXPECT_TRUE(loader.failed());
 }
 
 } // namespace

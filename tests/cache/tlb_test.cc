@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/tlb.hh"
+#include "util/serialize.hh"
 
 namespace hp
 {
@@ -48,6 +51,36 @@ TEST(TlbTest, ResetStats)
     EXPECT_EQ(tlb.misses(), 0u);
     // Contents survive the stats reset.
     EXPECT_EQ(tlb.translate(0x1000), 0u);
+}
+
+TEST(TlbTest, EncodesRecencyOrderLikeAList)
+{
+    // The checkpoint layout is that of the std::list the TLB once
+    // kept: the page count, the pages MRU first, then the two
+    // counters.
+    Tlb tlb(4, 10);
+    for (Addr page : {0x1000, 0x2000, 0x3000, 0x1000, 0x4000, 0x5000})
+        tlb.translate(page);
+    StateWriter actual;
+    tlb.serializeState(actual);
+
+    std::vector<Addr> pages = {0x5000, 0x4000, 0x1000, 0x3000};
+    std::uint64_t accesses = 6;
+    std::uint64_t misses = 5;
+    StateWriter expected;
+    io(expected, pages);
+    io(expected, accesses);
+    io(expected, misses);
+    EXPECT_EQ(actual.buffer(), expected.buffer());
+
+    // Restoring reproduces the recency order: 0x3000 is the LRU page.
+    Tlb back(4, 10);
+    StateLoader loader(actual.buffer().data(), actual.buffer().size());
+    back.serializeState(loader);
+    ASSERT_FALSE(loader.failed());
+    back.translate(0x6000);
+    EXPECT_EQ(back.translate(0x1000), 0u);
+    EXPECT_EQ(back.translate(0x3000), 10u);
 }
 
 } // namespace

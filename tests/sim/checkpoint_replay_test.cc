@@ -85,6 +85,23 @@ INSTANTIATE_TEST_SUITE_P(
         return prefetcherName(info.param);
     });
 
+// Bounded prefetcher tables that fill during the run: the eviction
+// victim must be a function of checkpointed state alone, or a restored
+// run evicts a different entry than the uninterrupted one.
+TEST(CheckpointReplayTest, FullEFetchFootprintTableReplaysExactly)
+{
+    SimConfig config = quickConfig(PrefetcherKind::EFetch);
+    config.efetch.footprintEntries = 64;
+    expectBitIdentical(config);
+}
+
+TEST(CheckpointReplayTest, FullManaIndexReplaysExactly)
+{
+    SimConfig config = quickConfig(PrefetcherKind::Mana);
+    config.mana.indexEntries = 256;
+    expectBitIdentical(config);
+}
+
 TEST(CheckpointReplayTest, ProducerContinuationMatchesColdRun)
 {
     // The checkpoint owner captures and then continues the same
