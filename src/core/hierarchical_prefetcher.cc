@@ -1,6 +1,7 @@
 #include "core/hierarchical_prefetcher.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.hh"
 
@@ -75,6 +76,27 @@ HierarchicalPrefetcher::registerStats(StatsRegistry &reg,
             [&s] { return s.metadataWriteBytes; });
     reg.add(prefix + ".dynamic_bundles",
             [&s] { return s.dynamicBundles; });
+    // Per-Bundle-execution sums (trackBundleStats): a mean over any
+    // interval is a ratio of two deltas. Instructions, cycles and
+    // footprint blocks are whole numbers; the Jaccard sum is read in
+    // millionths.
+    reg.add(prefix + ".bundle_executions",
+            [&s] { return s.bundleExecCycles.count(); });
+    reg.add(prefix + ".bundle_exec_insts_sum", [&s] {
+        return static_cast<std::uint64_t>(s.bundleExecInsts.sum());
+    });
+    reg.add(prefix + ".bundle_exec_cycles_sum", [&s] {
+        return static_cast<std::uint64_t>(s.bundleExecCycles.sum());
+    });
+    reg.add(prefix + ".bundle_footprint_blocks_sum", [&s] {
+        return static_cast<std::uint64_t>(s.bundleFootprintBlocks.sum());
+    });
+    reg.add(prefix + ".bundle_jaccard_samples",
+            [&s] { return s.bundleJaccard.count(); });
+    reg.add(prefix + ".bundle_jaccard_sum_ppm", [&s] {
+        return static_cast<std::uint64_t>(
+            std::llround(s.bundleJaccard.sum() * 1e6));
+    });
 }
 
 void
