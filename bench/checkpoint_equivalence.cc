@@ -116,7 +116,7 @@ main(int argc, char **argv)
         text << prefetcherName(grid[i].prefetcher) << " "
              << grid[i].measureInsts << " " << cold[i].cycles << " "
              << cold[i].instructions << " "
-             << cold[i].mem.demandL1Misses << " "
+             << cold[i].stats.value("l1i.demand_misses") << " "
              << (match ? "yes" : "NO") << "\n";
     }
     std::fputs(text.str().c_str(), stdout);

@@ -101,7 +101,7 @@ main(int argc, char **argv)
 
             const double kinsts = double(m.instructions) / 1000.0;
             const double mpki =
-                kinsts > 0 ? double(m.mem.demandLlcMisses) / kinsts
+                kinsts > 0 ? double(s.value("llc.demand_misses")) / kinsts
                            : 0.0;
             (partitioned ? mpki_part : mpki_unpart) += mpki;
 

@@ -81,8 +81,9 @@ main(int argc, char **argv)
         eip_grid.push_back(defaultConfig(workload, PrefetcherKind::Eip));
     for (const SimMetrics &m : hpbench::runAll(eip_grid)) {
         for (unsigned b = 0; b < HierarchyStats::kDistanceBins; ++b) {
-            useful[b] += m.mem.extDistUseful[b];
-            unused[b] += m.mem.extDistUnused[b];
+            const std::string bin = "_distance_bin" + std::to_string(b);
+            useful[b] += m.stats.value("ext.useful" + bin);
+            unused[b] += m.stats.value("ext.unused" + bin);
         }
     }
     for (unsigned b = 0; b < HierarchyStats::kDistanceBins; ++b) {

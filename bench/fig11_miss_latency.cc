@@ -37,16 +37,18 @@ main(int argc, char **argv)
             auto l1_lat = [](const SimMetrics &m) {
                 // Latency of misses served by the L2 (plus merge wait,
                 // which is dominated by short waits).
-                return double(m.mem.missCyclesL2 + m.mem.missCyclesMshr);
+                return double(m.stats.value("l1i.miss_cycles_l2") +
+                              m.stats.value("l1i.miss_cycles_mshr"));
             };
             auto l2_lat = [](const SimMetrics &m) {
-                return double(m.mem.missCyclesLlc + m.mem.missCyclesMem);
+                return double(m.stats.value("l1i.miss_cycles_llc") +
+                              m.stats.value("l1i.miss_cycles_mem"));
             };
-            double base_total = double(pair.base.mem.totalMissCycles());
+            double base_total = double(totalMissCycles(pair.base.stats));
             if (base_total <= 0)
                 continue;
             total.push_back(
-                double(pair.run.mem.totalMissCycles()) / base_total);
+                double(totalMissCycles(pair.run.stats)) / base_total);
             if (l1_lat(pair.base) > 0)
                 l1part.push_back(l1_lat(pair.run) / l1_lat(pair.base));
             if (l2_lat(pair.base) > 0)

@@ -36,9 +36,10 @@ main(int argc, char **argv)
         // metadata traffic.
         double extra = double(pair.run.totalDramBytes()) -
                        double(pair.base.totalDramBytes());
-        double meta = double(pair.run.mem.dramMetadataReadBytes +
-                             pair.run.mem.dramMetadataWriteBytes);
-        double prefetch_extra = double(pair.run.mem.dramExtBytes);
+        const StatsSnapshot &s = pair.run.stats;
+        double meta = double(s.value("dram.metadata_read_bytes") +
+                             s.value("dram.metadata_write_bytes"));
+        double prefetch_extra = double(s.value("dram.ext_bytes"));
         double denom = meta + prefetch_extra;
         double os = denom > 0 ? prefetch_extra / denom : 0.0;
         double ms = denom > 0 ? meta / denom : 0.0;

@@ -18,7 +18,8 @@
  * It also smoke-checks the writers: the Perfetto JSON must be
  * structurally valid (balanced, with the expected metadata and span
  * records) and the time-series CSV must carry the documented header
- * and well-formed rows for every run.
+ * and well-formed rows for every run, none with an l1i_mpki above
+ * 1000 (the signature of a row whose deltas wrapped around).
  *
  * A final pass repeats guarantee 1 under multi-tenancy: a switching
  * two-tenant core and a two-core config with a "@scenario" tenant run
@@ -33,6 +34,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -296,6 +298,12 @@ main(int argc, char **argv)
         ++data_rows;
         check(countOccurrences(line, ",") == 13,
               "malformed time-series row: " + line);
+        // No real front end misses once per instruction; a larger
+        // rate means a row's deltas wrapped around.
+        const double mpki = std::atof(
+            line.substr(line.find_last_of(',') + 1).c_str());
+        check(mpki <= 1000.0,
+              "time-series row with l1i_mpki above 1000: " + line);
         if (line.find(",measure,") != std::string::npos)
             saw_measure = true;
         if (line.find(",warmup,") != std::string::npos)

@@ -71,8 +71,9 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < runs.size(); ++i) {
         const SimMetrics &m = runs[i];
         text << prefetcherName(grid[i].prefetcher) << " " << m.cycles
-             << " " << m.instructions << " " << m.mem.demandL1Misses
-             << " " << m.mem.ext.inserted << "\n";
+             << " " << m.instructions << " "
+             << m.stats.value("l1i.demand_misses") << " "
+             << m.stats.value("ext.inserted") << "\n";
     }
     std::fputs(text.str().c_str(), stdout);
 

@@ -39,23 +39,22 @@ main(int argc, char **argv)
         const AppProfile &profile = appProfile(workload);
         auto app = ProgramBuilder::cached(profile);
 
-        const SimMetrics &m = runs[next++];
+        const BundleMeans bm = bundleMeans(runs[next++].stats);
 
         double fraction = app->image.analysis.entryFraction;
-        double footprint_kb =
-            m.hier.bundleFootprintBlocks.mean() * kBlockBytes / 1024.0;
+        double footprint_kb = bm.footprintBlocks * kBlockBytes / 1024.0;
         pct.push_back(fraction);
         fp.push_back(footprint_kb);
-        cyc.push_back(m.hier.bundleExecCycles.mean());
-        jac.push_back(m.hier.bundleJaccard.mean());
+        cyc.push_back(bm.execCycles);
+        jac.push_back(bm.jaccard);
 
         table.addRow({binary,
                       std::to_string(app->image.analysis.entries.size()),
                       std::to_string(app->program.numFunctions()),
                       fmtPercent(fraction),
                       fmtDouble(footprint_kb, 1) + "KB",
-                      fmtDouble(m.hier.bundleExecCycles.mean(), 0),
-                      fmtDouble(m.hier.bundleJaccard.mean(), 3)});
+                      fmtDouble(bm.execCycles, 0),
+                      fmtDouble(bm.jaccard, 3)});
     }
     table.addRow({"MEAN", "", "", fmtPercent(hpbench::mean(pct)),
                   fmtDouble(hpbench::mean(fp), 1) + "KB",

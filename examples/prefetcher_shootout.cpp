@@ -52,10 +52,17 @@ main(int argc, char **argv)
             hp::fmtPercent(pair.paired.lateFraction),
             hp::fmtDouble(pair.paired.avgDistance, 1),
             hp::fmtDouble(storage_kb, 1) + "KB",
-            hp::fmtDouble(double(m.mem.demandL1Misses) / ki, 2),
-            hp::fmtDouble(double(m.mem.demandL2Misses) / ki, 2),
-            hp::fmtDouble(double(m.fetchStallCycles) / m.cycles, 2),
-            hp::fmtDouble(double(m.backendStallCycles) / m.cycles, 2),
+            hp::fmtDouble(double(m.stats.value("l1i.demand_misses")) / ki,
+                          2),
+            hp::fmtDouble(double(m.stats.value("l2i.demand_misses")) / ki,
+                          2),
+            hp::fmtDouble(
+                double(m.stats.value("sim.fetch_stall_cycles")) / m.cycles,
+                2),
+            hp::fmtDouble(
+                double(m.stats.value("sim.backend_stall_cycles")) /
+                    m.cycles,
+                2),
         });
     }
     std::fputs(table.render().c_str(), stdout);
@@ -63,23 +70,25 @@ main(int argc, char **argv)
     // Front-end detail of the baseline.
     hp::SimConfig base = hp::defaultConfig(workload);
     const hp::SimMetrics &b = hp::ExperimentRunner::run(base);
+    const hp::StatsSnapshot &s = b.stats;
     double ki = double(b.instructions) / 1000.0;
+    auto pki = [&](const char *path) { return double(s.value(path)) / ki; };
     std::printf(
         "\nbaseline detail: %.2f cond-MPKI, %.2f indirect-MPKI, "
         "%.2f RAS-MPKI, %.2f BTB-miss/ki, %.2f iTLB-miss/ki\n",
-        double(b.condMispredicts) / ki,
-        double(b.indirectMispredicts) / ki,
-        double(b.rasMispredicts) / ki, double(b.btbMissBlocks) / ki,
-        double(b.itlbMisses) / ki);
+        pki("cond.mispredicts"), pki("indirect.mispredicts"),
+        pki("sim.ras_mispredicts"), pki("btb.misses"),
+        pki("itlb.misses"));
+    const std::uint64_t requests = s.value("engine.requests");
     std::printf("requests: %llu (avg %.0f insts)\n",
-                (unsigned long long)b.engine.requests,
-                b.engine.requests
-                    ? double(b.engine.instructions) / b.engine.requests
-                    : 0.0);
+                (unsigned long long)requests,
+                requests ? double(s.value("engine.instructions")) /
+                               double(requests)
+                         : 0.0);
     std::printf("miss cycles: L2 %llu, LLC %llu, mem %llu, mshr %llu\n",
-                (unsigned long long)b.mem.missCyclesL2,
-                (unsigned long long)b.mem.missCyclesLlc,
-                (unsigned long long)b.mem.missCyclesMem,
-                (unsigned long long)b.mem.missCyclesMshr);
+                (unsigned long long)s.value("l1i.miss_cycles_l2"),
+                (unsigned long long)s.value("l1i.miss_cycles_llc"),
+                (unsigned long long)s.value("l1i.miss_cycles_mem"),
+                (unsigned long long)s.value("l1i.miss_cycles_mshr"));
     return 0;
 }

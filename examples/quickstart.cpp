@@ -56,26 +56,25 @@ main(int argc, char **argv)
                 pair.paired.avgDistance);
     std::printf("on-chip storage:    %.2f KB\n",
                 double(probe.storageBits()) / 8.0 / 1024.0);
+    // Every counter below is from the measurement phase.
+    const hp::StatsSnapshot &stats = pair.run.stats;
+    const std::uint64_t started = stats.value("hier.bundles_started");
     std::printf("\nbundles started:    %llu (MAT hit rate %s)\n",
-                (unsigned long long)pair.run.hier.bundlesStarted,
-                hp::fmtPercent(
-                    pair.run.hier.bundlesStarted
-                        ? double(pair.run.hier.matHits) /
-                              double(pair.run.hier.bundlesStarted)
-                        : 0.0)
+                (unsigned long long)started,
+                hp::fmtPercent(started ? double(stats.value(
+                                             "hier.mat_hits")) /
+                                             double(started)
+                                       : 0.0)
                     .c_str());
-    std::printf("bundle exec insts:  %.0f avg\n",
-                pair.run.hier.bundleExecInsts.mean());
-    std::printf("bundle exec cycles: %.0f avg\n",
-                pair.run.hier.bundleExecCycles.mean());
+    const hp::BundleMeans bundles = hp::bundleMeans(stats);
+    std::printf("bundle exec insts:  %.0f avg\n", bundles.execInsts);
+    std::printf("bundle exec cycles: %.0f avg\n", bundles.execCycles);
     std::printf("bundle footprint:   %s avg\n",
-                hp::fmtBytes(pair.run.hier.bundleFootprintBlocks.mean() *
-                             hp::kBlockBytes)
+                hp::fmtBytes(bundles.footprintBlocks * hp::kBlockBytes)
                     .c_str());
-    std::printf("bundle Jaccard:     %.3f avg\n",
-                pair.run.hier.bundleJaccard.mean());
+    std::printf("bundle Jaccard:     %.3f avg\n", bundles.jaccard);
 
-    const hp::PrefetchStats &ext = pair.run.mem.ext;
+    const hp::PrefetchStats ext = hp::prefetchStats(stats, "ext");
     std::printf("\next prefetch: issued %llu, redundant %llu, dropped "
                 "%llu,\n  inserted %llu, usefulL1 %llu, usefulL2 %llu, "
                 "late %llu, uselessEvicted %llu\n",
@@ -89,10 +88,10 @@ main(int argc, char **argv)
                 (unsigned long long)ext.uselessEvicted);
     std::printf("replay: started %llu, pushes %llu, regions %llu, "
                 "segs alloc %llu, truncated %llu\n",
-                (unsigned long long)pair.run.hier.replaysStarted,
-                (unsigned long long)pair.run.hier.replayPrefetches,
-                (unsigned long long)pair.run.hier.regionsRecorded,
-                (unsigned long long)pair.run.hier.segmentsAllocated,
-                (unsigned long long)pair.run.hier.recordsTruncated);
+                (unsigned long long)stats.value("hier.replays_started"),
+                (unsigned long long)stats.value("hier.replay_prefetches"),
+                (unsigned long long)stats.value("hier.regions_recorded"),
+                (unsigned long long)stats.value("hier.segments_allocated"),
+                (unsigned long long)stats.value("hier.records_truncated"));
     return 0;
 }

@@ -118,12 +118,12 @@ main()
                   fmtPercent(hier.paired.lateFraction)});
     std::fputs(table.render().c_str(), stdout);
 
+    const BundleMeans bundles = bundleMeans(hier.run.stats);
     std::printf("\nBundles executed: %llu avg footprint %s, avg %0.f "
                 "cycles, footprint similarity %.2f\n",
-                (unsigned long long)hier.run.hier.bundlesStarted,
-                fmtBytes(hier.run.hier.bundleFootprintBlocks.mean() *
-                         kBlockBytes).c_str(),
-                hier.run.hier.bundleExecCycles.mean(),
-                hier.run.hier.bundleJaccard.mean());
+                (unsigned long long)hier.run.stats.value(
+                    "hier.bundles_started"),
+                fmtBytes(bundles.footprintBlocks * kBlockBytes).c_str(),
+                bundles.execCycles, bundles.jaccard);
     return 0;
 }

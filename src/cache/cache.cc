@@ -124,13 +124,6 @@ SetAssocCache::markUsed(Addr block)
     }
 }
 
-void
-SetAssocCache::resetStats()
-{
-    accesses_ = 0;
-    misses_ = 0;
-}
-
 template <class Ar>
 void
 SetAssocCache::serializeState(Ar &ar)

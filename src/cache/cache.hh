@@ -97,9 +97,6 @@ class SetAssocCache
         return accesses_ ? double(misses_) / accesses_ : 0.0;
     }
 
-    /** Resets statistics (not contents) at the end of warmup. */
-    void resetStats();
-
     /** Serializes/restores contents and counters (checkpointing). */
     template <class Ar> void serializeState(Ar &ar);
 

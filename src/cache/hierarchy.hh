@@ -143,6 +143,14 @@ struct PrefetchStats
     }
 };
 
+/**
+ * The @p origin ("fdip" or "ext") prefetch counters of @p stats — the
+ * paths CacheHierarchy::registerStats writes — as a PrefetchStats, so
+ * accuracy() and lateFraction() apply to any snapshot or delta.
+ */
+PrefetchStats prefetchStats(const StatsSnapshot &stats,
+                            const std::string &origin);
+
 /** Aggregate hierarchy statistics. */
 struct HierarchyStats
 {
@@ -359,9 +367,6 @@ class CacheHierarchy : public MetadataMemory
     {
         return lvl_;
     }
-
-    /** Clears statistics after warmup (cache contents persist). */
-    void resetStats();
 
     /** Serializes/restores caches, MSHRs, and counters. */
     template <class Ar> void serializeState(Ar &ar);

@@ -33,13 +33,6 @@ Tlb::translate(Addr addr)
     return walkLatency_;
 }
 
-void
-Tlb::resetStats()
-{
-    accesses_ = 0;
-    misses_ = 0;
-}
-
 template <class Ar>
 void
 Tlb::serializeState(Ar &ar)

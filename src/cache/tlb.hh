@@ -46,8 +46,6 @@ class Tlb
         reg.add(prefix + ".misses", [this] { return misses_; });
     }
 
-    void resetStats();
-
     /**
      * Drops every resident translation (context-switch flush; the
      * modeled I-TLB is not ASID-tagged). Counters are untouched.

@@ -124,10 +124,6 @@ class MissAttribution
 
     const Counters &counters() const { return counters_; }
 
-    /** Zeroes the counters at the warmup boundary (per-line history
-     *  persists, like cache contents). */
-    void resetCounters() { counters_ = Counters{}; }
-
     /** Registers the counters under "<prefix>.<class>[_latency_cycles]".
      *  Registered unconditionally so the registry's path set does not
      *  depend on whether attribution is enabled. */

@@ -6,6 +6,7 @@
 
 #include "obs/perfetto_export.hh"
 #include "sim/runtime_options.hh"
+#include "util/decimal.hh"
 #include "util/logging.hh"
 
 namespace hp::obs

@@ -1,6 +1,7 @@
 #include "sim/executor.hh"
 
 #include "sim/runtime_options.hh"
+#include "util/decimal.hh"
 #include "util/logging.hh"
 
 namespace hp

@@ -12,9 +12,7 @@
 #include <memory>
 
 #include "cache/hierarchy.hh"
-#include "core/hierarchical_prefetcher.hh"
 #include "stats/registry.hh"
-#include "workload/request_engine.hh"
 
 namespace hp
 {
@@ -27,7 +25,11 @@ namespace obs
 struct TailAttribution;
 } // namespace obs
 
-/** Everything a single simulation run reports (measurement phase). */
+/**
+ * Everything a single simulation run reports (measurement phase). The
+ * counters live in `stats` only; cycles and instructions repeat its
+ * sim.cycles and sim.instructions because every consumer needs them.
+ */
 struct SimMetrics
 {
     std::uint64_t cycles = 0;
@@ -35,39 +37,14 @@ struct SimMetrics
 
     double ipc() const { return cycles ? double(instructions) / cycles : 0.0; }
 
-    // Front-end behaviour.
-    std::uint64_t condBranches = 0;
-    std::uint64_t condMispredicts = 0;
-    std::uint64_t indirectMispredicts = 0;
-    std::uint64_t rasMispredicts = 0;
-    std::uint64_t btbMissBlocks = 0;
-    std::uint64_t fetchStallCycles = 0;
-    std::uint64_t backendStallCycles = 0;
-
-    // Memory system (instruction path).
-    HierarchyStats mem;
-    std::uint64_t itlbAccesses = 0;
-    std::uint64_t itlbMisses = 0;
-
-    // Hierarchical Prefetcher internals (when active).
-    HierarchicalStats hier;
-    bool hierActive = false;
-
-    // Long-range (Figure 12) probe.
-    std::uint64_t longRangeAccesses = 0;
-    std::uint64_t longRangeL2Misses = 0;
-
     // Synthetic data-side DRAM traffic for bandwidth normalization.
     std::uint64_t dataDramBytes = 0;
 
-    // Workload stream statistics.
-    EngineStats engine;
-
     /**
      * Measurement-phase delta of every registered counter, keyed by
-     * dotted path (see Simulator::stats()). The scalar fields above
-     * are derived from this snapshot; it also feeds the JSON run
-     * reports (sim/run_report.hh).
+     * dotted path (see Simulator::stats()): the one representation
+     * of a run's counters. Typed readers below derive ratios from it;
+     * it also feeds the JSON run reports (sim/run_report.hh).
      */
     StatsSnapshot stats;
 
@@ -94,14 +71,13 @@ struct SimMetrics
      */
     std::shared_ptr<const obs::TailAttribution> tailAttribution;
 
-    /** Total simulated DRAM traffic in bytes (Figure 16 numerator). */
-    std::uint64_t
-    totalDramBytes() const
-    {
-        return mem.dramDemandBytes + mem.dramFdipBytes +
-               mem.dramExtBytes + mem.dramMetadataReadBytes +
-               mem.dramMetadataWriteBytes + dataDramBytes;
-    }
+    /** Metrics over @p stats, with cycles and instructions read from
+     *  its sim.* paths. */
+    static SimMetrics fromStats(StatsSnapshot stats);
+
+    /** Total DRAM traffic in bytes, the dram.* paths plus the data
+     *  side (Figure 16 numerator). */
+    std::uint64_t totalDramBytes() const;
 };
 
 /** Paired-run derived metrics (prefetcher run vs FDIP-only baseline). */
@@ -142,14 +118,28 @@ struct PairedMetrics
 PairedMetrics pairedMetrics(const SimMetrics &run,
                             const SimMetrics &baseline);
 
-/**
- * Fills every scalar SimMetrics field that is derived from registry
- * counters out of @p delta (a measurement-phase snapshot delta). The
- * single point of truth for that mapping: finishRun() uses it on the
- * full-run delta and sampled simulation re-applies it to the
- * aggregated interval delta, so the two can never diverge.
- */
-void applyStatsDelta(SimMetrics &m, const StatsSnapshot &delta);
+// ---- Results derived from a snapshot ------------------------------
+//
+// Each reads the registry paths of a (measurement-phase) snapshot;
+// a path the snapshot lacks is fatal.
+
+/** Demand-miss latency cycles over every server (l1i.miss_cycles_*). */
+std::uint64_t totalMissCycles(const StatsSnapshot &stats);
+
+/** Mean distance, in fetch blocks, of useful Ext prefetches. */
+double meanUsefulDistance(const StatsSnapshot &stats);
+
+/** Per-Bundle-execution means of a Hierarchical Prefetcher run with
+ *  trackBundleStats (Table 4); zero where nothing was sampled. */
+struct BundleMeans
+{
+    double execInsts = 0.0;
+    double execCycles = 0.0;
+    double footprintBlocks = 0.0;
+    double jaccard = 0.0;
+};
+
+BundleMeans bundleMeans(const StatsSnapshot &stats);
 
 } // namespace hp
 

@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "sim/sampling.hh"
 #include "util/logging.hh"
 
 namespace hp
@@ -145,40 +144,20 @@ MultiCoreSimulator::combineResults() const
                 acc[it->second].second += value;
         }
     }
-    StatsSnapshot agg;
-    for (const auto &[path, value] : acc)
-        agg.add(path, value);
-
-    SimMetrics combined;
-    applyStatsDelta(combined, agg);
-
-    std::uint64_t switches = 0;
-    for (const SimMetrics &r : results_) {
-        accumulateState(combined.mem, r.mem);
-        if (r.hierActive) {
-            accumulateState(combined.hier, r.hier);
-            combined.hierActive = true;
-        }
-        combined.dataDramBytes += r.dataDramBytes;
-        if (!combined.latency && r.latency)
-            combined.latency = r.latency;
-        // At most one core runs "@scenario" (sole-tenant rule), so at
-        // most one result carries tail attribution.
-        if (!combined.tailAttribution && r.tailAttribution)
-            combined.tailAttribution = r.tailAttribution;
-        if (r.stats.has("sim.context_switches"))
-            switches += r.stats.value("sim.context_switches");
-    }
-
     // The report snapshot: aggregate first (so every single-core
     // consumer of metrics.stats keeps working on the combined view),
     // then per-core copies under "core<i>.", then the shared
     // contention counters under "mt.".
-    StatsSnapshot snap = agg;
+    StatsSnapshot snap;
+    for (const auto &[path, value] : acc)
+        snap.add(path, value);
+    std::uint64_t switches = 0;
     for (unsigned i = 0; i < results_.size(); ++i) {
         const std::string prefix = "core" + std::to_string(i) + ".";
         for (const auto &[path, value] : results_[i].stats.entries())
             snap.add(prefix + path, value);
+        if (results_[i].stats.has("sim.context_switches"))
+            switches += results_[i].stats.value("sim.context_switches");
     }
     snap.add("mt.cores", coreCount());
     snap.add("mt.tenants", cfg_.mt.tenants.size());
@@ -189,7 +168,17 @@ MultiCoreSimulator::combineResults() const
              shared_->mdArbiter.stallCycles());
     snap.add("mt.dram_queued_fills", shared_->dramQueuedFills);
     snap.add("mt.dram_queue_cycles", shared_->dramQueueCycles);
-    combined.stats = std::move(snap);
+
+    SimMetrics combined = SimMetrics::fromStats(std::move(snap));
+    for (const SimMetrics &r : results_) {
+        combined.dataDramBytes += r.dataDramBytes;
+        if (!combined.latency && r.latency)
+            combined.latency = r.latency;
+        // At most one core runs "@scenario" (sole-tenant rule), so at
+        // most one result carries tail attribution.
+        if (!combined.tailAttribution && r.tailAttribution)
+            combined.tailAttribution = r.tailAttribution;
+    }
     return combined;
 }
 

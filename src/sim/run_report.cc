@@ -275,6 +275,7 @@ RunReportLog::documentJson()
             << "      \"stats\": "
             << m.stats.toJson(6).substr(6) << ",\n";
         appendAttribution(out, m.stats);
+        const PrefetchStats ext = prefetchStats(m.stats, "ext");
         if (m.sampling)
             appendSampling(out, *m.sampling);
         if (m.latency)
@@ -284,11 +285,11 @@ RunReportLog::documentJson()
         out << "      \"derived\": {\n"
             << "        \"ipc\": " << fmtDouble(m.ipc()) << ",\n"
             << "        \"ext_accuracy\": "
-            << fmtDouble(m.mem.ext.accuracy()) << ",\n"
+            << fmtDouble(ext.accuracy()) << ",\n"
             << "        \"ext_late_fraction\": "
-            << fmtDouble(m.mem.ext.lateFraction()) << ",\n"
+            << fmtDouble(ext.lateFraction()) << ",\n"
             << "        \"ext_avg_distance\": "
-            << fmtDouble(m.mem.extUsefulDistance.mean()) << ",\n"
+            << fmtDouble(meanUsefulDistance(m.stats)) << ",\n"
             << "        \"data_dram_bytes\": " << m.dataDramBytes
             << ",\n"
             << "        \"total_dram_bytes\": " << m.totalDramBytes()

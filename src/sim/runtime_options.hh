@@ -72,16 +72,6 @@ std::vector<std::string> unknownRuntimeEnvVars();
 std::vector<std::string> warnUnknownRuntimeEnvOnce();
 
 /**
- * The one parser for numeric HP_* values (and the numeric fields of
- * HP_SAMPLE): decimal digits only — no sign, whitespace or base
- * prefix — and at most @p max, so neither a negative number nor an
- * overflow can wrap into a huge value.
- * @return false with a diagnostic in @p error otherwise.
- */
-bool parseDecimal(const std::string &text, std::uint64_t max,
-                  std::uint64_t *out, std::string *error);
-
-/**
  * Generated help text for a bench binary: usage line, the common
  * bench flags, and the environment-variable table. @p extra_flags
  * (optional, already formatted one per line) documents flags specific

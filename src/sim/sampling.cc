@@ -1,6 +1,7 @@
 #include "sim/sampling.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <limits>
 
@@ -9,6 +10,7 @@
 #include "sim/runner.hh"
 #include "sim/runtime_options.hh"
 #include "sim/simulator.hh"
+#include "util/decimal.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
 #include "workload/app_profile.hh"
@@ -233,8 +235,6 @@ runSampled(const SimConfig &config)
     info->config = sc;
     info->intervals.reserve(starts.size());
 
-    SimMetrics out;
-    HierarchyStats mem_sum;
     LatencyReport latency_sum;
     obs::TailAttribution tail_sum;
     bool any_tail = false;
@@ -384,7 +384,6 @@ runSampled(const SimConfig &config)
                 "interval snapshots disagree on registry shape");
         for (std::size_t i = 0; i < entries.size(); ++i)
             counter_sum[i] += entries[i].second;
-        accumulateState(mem_sum, wm.mem);
         if (wm.latency)
             mergeLatency(latency_sum, *wm.latency);
         if (wm.tailAttribution) {
@@ -393,12 +392,6 @@ runSampled(const SimConfig &config)
             mergeTailAttribution(tail_sum, *wm.tailAttribution);
             any_tail = true;
         }
-
-        // The Hierarchical Prefetcher's stats are cumulative since
-        // construction (also in full runs); the last interval — the
-        // one that saw the most history — stands in for the whole
-        // phase. A documented approximation (DESIGN.md §10).
-        out = std::move(wm);
     }
 
     const double f = window_insts_total
@@ -413,10 +406,7 @@ runSampled(const SimConfig &config)
                        std::llround(double(counter_sum[i]) * f)));
     }
 
-    applyStatsDelta(out, scaled);
-    scaleState(mem_sum, f);
-    out.mem = mem_sum;
-    out.stats = std::move(scaled);
+    SimMetrics out = SimMetrics::fromStats(std::move(scaled));
     if (!config.scenario.empty()) {
         // Latencies are per-request observations, not extrapolated
         // totals: the merged report carries the raw (unscaled) window
@@ -428,8 +418,6 @@ runSampled(const SimConfig &config)
         out.tailAttribution =
             std::make_shared<const obs::TailAttribution>(
                 std::move(tail_sum));
-    } else {
-        out.tailAttribution.reset();
     }
     // Scenario runs take the data-DRAM model from the scenario's
     // primary service, matching Simulator::endMeasurement.

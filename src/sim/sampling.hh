@@ -33,16 +33,13 @@
 #ifndef HP_SIM_SAMPLING_HH
 #define HP_SIM_SAMPLING_HH
 
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "sim/config.hh"
 #include "sim/metrics.hh"
-#include "util/serialize.hh"
 
 namespace hp
 {
@@ -134,136 +131,6 @@ SimMetrics runSampled(const SimConfig &config);
 /** Dispatch point for the runner: runSampled when config.sample is
  *  enabled, runCheckpointed otherwise. */
 SimMetrics runMaybeSampled(const SimConfig &config);
-
-// ---- Element-wise state arithmetic ----------------------------------
-//
-// Aggregating per-interval HierarchyStats (and similar flat stats
-// structs) reuses each struct's serializeState visitor instead of a
-// hand-maintained field list: the combining archives below present the
-// StateWriter shape (loading == false, so container io() overloads
-// traverse real elements with mutable references), but value() applies
-// an arithmetic op in place — against a reference byte stream captured
-// with StateWriter for accumulate/subtract, or against a factor for
-// scaling. Intended for structs of scalars/Accumulators; Accumulator
-// min_/max_ are summed, a known caveat acceptable because only mean()
-// (= sum/count, which combines exactly) is consumed downstream.
-
-/** Archive combining each visited scalar with the matching scalar of
- *  a reference byte stream: v = Op(v, ref). */
-template <class Op>
-class StateCombine
-{
-  public:
-    static constexpr bool loading = false;
-
-    StateCombine(const std::uint8_t *data, std::size_t size)
-        : in_(data, size)
-    {
-    }
-
-    template <typename T>
-    void
-    value(T &v)
-    {
-        T other{};
-        in_.value(other);
-        Op::template apply<T>(v, other);
-    }
-
-    bool failed() const { return in_.failed(); }
-    std::size_t remaining() const { return in_.remaining(); }
-
-  private:
-    StateLoader in_;
-};
-
-struct CombineAdd
-{
-    template <typename T>
-    static void
-    apply(T &v, const T &in)
-    {
-        if constexpr (std::is_same_v<T, bool>)
-            v = v || in;
-        else if constexpr (std::is_enum_v<T>)
-            (void)in; // modes/enums are not additive; keep v
-        else
-            v = static_cast<T>(v + in);
-    }
-};
-
-struct CombineSub
-{
-    template <typename T>
-    static void
-    apply(T &v, const T &in)
-    {
-        if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>)
-            (void)in;
-        else
-            v = static_cast<T>(v - in);
-    }
-};
-
-using StateAccumulator = StateCombine<CombineAdd>;
-using StateSubtractor = StateCombine<CombineSub>;
-
-/** Archive scaling every visited scalar in place: integers via
- *  llround(v * f), doubles exactly; bools and enums unchanged. */
-class StateScaler
-{
-  public:
-    static constexpr bool loading = false;
-
-    explicit StateScaler(double factor) : f_(factor) {}
-
-    template <typename T>
-    void
-    value(T &v)
-    {
-        if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
-            // not a magnitude
-        } else if constexpr (std::is_floating_point_v<T>) {
-            v = static_cast<T>(v * f_);
-        } else {
-            v = static_cast<T>(std::llround(double(v) * f_));
-        }
-    }
-
-  private:
-    double f_;
-};
-
-/** into = into + other, field-wise through serializeState. */
-template <typename T>
-void
-accumulateState(T &into, T other)
-{
-    StateWriter w;
-    other.serializeState(w);
-    StateAccumulator ar(w.buffer().data(), w.buffer().size());
-    into.serializeState(ar);
-}
-
-/** into = into - other, field-wise through serializeState. */
-template <typename T>
-void
-subtractState(T &into, T other)
-{
-    StateWriter w;
-    other.serializeState(w);
-    StateSubtractor ar(w.buffer().data(), w.buffer().size());
-    into.serializeState(ar);
-}
-
-/** s = s * factor, field-wise through serializeState. */
-template <typename T>
-void
-scaleState(T &s, double factor)
-{
-    StateScaler ar(factor);
-    s.serializeState(ar);
-}
 
 } // namespace hp
 

@@ -246,18 +246,18 @@ Simulator::registerStats()
 {
     registry_.add("sim.cycles", [this] { return cycle_; });
     registry_.add("sim.instructions",
-                  [this] { return metrics_.instructions; });
+                  [this] { return measuredInsts_; });
     registry_.add("sim.committed", [this] { return committed_; });
     registry_.add("sim.fetch_stall_cycles",
-                  [this] { return metrics_.fetchStallCycles; });
+                  [this] { return fetchStallCycles_; });
     registry_.add("sim.backend_stall_cycles",
-                  [this] { return metrics_.backendStallCycles; });
+                  [this] { return backendStallCycles_; });
     registry_.add("sim.ras_mispredicts",
                   [this] { return rasMispredicts_; });
     registry_.add("sim.long_range_accesses",
-                  [this] { return metrics_.longRangeAccesses; });
+                  [this] { return longRangeAccesses_; });
     registry_.add("sim.long_range_l2_misses",
-                  [this] { return metrics_.longRangeL2Misses; });
+                  [this] { return longRangeL2Misses_; });
 
     hier_.registerStats(registry_);
     btb_.registerStats(registry_, "btb");
@@ -493,10 +493,10 @@ Simulator::stepFetch()
                         if (!measuring()) {
                             reuseHist_->sample(double(dist));
                         } else if (double(dist) >= longRangeThreshold_) {
-                            ++metrics_.longRangeAccesses;
+                            ++longRangeAccesses_;
                             if (res.level == ServiceLevel::Llc ||
                                 res.level == ServiceLevel::Mem) {
-                                ++metrics_.longRangeL2Misses;
+                                ++longRangeL2Misses_;
                             }
                         }
                     }
@@ -507,8 +507,7 @@ Simulator::stepFetch()
                             emitSpan(EventKind::FetchStall, cycle_,
                                      res.readyAt, entry.block));
                     if (measuring() && res.readyAt > cycle_) {
-                        metrics_.fetchStallCycles +=
-                            res.readyAt - cycle_;
+                        fetchStallCycles_ += res.readyAt - cycle_;
                     }
                     return;
                 }
@@ -575,7 +574,7 @@ Simulator::stepCommit()
                     emitSpan(EventKind::BackendStall, cycle_,
                              commitBlockedUntil_, blockAlign(inst.pc)));
             if (measuring())
-                metrics_.backendStallCycles += cfg_.backendStallCycles;
+                backendStallCycles_ += cfg_.backendStallCycles;
         }
 
         // Through the concrete final type when it is the Hierarchical
@@ -594,7 +593,7 @@ Simulator::stepCommit()
         ++windowBase_;
         ++committed_;
         if (measuring())
-            ++metrics_.instructions;
+            ++measuredInsts_;
 
         if (was_blocking_mispredict) {
             // Flush and resteer: the prediction unit resumes after the
@@ -651,21 +650,18 @@ void
 Simulator::beginMeasurement()
 {
     mode_ = SimMode::DetailedMeasure;
-    hier_.resetStats();
-    metrics_ = SimMetrics{};
     if (scenEngine_)
         scenEngine_->tracker().beginRecording();
 #ifndef HP_NO_OBS
-    // Anchor the span telescoping at the same post-reset instant the
-    // registry snapshot below pins, so inSpan + outside partitions the
+    // Anchor the span telescoping at the same instant the registry
+    // snapshot below pins, so inSpan + outside partitions the
     // measurement delta exactly.
     if (spanTracker_)
         spanTracker_->beginRecording(spanCountersNow());
 #endif
 
-    // One generic snapshot marks the warmup boundary for every
-    // registered counter; run() subtracts it from the end-of-run
-    // snapshot. Taken after the resets above so reset counters read 0.
+    // The warmup boundary: counters are never reset, so the
+    // measurement phase is the end-of-run snapshot minus this one.
     warmupSnapshot_ = registry_.snapshot();
 
     if (cfg_.trackReuse)
@@ -760,18 +756,9 @@ Simulator::endMeasurement(bool pay_advance)
     if (sampler_)
         sampler_->finalSample(committed_, /*measuring=*/true);
 
-    // Measurement phase = end-of-run snapshot minus the warmup one;
-    // every scalar SimMetrics field derives from this single delta.
-    StatsSnapshot delta =
-        StatsSnapshot::delta(registry_.snapshot(), warmupSnapshot_);
-
-    applyStatsDelta(metrics_, delta);
-    metrics_.mem = hier_.stats();
-
-    if (hierPf_) {
-        metrics_.hier = hierPf_->stats();
-        metrics_.hierActive = true;
-    }
+    // Measurement phase = end-of-run snapshot minus the warmup one.
+    SimMetrics m = SimMetrics::fromStats(
+        StatsSnapshot::delta(registry_.snapshot(), warmupSnapshot_));
 
     // Data-DRAM model: the mean of the co-scheduled tenants' rates
     // (a sum of one element over 1.0 for the classic path, so the
@@ -780,26 +767,25 @@ Simulator::endMeasurement(bool pay_advance)
     for (const TenantRt &t : tenants_)
         bytes_per_kinst += t.profile->dataDramBytesPerKiloInst;
     bytes_per_kinst /= double(tenants_.size());
-    metrics_.dataDramBytes = static_cast<std::uint64_t>(
-        double(metrics_.instructions) / 1000.0 * bytes_per_kinst);
+    m.dataDramBytes = static_cast<std::uint64_t>(
+        double(m.instructions) / 1000.0 * bytes_per_kinst);
 
     if (scenEngine_) {
-        metrics_.latency = std::make_shared<const LatencyReport>(
-            scenEngine_->tracker().report(delta));
+        m.latency = std::make_shared<const LatencyReport>(
+            scenEngine_->tracker().report(m.stats));
     }
 #ifndef HP_NO_OBS
     if (spanTracker_) {
         // Same instant as the registry snapshot above: no simulation
         // ran in between, so the partition invariant is exact.
-        metrics_.tailAttribution =
+        m.tailAttribution =
             std::make_shared<const obs::TailAttribution>(
                 spanTracker_->report(spanCountersNow()));
     }
 #endif
 
-    metrics_.stats = std::move(delta);
     flushObs();
-    return metrics_;
+    return m;
 }
 
 void

@@ -384,11 +384,15 @@ class Simulator
     std::unique_ptr<Histogram> reuseHist_;
     double longRangeThreshold_ = 0.0;
 
-    // Measurement-phase counters. Components keep plain fields the
-    // hot path increments; the registry holds reader closures over
-    // them, and the warmup boundary is one generic snapshot instead
-    // of a hand-maintained shadow field per counter.
-    SimMetrics metrics_;
+    // Core counters. Like every component's, they are plain fields
+    // the hot path increments and the registry reads; they only ever
+    // grow, and the warmup boundary is one registry snapshot. The
+    // first five advance only while measuring.
+    std::uint64_t measuredInsts_ = 0;
+    std::uint64_t fetchStallCycles_ = 0;
+    std::uint64_t backendStallCycles_ = 0;
+    std::uint64_t longRangeAccesses_ = 0;
+    std::uint64_t longRangeL2Misses_ = 0;
     std::uint64_t rasMispredicts_ = 0;
     StatsRegistry registry_;
     StatsSnapshot warmupSnapshot_;

@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <sstream>
+#include <unordered_set>
 
+#include "util/decimal.hh"
 #include "util/logging.hh"
 
 namespace hp
@@ -114,12 +116,17 @@ parseUint(const std::string &s, std::size_t &pos)
                 !std::isdigit(static_cast<unsigned char>(s[pos])),
             "StatsSnapshot::fromJson: expected integer at offset " +
                 std::to_string(pos));
-    std::uint64_t value = 0;
+    const std::size_t start = pos;
     while (pos < s.size() &&
            std::isdigit(static_cast<unsigned char>(s[pos]))) {
-        value = value * 10 + std::uint64_t(s[pos] - '0');
         ++pos;
     }
+    std::uint64_t value = 0;
+    std::string why;
+    fatalIf(!parseDecimal(s.substr(start, pos - start),
+                          ~std::uint64_t(0), &value, &why),
+            "StatsSnapshot::fromJson: integer at offset " +
+                std::to_string(start) + " is " + why);
     return value;
 }
 
@@ -129,23 +136,29 @@ StatsSnapshot
 StatsSnapshot::fromJson(const std::string &text)
 {
     StatsSnapshot out;
+    std::unordered_set<std::string> seen;
     std::size_t pos = 0;
     expect(text, pos, '{');
     skipSpace(text, pos);
-    if (pos < text.size() && text[pos] == '}')
-        return out;
-    while (true) {
+    bool more = pos >= text.size() || text[pos] != '}';
+    while (more) {
+        skipSpace(text, pos);
+        const std::size_t at = pos;
         std::string path = parseString(text, pos);
+        fatalIf(!seen.insert(path).second,
+                "StatsSnapshot::fromJson: duplicate path '" + path +
+                    "' at offset " + std::to_string(at));
         expect(text, pos, ':');
         out.add(std::move(path), parseUint(text, pos));
         skipSpace(text, pos);
-        if (pos < text.size() && text[pos] == ',') {
-            ++pos;
-            continue;
-        }
-        break;
+        more = pos < text.size() && text[pos] == ',';
+        pos += more;
     }
     expect(text, pos, '}');
+    skipSpace(text, pos);
+    fatalIf(pos != text.size(),
+            "StatsSnapshot::fromJson: unexpected text after '}' at "
+            "offset " + std::to_string(pos));
     return out;
 }
 

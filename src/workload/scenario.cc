@@ -112,6 +112,23 @@ isKnownWorkload(const std::string &name)
     return false;
 }
 
+/**
+ * Scenario, service, chain and phase names become parts of registry
+ * paths (scenario.chain.<name>.requests) and of the stats JSON, which
+ * writes paths unescaped, so they are restricted to [A-Za-z0-9_-].
+ */
+bool
+isPlainName(const std::string &name)
+{
+    for (char c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' &&
+            c != '-') {
+            return false;
+        }
+    }
+    return true;
+}
+
 /** Shared error channel: every reject goes through fail(line, msg). */
 struct ParseCtx
 {
@@ -214,6 +231,14 @@ parseScenario(const std::string &text, Scenario *out,
         if (!have_header && directive != "scenario")
             return ctx.fail(line_no, "spec must start with 'scenario "
                                      "<name>'");
+        const bool named = directive == "scenario" ||
+                           directive == "service" ||
+                           directive == "chain" || directive == "phase";
+        if (named && !isPlainName(name)) {
+            return ctx.fail(line_no, directive + " name '" + name +
+                                         "' may only contain letters, "
+                                         "digits, '_' and '-'");
+        }
 
         if (directive == "scenario") {
             if (have_header)

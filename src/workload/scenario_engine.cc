@@ -153,7 +153,7 @@ ScenarioEngine::next(DynInst &inst)
 void
 ScenarioEngine::registerStats(StatsRegistry &reg)
 {
-    // The engine.* aggregate paths applyStatsDelta() reads: sums over
+    // The engine.* paths a single-workload run registers, as sums over
     // every service's emitted stream, except requests, which counts
     // end-to-end chains (per-hop sub-requests are scenario.hops).
     auto sum = [this](std::uint64_t EngineStats::*field) {

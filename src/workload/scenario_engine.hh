@@ -44,8 +44,8 @@ class ScenarioEngine : public InstStream
 
     bool next(DynInst &inst) override;
 
-    /** Registers engine.* aggregates (the paths applyStatsDelta
-     *  expects), latency.* counters, and scenario.* breakdowns. */
+    /** Registers engine.* aggregates (the paths a single-workload
+     *  run registers), latency.* counters, and scenario.* breakdowns. */
     void registerStats(StatsRegistry &reg);
 
     LatencyTracker &tracker() { return tracker_; }

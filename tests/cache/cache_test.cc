@@ -119,16 +119,6 @@ TEST(CacheTest, NonPowerOfTwoSetCount)
     EXPECT_GT(resident, 8u); // nearly all fit
 }
 
-TEST(CacheTest, ResetStatsKeepsContents)
-{
-    SetAssocCache cache("t", 4 * 1024, 4);
-    cache.insert(blk(5), Origin::Demand);
-    cache.access(blk(5));
-    cache.resetStats();
-    EXPECT_EQ(cache.accesses(), 0u);
-    EXPECT_TRUE(cache.contains(blk(5)));
-}
-
 TEST(CacheTest, MissRate)
 {
     SetAssocCache cache("t", 4 * 1024, 4);

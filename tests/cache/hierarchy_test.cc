@@ -213,16 +213,6 @@ TEST(HierarchyTest, InstShareBytesRounding)
     EXPECT_NEAR(double(share), 0.65 * 512 * 1024, 8.0 * kBlockBytes);
 }
 
-TEST(HierarchyTest, ResetStatsPreservesContents)
-{
-    CacheHierarchy hier(smallParams());
-    DemandResult res = hier.demandAccess(blk(0), 0);
-    hier.tick(res.readyAt);
-    hier.resetStats();
-    EXPECT_EQ(hier.stats().demandAccesses, 0u);
-    EXPECT_EQ(hier.demandAccess(blk(0), 1000).level, ServiceLevel::L1);
-}
-
 TEST(HierarchyTest, PrefetchAccuracyClampedToOne)
 {
     // Late merges are counted when the demand merges into the MSHR,

@@ -42,17 +42,6 @@ TEST(TlbTest, CapacityRespected)
     EXPECT_EQ(tlb.translate(0), 10u);
 }
 
-TEST(TlbTest, ResetStats)
-{
-    Tlb tlb(4, 10);
-    tlb.translate(0x1000);
-    tlb.resetStats();
-    EXPECT_EQ(tlb.accesses(), 0u);
-    EXPECT_EQ(tlb.misses(), 0u);
-    // Contents survive the stats reset.
-    EXPECT_EQ(tlb.translate(0x1000), 0u);
-}
-
 TEST(TlbTest, EncodesRecencyOrderLikeAList)
 {
     // The checkpoint layout is that of the std::list the TLB once

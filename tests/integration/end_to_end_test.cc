@@ -91,12 +91,12 @@ TEST(EndToEndTest, BundleStatisticsInPaperRange)
     const SimMetrics &m = ExperimentRunner::run(config);
     // Table 4 classes: footprints 10s of KB, exec thousands to tens of
     // thousands of cycles, Jaccard approaching the 0.8+ regime.
-    double footprint_kb =
-        m.hier.bundleFootprintBlocks.mean() * kBlockBytes / 1024.0;
+    const BundleMeans bm = bundleMeans(m.stats);
+    double footprint_kb = bm.footprintBlocks * kBlockBytes / 1024.0;
     EXPECT_GT(footprint_kb, 5.0);
     EXPECT_LT(footprint_kb, 120.0);
-    EXPECT_GT(m.hier.bundleExecCycles.mean(), 2'000.0);
-    EXPECT_GT(m.hier.bundleJaccard.mean(), 0.6);
+    EXPECT_GT(bm.execCycles, 2'000.0);
+    EXPECT_GT(bm.jaccard, 0.6);
 }
 
 TEST(EndToEndTest, BandwidthOverheadModest)

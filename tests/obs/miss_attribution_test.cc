@@ -136,19 +136,6 @@ TEST(MissAttribution, RetryIsResourceContention)
     EXPECT_EQ(latency(attr, MissCause::ResourceContention), 1u);
 }
 
-TEST(MissAttribution, ResetCountersKeepsLineHistory)
-{
-    MissAttribution attr;
-    attr.onEvicted(0x40, true, false);
-    attr.onMissFill(0x80, 1); // some pre-boundary count
-    attr.resetCounters();
-    EXPECT_EQ(attr.counters().total(), 0u);
-    // The per-line history survives the warmup boundary, like cache
-    // contents do.
-    attr.onMissFill(0x40, 1);
-    EXPECT_EQ(count(attr, MissCause::PrefetchedEvicted), 1u);
-}
-
 TEST(MissAttribution, WrongPathStructurallyZero)
 {
     MissAttribution attr;

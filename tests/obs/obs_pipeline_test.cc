@@ -2,15 +2,19 @@
  * @file
  * Pipeline tests for the observability layer: the EventSink ring, the
  * Perfetto exporter's track mapping and JSON, the interval sampler,
- * the time-series CSV writer, and — the central property — that the
- * missAttribution.* cause classes exactly partition l1i.demand_misses
- * across randomized simulator configurations, with a golden breakdown
- * pinned for one seeded workload.
+ * the time-series CSV writer, the time-series rows of a real run
+ * telescoping to the live counters, and — the central property — that
+ * the missAttribution.* cause classes exactly partition
+ * l1i.demand_misses across randomized simulator configurations, with
+ * a golden breakdown pinned for one seeded workload.
  */
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -382,6 +386,81 @@ TEST_F(ObsSimTest, CauseClassesPartitionMissesAcrossRandomConfigs)
         EXPECT_GT(misses, 0u) << "config " << i
                               << " produced no misses; test is vacuous";
     }
+}
+
+/** The comma-separated fields of one CSV line. */
+std::vector<std::string>
+csvFields(const std::string &line)
+{
+    std::vector<std::string> out;
+    std::istringstream in(line);
+    std::string field;
+    while (std::getline(in, field, ','))
+        out.push_back(field);
+    return out;
+}
+
+TEST_F(ObsSimTest, TimeseriesRowsSumToLiveCounters)
+{
+    // Counters never reset, so every row's deltas, warmup and
+    // measurement alike, telescope to the live registry value at the
+    // end of the run. A reset at the warmup boundary would wrap the
+    // first measurement row around 2^64, which only the overflow
+    // check sees: the wrapped sum still matches modulo 2^64.
+    const std::string path = "obs_pipeline_test.rows.csv";
+    obs::config().timeseriesPath = path;
+    obs::config().intervalInsts = 50'000;
+    for (PrefetcherKind kind :
+         {PrefetcherKind::None, PrefetcherKind::Hierarchical}) {
+        SimConfig config;
+        config.workload = "caddy";
+        config.warmupInsts = 150'000;
+        config.measureInsts = 300'000;
+        config.prefetcher = kind;
+
+        obs::Collector::clear();
+        Simulator sim(config);
+        sim.run();
+        obs::Collector::writeOutputs();
+
+        std::ifstream in(path);
+        std::string line;
+        ASSERT_TRUE(std::getline(in, line));
+        const std::vector<std::string> header = csvFields(line);
+        std::map<std::string, std::uint64_t> sums = {
+            {"d_l1i_accesses", 0}, {"d_l1i_misses", 0},
+            {"d_dram_bytes", 0}};
+        bool wrapped = false;
+        unsigned rows = 0, measure_rows = 0;
+        while (std::getline(in, line)) {
+            const std::vector<std::string> fields = csvFields(line);
+            ASSERT_EQ(fields.size(), header.size()) << line;
+            ++rows;
+            for (std::size_t i = 0; i < header.size(); ++i) {
+                if (header[i] == "phase" && fields[i] == "measure")
+                    ++measure_rows;
+                auto it = sums.find(header[i]);
+                if (it != sums.end()) {
+                    wrapped |= __builtin_add_overflow(
+                        it->second, std::stoull(fields[i]), &it->second);
+                }
+            }
+        }
+        EXPECT_GE(rows, 9u);
+        EXPECT_GE(measure_rows, 6u);
+        EXPECT_FALSE(wrapped) << prefetcherName(kind);
+
+        const StatsRegistry &reg = sim.stats();
+        EXPECT_EQ(sums["d_l1i_accesses"],
+                  reg.value("l1i.demand_accesses"));
+        EXPECT_EQ(sums["d_l1i_misses"], reg.value("l1i.demand_misses"));
+        EXPECT_EQ(sums["d_dram_bytes"],
+                  reg.value("dram.demand_bytes") +
+                      reg.value("dram.fdip_bytes") +
+                      reg.value("dram.ext_bytes"));
+    }
+    obs::Collector::clear();
+    std::remove(path.c_str());
 }
 
 TEST_F(ObsSimTest, GoldenAttributionBreakdown)

@@ -131,8 +131,8 @@ TEST(ExecutorTest, ParallelGridMatchesSerialRun)
         EXPECT_EQ(parallel[i].run.instructions,
                   serial[i].run.instructions);
         EXPECT_EQ(parallel[i].base.cycles, serial[i].base.cycles);
-        EXPECT_EQ(parallel[i].run.mem.ext.issued,
-                  serial[i].run.mem.ext.issued);
+        EXPECT_EQ(parallel[i].run.stats.entries(),
+                  serial[i].run.stats.entries());
         EXPECT_DOUBLE_EQ(parallel[i].paired.speedup,
                          serial[i].paired.speedup);
     }

@@ -210,8 +210,8 @@ TEST(RunnerTest, RunPairBaselineIsFdipOnly)
     config.measureInsts = 1'200'000;
     RunPair pair = ExperimentRunner::runPair(config);
     // The baseline has no Ext prefetches.
-    EXPECT_EQ(pair.base.mem.ext.issued, 0u);
-    EXPECT_GT(pair.run.mem.ext.issued, 0u);
+    EXPECT_EQ(pair.base.stats.value("ext.issued"), 0u);
+    EXPECT_GT(pair.run.stats.value("ext.issued"), 0u);
     // Paired metrics are consistent with the two runs.
     EXPECT_NEAR(pair.paired.speedup,
                 pair.run.ipc() / pair.base.ipc() - 1.0, 1e-12);

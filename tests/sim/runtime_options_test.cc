@@ -5,6 +5,7 @@
 #include <string>
 
 #include "sim/runtime_options.hh"
+#include "util/decimal.hh"
 
 namespace hp
 {

@@ -1,10 +1,9 @@
 /**
  * @file
  * Sampled-simulation unit tests: the CI math against hand-computed
- * references, interval start placement, spec parsing, the field-wise
- * state-arithmetic archives, dedup-key separation of sampling
- * parameters, degenerate-parameter fallback, and the fast-forward
- * vs detailed throughput contract.
+ * references, interval start placement, spec parsing, dedup-key
+ * separation of sampling parameters, degenerate-parameter fallback,
+ * and the fast-forward vs detailed throughput contract.
  */
 
 #include <gtest/gtest.h>
@@ -14,12 +13,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "cache/hierarchy.hh"
 #include "sim/checkpoint.hh"
 #include "sim/runner.hh"
 #include "sim/sampling.hh"
 #include "sim/simulator.hh"
-#include "util/serialize.hh"
 
 namespace hp
 {
@@ -185,81 +182,6 @@ TEST(ParseSampleSpecTest, RejectsSignsWhitespaceAndOverflow)
     SampleConfig sc;
     ASSERT_TRUE(parseSampleSpec("4294967295,30000", &sc, nullptr));
     EXPECT_EQ(sc.intervals, 4294967295u);
-}
-
-// ---- state-arithmetic archives --------------------------------------
-
-struct TinyStats
-{
-    std::uint64_t a = 0;
-    double d = 0.0;
-    bool flag = false;
-
-    template <class Ar>
-    void
-    serializeState(Ar &ar)
-    {
-        io(ar, a);
-        io(ar, d);
-        io(ar, flag);
-    }
-};
-
-TEST(StateArithmeticTest, AccumulateSubtractScaleTinyStruct)
-{
-    TinyStats x;
-    x.a = 10;
-    x.d = 1.5;
-    TinyStats y;
-    y.a = 32;
-    y.d = 0.25;
-    y.flag = true;
-
-    accumulateState(x, y);
-    EXPECT_EQ(x.a, 42u);
-    EXPECT_DOUBLE_EQ(x.d, 1.75);
-    EXPECT_TRUE(x.flag); // bool accumulates as OR
-
-    subtractState(x, y);
-    EXPECT_EQ(x.a, 10u);
-    EXPECT_DOUBLE_EQ(x.d, 1.5);
-
-    scaleState(x, 2.5);
-    EXPECT_EQ(x.a, 25u); // llround(10 * 2.5)
-    EXPECT_DOUBLE_EQ(x.d, 3.75);
-}
-
-TEST(StateArithmeticTest, HierarchyStatsRoundTrip)
-{
-    HierarchyStats a;
-    a.demandAccesses = 100;
-    a.demandL1Misses = 7;
-    a.missCyclesMem = 1234;
-    a.extDistUseful[3] = 5;
-    HierarchyStats b;
-    b.demandAccesses = 11;
-    b.servedByL2 = 3;
-    b.extDistUseful[3] = 2;
-
-    HierarchyStats sum = a;
-    accumulateState(sum, b);
-    EXPECT_EQ(sum.demandAccesses, 111u);
-    EXPECT_EQ(sum.demandL1Misses, 7u);
-    EXPECT_EQ(sum.servedByL2, 3u);
-    EXPECT_EQ(sum.missCyclesMem, 1234u);
-    EXPECT_EQ(sum.extDistUseful[3], 7u);
-
-    // accumulate then subtract restores the exact original bytes.
-    subtractState(sum, b);
-    StateWriter wa, ws;
-    a.serializeState(wa);
-    sum.serializeState(ws);
-    EXPECT_EQ(wa.buffer(), ws.buffer());
-
-    HierarchyStats scaled = a;
-    scaleState(scaled, 3.0);
-    EXPECT_EQ(scaled.demandAccesses, 300u);
-    EXPECT_EQ(scaled.extDistUseful[3], 15u);
 }
 
 // ---- dedup keys -----------------------------------------------------

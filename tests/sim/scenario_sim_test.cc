@@ -86,7 +86,8 @@ TEST(ScenarioSimTest, ScenarioRunIsBitDeterministic)
         Simulator(scenarioConfig(kChainScenario)).run();
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.mem.demandL1Misses, b.mem.demandL1Misses);
+    EXPECT_EQ(a.stats.value("l1i.demand_misses"),
+              b.stats.value("l1i.demand_misses"));
     ASSERT_NE(a.latency, nullptr);
     ASSERT_NE(b.latency, nullptr);
     EXPECT_EQ(a.latency->generated, b.latency->generated);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "sim/multicore.hh"
 #include "sim/simulator.hh"
 
 namespace hp
@@ -28,9 +31,9 @@ TEST(SimulatorTest, RunsAndReportsSaneMetrics)
     EXPECT_GT(m.cycles, m.instructions / 6); // bounded by commit width
     EXPECT_GT(m.ipc(), 0.1);
     EXPECT_LT(m.ipc(), 6.0);
-    EXPECT_GT(m.mem.demandAccesses, 0u);
-    EXPECT_GT(m.condBranches, 0u);
-    EXPECT_GT(m.engine.requests, 0u);
+    EXPECT_GT(m.stats.value("l1i.demand_accesses"), 0u);
+    EXPECT_GT(m.stats.value("cond.predictions"), 0u);
+    EXPECT_GT(m.stats.value("engine.requests"), 0u);
 }
 
 TEST(SimulatorTest, Deterministic)
@@ -38,9 +41,7 @@ TEST(SimulatorTest, Deterministic)
     SimMetrics a = Simulator(quickConfig()).run();
     SimMetrics b = Simulator(quickConfig()).run();
     EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.mem.demandL1Misses, b.mem.demandL1Misses);
-    EXPECT_EQ(a.condMispredicts, b.condMispredicts);
-    EXPECT_EQ(a.mem.fdip.issued, b.mem.fdip.issued);
+    EXPECT_EQ(a.stats.entries(), b.stats.entries());
 }
 
 TEST(SimulatorTest, PerfectL1IEliminatesMissesAndBeatsBaseline)
@@ -48,15 +49,16 @@ TEST(SimulatorTest, PerfectL1IEliminatesMissesAndBeatsBaseline)
     SimMetrics base = Simulator(quickConfig()).run();
     SimMetrics perfect =
         Simulator(quickConfig(PrefetcherKind::PerfectL1I)).run();
-    EXPECT_EQ(perfect.mem.demandL1Misses, 0u);
+    EXPECT_EQ(perfect.stats.value("l1i.demand_misses"), 0u);
     EXPECT_GT(perfect.ipc(), base.ipc());
 }
 
 TEST(SimulatorTest, FdipIssuesPrefetches)
 {
     SimMetrics m = Simulator(quickConfig()).run();
-    EXPECT_GT(m.mem.fdip.issued, 0u);
-    EXPECT_GT(m.mem.fdip.usefulL1 + m.mem.fdip.lateMerges, 0u);
+    const PrefetchStats fdip = prefetchStats(m.stats, "fdip");
+    EXPECT_GT(fdip.issued, 0u);
+    EXPECT_GT(fdip.usefulL1 + fdip.lateMerges, 0u);
 }
 
 TEST(SimulatorTest, HierarchicalPrefetcherEngages)
@@ -65,11 +67,11 @@ TEST(SimulatorTest, HierarchicalPrefetcherEngages)
     config.hier.trackBundleStats = true;
     Simulator sim(config);
     SimMetrics m = sim.run();
-    EXPECT_TRUE(m.hierActive);
-    EXPECT_GT(m.hier.bundlesStarted, 0u);
-    EXPECT_GT(m.hier.replaysStarted, 0u);
-    EXPECT_GT(m.mem.ext.issued, 0u);
-    EXPECT_GT(m.hier.metadataWriteBytes, 0u);
+    EXPECT_GT(m.stats.value("hier.bundles_started"), 0u);
+    EXPECT_GT(m.stats.value("hier.replays_started"), 0u);
+    EXPECT_GT(m.stats.value("ext.issued"), 0u);
+    EXPECT_GT(m.stats.value("hier.metadata_write_bytes"), 0u);
+    EXPECT_GT(m.stats.value("hier.bundle_executions"), 0u);
 }
 
 TEST(SimulatorTest, InfiniteBtbReducesBtbMisses)
@@ -79,7 +81,7 @@ TEST(SimulatorTest, InfiniteBtbReducesBtbMisses)
     infinite.btbEntries = 0;
     SimMetrics mf = Simulator(finite).run();
     SimMetrics mi = Simulator(infinite).run();
-    EXPECT_LT(mi.btbMissBlocks, mf.btbMissBlocks);
+    EXPECT_LT(mi.stats.value("btb.misses"), mf.stats.value("btb.misses"));
     EXPECT_GE(mi.ipc(), mf.ipc() * 0.99);
 }
 
@@ -90,7 +92,8 @@ TEST(SimulatorTest, SmallerL1IMeansMoreMisses)
     small.mem.l1iBytes = 8 * 1024;
     SimMetrics mb = Simulator(big).run();
     SimMetrics ms = Simulator(small).run();
-    EXPECT_GT(ms.mem.demandL1Misses, mb.mem.demandL1Misses);
+    EXPECT_GT(ms.stats.value("l1i.demand_misses"),
+              mb.stats.value("l1i.demand_misses"));
     EXPECT_LE(ms.ipc(), mb.ipc());
 }
 
@@ -99,8 +102,9 @@ TEST(SimulatorTest, ReuseTrackingCountsLongRangeAccesses)
     SimConfig config = quickConfig();
     config.trackReuse = true;
     SimMetrics m = Simulator(config).run();
-    EXPECT_GT(m.longRangeAccesses, 0u);
-    EXPECT_LE(m.longRangeL2Misses, m.longRangeAccesses);
+    EXPECT_GT(m.stats.value("sim.long_range_accesses"), 0u);
+    EXPECT_LE(m.stats.value("sim.long_range_l2_misses"),
+              m.stats.value("sim.long_range_accesses"));
 }
 
 TEST(SimulatorTest, MispredictsCostCycles)
@@ -117,8 +121,8 @@ TEST(SimulatorTest, MispredictsCostCycles)
 TEST(SimulatorTest, BackendStallsAccounted)
 {
     SimMetrics m = Simulator(quickConfig()).run();
-    EXPECT_GT(m.backendStallCycles, 0u);
-    EXPECT_LT(m.backendStallCycles, m.cycles);
+    EXPECT_GT(m.stats.value("sim.backend_stall_cycles"), 0u);
+    EXPECT_LT(m.stats.value("sim.backend_stall_cycles"), m.cycles);
 }
 
 TEST(SimulatorTest, StreamIdenticalAcrossPrefetchers)
@@ -129,9 +133,9 @@ TEST(SimulatorTest, StreamIdenticalAcrossPrefetchers)
     SimMetrics a = Simulator(quickConfig()).run();
     SimMetrics b =
         Simulator(quickConfig(PrefetcherKind::Hierarchical)).run();
-    EXPECT_EQ(a.engine.calls, b.engine.calls);
-    EXPECT_EQ(a.engine.condBranches, b.engine.condBranches);
-    EXPECT_EQ(a.engine.taggedInsts, b.engine.taggedInsts);
+    for (const char *path :
+         {"engine.calls", "engine.cond_branches", "engine.tagged_insts"})
+        EXPECT_EQ(a.stats.value(path), b.stats.value(path)) << path;
 }
 
 TEST(SimulatorStatsTest, RegistryCoversEveryComponent)
@@ -158,65 +162,54 @@ TEST(SimulatorStatsTest, RegistryCoversEveryComponent)
     EXPECT_FALSE(efetch.stats().has("hier.tagged_commits"));
 }
 
-TEST(SimulatorStatsTest, MetricsSnapshotAgreesWithScalarFields)
+/** Expects every (path, value) of @p want in @p stats. */
+void
+expectStats(const StatsSnapshot &stats,
+            std::initializer_list<std::pair<const char *, std::uint64_t>>
+                want)
 {
-    SimMetrics m =
-        Simulator(quickConfig(PrefetcherKind::Hierarchical)).run();
-    // The scalar fields are derived from the embedded snapshot; the
-    // two views must agree exactly.
-    EXPECT_EQ(m.stats.value("sim.cycles"), m.cycles);
-    EXPECT_EQ(m.stats.value("sim.instructions"), m.instructions);
-    EXPECT_EQ(m.stats.value("cond.predictions"), m.condBranches);
-    EXPECT_EQ(m.stats.value("cond.mispredicts"), m.condMispredicts);
-    EXPECT_EQ(m.stats.value("btb.misses"), m.btbMissBlocks);
-    EXPECT_EQ(m.stats.value("itlb.accesses"), m.itlbAccesses);
-    EXPECT_EQ(m.stats.value("l1i.demand_accesses"),
-              m.mem.demandAccesses);
-    EXPECT_EQ(m.stats.value("l1i.demand_misses"),
-              m.mem.demandL1Misses);
-    EXPECT_EQ(m.stats.value("ext.issued"), m.mem.ext.issued);
-    EXPECT_EQ(m.stats.value("engine.instructions"),
-              m.engine.instructions);
-    EXPECT_EQ(m.stats.value("hier.replay_prefetches"),
-              m.hier.replayPrefetches);
-    EXPECT_EQ(m.stats.value("hier.metadata_read_bytes"),
-              m.hier.metadataReadBytes);
+    for (const auto &[path, value] : want)
+        EXPECT_EQ(stats.value(path), value) << path;
 }
 
 // Golden values captured from the seed implementation (the
 // hand-maintained *AtWarmup_ shadow fields and per-counter
 // subtraction block) on this exact config, before the registry
-// refactor. The registry-derived SimMetrics must reproduce the seed
-// path field for field.
+// refactor. The measurement-phase snapshot must reproduce the seed
+// path counter for counter.
 TEST(SimulatorStatsTest, RegistryDerivedMetricsMatchSeedPathFdip)
 {
     SimMetrics m = Simulator(quickConfig()).run();
     EXPECT_EQ(m.cycles, 818881u);
     EXPECT_EQ(m.instructions, 300003u);
-    EXPECT_EQ(m.condBranches, 16531u);
-    EXPECT_EQ(m.condMispredicts, 3313u);
-    EXPECT_EQ(m.indirectMispredicts, 1u);
-    EXPECT_EQ(m.rasMispredicts, 1u);
-    EXPECT_EQ(m.btbMissBlocks, 2200u);
-    EXPECT_EQ(m.fetchStallCycles, 488171u);
-    EXPECT_EQ(m.backendStallCycles, 226751u);
-    EXPECT_EQ(m.itlbAccesses, 31981u);
-    EXPECT_EQ(m.itlbMisses, 182u);
-    EXPECT_EQ(m.mem.demandAccesses, 31981u);
-    EXPECT_EQ(m.mem.demandL1Misses, 4180u);
-    EXPECT_EQ(m.mem.demandL2Misses, 3241u);
-    EXPECT_EQ(m.mem.demandLlcMisses, 3190u);
-    EXPECT_EQ(m.mem.servedByMshr, 3588u);
-    EXPECT_EQ(m.mem.fdip.issued, 31982u);
-    EXPECT_EQ(m.mem.fdip.inserted, 12538u);
-    EXPECT_EQ(m.mem.dramDemandBytes, 448u);
     EXPECT_EQ(m.dataDramBytes, 120001u);
-    EXPECT_EQ(m.engine.instructions, 300022u);
-    EXPECT_EQ(m.engine.requests, 1u);
-    EXPECT_EQ(m.engine.calls, 595u);
-    EXPECT_EQ(m.engine.returns, 596u);
-    EXPECT_EQ(m.engine.condBranches, 16531u);
-    EXPECT_EQ(m.engine.taggedInsts, 9u);
+    expectStats(m.stats, {
+                             {"sim.cycles", 818881},
+                             {"sim.instructions", 300003},
+                             {"cond.predictions", 16531},
+                             {"cond.mispredicts", 3313},
+                             {"indirect.mispredicts", 1},
+                             {"sim.ras_mispredicts", 1},
+                             {"btb.misses", 2200},
+                             {"sim.fetch_stall_cycles", 488171},
+                             {"sim.backend_stall_cycles", 226751},
+                             {"itlb.accesses", 31981},
+                             {"itlb.misses", 182},
+                             {"l1i.demand_accesses", 31981},
+                             {"l1i.demand_misses", 4180},
+                             {"l2i.demand_misses", 3241},
+                             {"llc.demand_misses", 3190},
+                             {"l1i.served_by_mshr", 3588},
+                             {"fdip.issued", 31982},
+                             {"fdip.inserted", 12538},
+                             {"dram.demand_bytes", 448},
+                             {"engine.instructions", 300022},
+                             {"engine.requests", 1},
+                             {"engine.calls", 595},
+                             {"engine.returns", 596},
+                             {"engine.cond_branches", 16531},
+                             {"engine.tagged_insts", 9},
+                         });
 }
 
 TEST(SimulatorStatsTest, RegistryDerivedMetricsMatchSeedPathHier)
@@ -225,20 +218,92 @@ TEST(SimulatorStatsTest, RegistryDerivedMetricsMatchSeedPathHier)
         Simulator(quickConfig(PrefetcherKind::Hierarchical)).run();
     EXPECT_EQ(m.cycles, 818776u);
     EXPECT_EQ(m.instructions, 300003u);
-    EXPECT_EQ(m.condBranches, 16531u);
-    EXPECT_EQ(m.condMispredicts, 3313u);
-    EXPECT_EQ(m.btbMissBlocks, 2200u);
-    EXPECT_EQ(m.fetchStallCycles, 488065u);
-    EXPECT_EQ(m.mem.demandL1Misses, 4178u);
-    EXPECT_EQ(m.mem.demandL2Misses, 3239u);
-    EXPECT_EQ(m.mem.fdip.inserted, 12530u);
-    EXPECT_EQ(m.mem.ext.issued, 12u);
-    EXPECT_EQ(m.mem.ext.inserted, 8u);
-    EXPECT_EQ(m.mem.ext.usefulL1, 7u);
-    EXPECT_EQ(m.mem.ext.lateMerges, 1u);
-    EXPECT_EQ(m.hier.taggedCommits, 15u);
-    EXPECT_EQ(m.hier.replayPrefetches, 12u);
-    EXPECT_EQ(m.hier.metadataReadBytes, 368u);
+    expectStats(m.stats, {
+                             {"cond.predictions", 16531},
+                             {"cond.mispredicts", 3313},
+                             {"btb.misses", 2200},
+                             {"sim.fetch_stall_cycles", 488065},
+                             {"l1i.demand_misses", 4178},
+                             {"l2i.demand_misses", 3239},
+                             {"fdip.inserted", 12530},
+                             {"ext.issued", 12},
+                             {"ext.inserted", 8},
+                             {"ext.useful_l1", 7},
+                             {"ext.late_merges", 1},
+                             // Measurement phase only; the seed
+                             // read 15, warmup included.
+                             {"hier.tagged_commits", 9},
+                             {"hier.replay_prefetches", 12},
+                             {"hier.metadata_read_bytes", 368},
+                         });
+}
+
+/** The conservation laws of the counters under @p prefix of @p s. */
+void
+expectConservation(const StatsSnapshot &s, const std::string &prefix)
+{
+    std::uint64_t binned = 0;
+    for (unsigned b = 0; b < HierarchyStats::kDistanceBins; ++b) {
+        binned += s.value(prefix + "ext.useful_distance_bin" +
+                          std::to_string(b));
+    }
+    EXPECT_EQ(binned, s.value(prefix + "ext.useful_distance_samples"))
+        << prefix;
+    if (s.has(prefix + "hier.bundle_executions")) {
+        EXPECT_LE(s.value(prefix + "hier.bundle_jaccard_samples"),
+                  s.value(prefix + "hier.bundle_executions"))
+            << prefix;
+    }
+}
+
+TEST(StatsConservationTest, ExactRuns)
+{
+    for (PrefetcherKind kind :
+         {PrefetcherKind::None, PrefetcherKind::Eip,
+          PrefetcherKind::Hierarchical}) {
+        SimConfig config = quickConfig(kind);
+        config.hier.trackBundleStats = true;
+        SimMetrics m = Simulator(config).run();
+        expectConservation(m.stats, "");
+        if (kind != PrefetcherKind::None) {
+            EXPECT_GT(m.stats.value("ext.useful_distance_samples"), 0u);
+        }
+        if (kind == PrefetcherKind::Hierarchical) {
+            EXPECT_GT(m.stats.value("hier.bundle_jaccard_samples"), 0u);
+        }
+    }
+}
+
+TEST(StatsConservationTest, MulticoreRunsPerCoreAndAggregate)
+{
+    // EIP fills the distance bins, here with three tenants on two
+    // cores (one core switches). The Hierarchical Prefetcher samples
+    // Bundle executions, which a switch cuts short, so it gets one
+    // tenant per core and the single-core budget.
+    for (PrefetcherKind kind :
+         {PrefetcherKind::Eip, PrefetcherKind::Hierarchical}) {
+        const bool eip = kind == PrefetcherKind::Eip;
+        SimConfig config = quickConfig(kind);
+        config.hier.trackBundleStats = true;
+        config.mt.cores = 2;
+        if (eip) {
+            config.mt.tenants = {"tidb-tpcc", "mysql-sysbench", "caddy"};
+            config.mt.switchQuantum = 20'000;
+        } else {
+            config.mt.tenants = {"caddy", "gin"};
+        }
+        SimMetrics m = runMultiTenant(config);
+        const std::uint64_t cores = m.stats.value("mt.cores");
+        ASSERT_EQ(cores, 2u);
+        expectConservation(m.stats, "");
+        for (std::uint64_t i = 0; i < cores; ++i)
+            expectConservation(m.stats, "core" + std::to_string(i) + ".");
+        if (eip) {
+            EXPECT_GT(m.stats.value("ext.useful_distance_samples"), 0u);
+        } else {
+            EXPECT_GT(m.stats.value("hier.bundle_jaccard_samples"), 0u);
+        }
+    }
 }
 
 } // namespace

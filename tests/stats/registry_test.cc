@@ -105,5 +105,39 @@ TEST(StatsSnapshotTest, EmptyJsonRoundTrip)
     EXPECT_EQ(StatsSnapshot::fromJson(" { } ").size(), 0u);
 }
 
+// Malformed input is rejected with a diagnostic instead of parsing
+// into a wrong snapshot.
+
+TEST(StatsSnapshotDeathTest, FromJsonRejectsValueOneAboveMax)
+{
+    // 2^64, one past the largest counter.
+    EXPECT_DEATH((void)StatsSnapshot::fromJson(
+                     "{\"a\": 18446744073709551616}"),
+                 "integer at offset 6 is above the maximum");
+}
+
+TEST(StatsSnapshotDeathTest, FromJsonRejectsLongOverflow)
+{
+    EXPECT_DEATH((void)StatsSnapshot::fromJson(
+                     "{\"a\": 99999999999999999999999}"),
+                 "integer at offset 6 is above the maximum");
+}
+
+TEST(StatsSnapshotDeathTest, FromJsonRejectsTrailingText)
+{
+    EXPECT_DEATH((void)StatsSnapshot::fromJson("{\"a\": 1} x"),
+                 "unexpected text after '\\}' at offset 9");
+    EXPECT_DEATH((void)StatsSnapshot::fromJson("{} {}"),
+                 "unexpected text after");
+}
+
+TEST(StatsSnapshotDeathTest, FromJsonRejectsDuplicatePath)
+{
+    // value() could only ever return one of the two.
+    EXPECT_DEATH((void)StatsSnapshot::fromJson(
+                     "{\"a\": 1, \"b\": 2, \"a\": 3}"),
+                 "duplicate path 'a' at offset 17");
+}
+
 } // namespace
 } // namespace hp

@@ -227,6 +227,16 @@ const Rejection kRejections[] = {
     {"scenario x\nservice a profile=caddy\n",
      "needs at least one chain", 2},
     {"scenario x\n", "needs at least one service", 1},
+    // Names become registry paths (scenario.chain.<name>.requests),
+    // which the stats JSON writes unescaped.
+    {"scenario a.b\n", "scenario name 'a.b' may only contain", 1},
+    {"scenario x\nservice s/1 profile=caddy\n",
+     "service name 's/1' may only contain", 2},
+    {"scenario x\nservice a profile=caddy\nchain t\"x services=a\n",
+     "chain name 't\"x' may only contain", 3},
+    {"scenario x\nservice a profile=caddy\nchain c services=a\n"
+     "phase p:1 arrival=poisson rate=1\n",
+     "phase name 'p:1' may only contain", 4},
 };
 
 TEST(ScenarioParserTest, RejectsMalformedSpecsWithLineNumbers)
