@@ -1,7 +1,8 @@
 /**
  * @file
  * Behaviour pin for the whole simulator: every workload under every
- * prefetcher kind at a reduced budget, plus one sampled run, one
+ * prefetcher kind at a reduced budget, plus sampled runs of one app
+ * under every prefetcher kind, one scenario run and one sampled
  * scenario run, a 2-tenant/1-core and a 3-tenant/2-core consolidation
  * and a warmup-only run. Each prints its label and a 64-bit digest of
  * the full stats snapshot, the latency samples and the sampling
@@ -124,16 +125,32 @@ main(int argc, char **argv)
             add(w + "/" + prefetcherName(k), baseConfig(w, k));
     }
 
-    SimConfig sampled = baseConfig("caddy", PrefetcherKind::Hierarchical);
-    sampled.measureInsts = 800'000;
-    sampled.sample = {4, 20'000, 10'000, 3};
-    add("sampled:caddy/Hierarchical", sampled);
+    // Sampled runs cross the functional fast-forward, whose prefetcher
+    // hooks differ per kind; one app under every kind pins them all.
+    auto sampledConfig = [](SimConfig c) {
+        c.measureInsts = 800'000;
+        c.sample = {4, 20'000, 10'000, 3};
+        return c;
+    };
+    for (PrefetcherKind k :
+         {PrefetcherKind::None, PrefetcherKind::EFetch,
+          PrefetcherKind::Mana, PrefetcherKind::Eip, PrefetcherKind::Rdip,
+          PrefetcherKind::Hierarchical, PrefetcherKind::PerfectL1I})
+        add(std::string("sampled:caddy/") + prefetcherName(k),
+            sampledConfig(baseConfig("caddy", k)));
 
     SimConfig scen = baseConfig("caddy", PrefetcherKind::Eip);
     scen.scenario = kScenario;
     scen.workload = scenarioPrimaryProfile(*cachedScenario(kScenario));
     scen.measureInsts = 400'000;
     add("scenario:digest-chain/EIP", scen);
+
+    // The scenario engine's translation and hop hand-off under
+    // fast-forward.
+    SimConfig scen_sampled = sampledConfig(
+        baseConfig(scen.workload, PrefetcherKind::Hierarchical));
+    scen_sampled.scenario = kScenario;
+    add("sampled:digest-chain/Hierarchical", scen_sampled);
 
     SimConfig mt1 = baseConfig("caddy", PrefetcherKind::Hierarchical);
     mt1.mt.tenants = {"caddy", "gin"};
