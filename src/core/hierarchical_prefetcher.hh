@@ -156,7 +156,8 @@ class HierarchicalPrefetcher final : public Prefetcher
 
     std::uint64_t storageBits() const override;
 
-    void onCommit(const DynInst &inst, Cycle now) override;
+    void onCommit(const DynInst &first, std::uint64_t n,
+                  Cycle now) override;
 
     void tick(Cycle now) override;
 
@@ -226,6 +227,9 @@ class HierarchicalPrefetcher final : public Prefetcher
     template <class Ar> void serializeState(Ar &ar);
 
     void bundleBoundary(const DynInst &inst, Cycle now);
+    /** Adds @p block to the current footprint (trackBundleStats). */
+    void noteFootprint(Addr block);
+    void clearFootprint();
     void endRecord(Cycle now);
     void beginRecord(BundleId id, Cycle now);
     void beginReplay(SegIdx head, Cycle now);
@@ -268,9 +272,17 @@ class HierarchicalPrefetcher final : public Prefetcher
 
     /** Tenant partitioning active (configureTenants). */
     bool tenantPartitioned_ = false;
-    /** Previous execution footprint per Bundle (block set), for Jaccard. */
+    /** Previous execution footprint per Bundle (sorted distinct
+     *  blocks), for Jaccard. */
     std::unordered_map<BundleId, std::vector<Addr>> prevFootprint_;
+    /** The record's block sequence, one entry per block change: the
+     *  serialized form of the current footprint. */
     std::vector<Addr> curFootprint_;
+    /** The distinct blocks of curFootprint_, deduplicated on insert
+     *  so endRecord sorts only those; derived state, rebuilt from
+     *  curFootprint_ on restore. */
+    FlatSet<Addr> curBlockSet_;
+    std::vector<Addr> curBlocks_;
 
     friend class HierarchicalPrefetcherProbe;
 };

@@ -1,7 +1,7 @@
 /**
  * @file
- * Dynamic instruction records produced by the workload engine (or a
- * trace reader) and consumed by the timing simulator.
+ * Dynamic instruction records produced by the workload engines and
+ * consumed by the timing simulator.
  *
  * The ISA model is deliberately minimal: fixed 4-byte instructions and
  * the six control-flow classes the front end cares about. Call/return
@@ -111,9 +111,9 @@ struct DynInst
 };
 
 /**
- * Pull interface for instruction streams. Implemented by the workload
- * engine and by the trace reader, so the simulator is agnostic to the
- * source of instructions.
+ * Pull interface for instruction streams. Implemented by the request
+ * engine and by the scenario engine, so the simulator is agnostic to
+ * the source of instructions.
  */
 class InstStream
 {
@@ -121,10 +121,20 @@ class InstStream
     virtual ~InstStream() = default;
 
     /**
-     * Produces the next instruction.
-     * @return false when the stream is exhausted.
+     * Produces the next instructions as a straight-line run: @p first,
+     * then the plain instructions that follow it at consecutive
+     * addresses. Every instruction after the first is Plain, carries
+     * no marker, and has the first's func; only a plain @p first
+     * starts a run longer than one. The stream's counters advance by
+     * the returned count, exactly as if each instruction had been
+     * pulled alone, so pulling with @p max = 1 and with any larger
+     * @p max yields the same instruction sequence and the same state
+     * at every cut.
+     * @param max Upper bound on the run length (at least 1).
+     * @return the run length, in [1, max]; 0 when the stream is
+     *         exhausted.
      */
-    virtual bool next(DynInst &inst) = 0;
+    virtual std::uint64_t next(DynInst &first, std::uint64_t max = 1) = 0;
 };
 
 } // namespace hp

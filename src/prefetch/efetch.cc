@@ -157,9 +157,13 @@ EFetch::predictAndPrefetch()
 }
 
 void
-EFetch::onCommit(const DynInst &inst, Cycle now)
+EFetch::onCommit(const DynInst &inst, std::uint64_t n, Cycle now)
 {
     (void)now;
+    // A run lies in one block, so its footprint bit is set once; the
+    // call/return logic below sees only control instructions, which
+    // come alone.
+    (void)n;
 
     // Footprint training: blocks of the current function near its
     // entry.

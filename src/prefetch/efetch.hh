@@ -57,7 +57,8 @@ class EFetch final : public Prefetcher
 
     std::uint64_t storageBits() const override;
 
-    void onCommit(const DynInst &inst, Cycle now) override;
+    void onCommit(const DynInst &first, std::uint64_t n,
+                  Cycle now) override;
 
     void saveState(StateWriter &ar) override;
     void restoreState(StateLoader &ar) override;

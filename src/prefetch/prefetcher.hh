@@ -62,10 +62,18 @@ class Prefetcher
     /** On-chip metadata storage in bits (for the comparison tables). */
     virtual std::uint64_t storageBits() const = 0;
 
-    /** Called for every retired instruction, in order. */
-    virtual void onCommit(const DynInst &inst, Cycle now)
+    /**
+     * Called for retired instructions, in order: @p first and the
+     * n - 1 instructions after it. A call with n > 1 carries a run of
+     * plain instructions at consecutive addresses within one cache
+     * block (the functional fast-forward batches them); a control
+     * instruction always comes alone. Overrides must leave the same
+     * state as n calls with n = 1.
+     */
+    virtual void onCommit(const DynInst &first, std::uint64_t n, Cycle now)
     {
-        (void)inst;
+        (void)first;
+        (void)n;
         (void)now;
     }
 

@@ -44,8 +44,11 @@ Rdip::entryFor(std::uint64_t sig)
 }
 
 void
-Rdip::onCommit(const DynInst &inst, Cycle now)
+Rdip::onCommit(const DynInst &inst, std::uint64_t n, Cycle now)
 {
+    // Only calls and returns change the signature; a run of plain
+    // instructions is a no-op whatever its length.
+    (void)n;
     (void)now;
     bool signature_changed = false;
     if (isCall(inst.kind) && inst.taken) {

@@ -48,7 +48,8 @@ class Rdip final : public Prefetcher
 
     std::uint64_t storageBits() const override;
 
-    void onCommit(const DynInst &inst, Cycle now) override;
+    void onCommit(const DynInst &first, std::uint64_t n,
+                  Cycle now) override;
 
     void onDemandAccess(Addr block, bool hit, Cycle now,
                         Cycle fill_latency) override;

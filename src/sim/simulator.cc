@@ -307,7 +307,9 @@ void
 Simulator::ensureWindow(std::uint64_t up_to_seq)
 {
     while (windowBase_ + window_.size() <= up_to_seq) {
-        const bool ok = stream_->next(window_.emplace_back());
+        // One instruction per pull: prediction consumes the window
+        // instruction by instruction, and pull-ahead is observable.
+        const bool ok = stream_->next(window_.emplace_back(), 1) == 1;
         panicIf(!ok, "workload stream ended unexpectedly");
         windowFetch_.push_back(kNotFetched);
     }
@@ -581,9 +583,9 @@ Simulator::stepCommit()
         // Prefetcher, so the per-commit call devirtualizes (the same
         // treatment stepExtPrefetch gives tick()).
         if (hierPf_)
-            hierPf_->onCommit(inst, cycle_);
+            hierPf_->onCommit(inst, 1, cycle_);
         else if (pf_)
-            pf_->onCommit(inst, cycle_);
+            pf_->onCommit(inst, 1, cycle_);
 
         bool was_blocking_mispredict =
             feBlock_ == FeBlock::Mispredict && feBlockSeq_ == windowBase_;
@@ -806,41 +808,51 @@ Simulator::measureWindow(std::uint64_t insts)
 }
 
 void
-Simulator::ffStep(const DynInst &inst, bool has_pf, Addr &cur_block)
+Simulator::ffBlock(Addr block)
 {
-    const Addr block = blockAlign(inst.pc);
-    if (block != cur_block) {
-        cur_block = block;
-        hier_.noteFetchBlock();
-        if (!perfect_) {
-            hier_.itlb().translate(block);
-            const bool hit = hier_.functionalTouch(block);
-            if (has_pf) {
-                pf_->onDemandAccess(block, hit, cycle_, 0);
-                // Let tick-driven machinery make progress and drain
-                // the request queue without MSHR/timing bookkeeping.
-                if (hierPf_)
-                    hierPf_->tick(cycle_);
-                else
-                    pf_->tick(cycle_);
-                Addr req;
-                while (pf_->popRequest(req)) {
-                    hier_.functionalPrefetch(req, Origin::Ext,
-                                             cfg_.extPrefetchToL2);
-                }
-            }
-            if (cfg_.trackReuse) {
-                const std::uint64_t dist = reuse_.access(block);
-                if (dist != ReuseDistanceTracker::kColdAccess)
-                    reuseHist_->sample(double(dist));
-            }
-        }
+    hier_.noteFetchBlock();
+    if (perfect_)
+        return;
+    hier_.itlb().translate(block);
+    const bool hit = hier_.functionalTouch(block);
+    if (pf_) {
+        pf_->onDemandAccess(block, hit, cycle_, 0);
+        // Let tick-driven machinery make progress and drain the
+        // request queue without MSHR/timing bookkeeping.
+        if (hierPf_)
+            hierPf_->tick(cycle_);
+        else
+            pf_->tick(cycle_);
+        Addr req;
+        while (pf_->popRequest(req))
+            hier_.functionalPrefetch(req, Origin::Ext, cfg_.extPrefetchToL2);
     }
+    if (cfg_.trackReuse) {
+        const std::uint64_t dist = reuse_.access(block);
+        if (dist != ReuseDistanceTracker::kColdAccess)
+            reuseHist_->sample(double(dist));
+    }
+}
 
-    // Predictors train on the architectural path exactly as the
-    // prediction unit would train them (predict() must precede
-    // update(): it latches the provider entry and the history).
-    if (isControl(inst.kind)) {
+void
+Simulator::ffRun(DynInst inst, std::uint64_t n, Addr &cur_block)
+{
+    // Split the run at cache-block boundaries: the block work happens
+    // once per block, and the commit hook gets each block's share of
+    // the run as one count.
+    while (true) {
+        const Addr block = blockAlign(inst.pc);
+        const std::uint64_t in_block = std::min<std::uint64_t>(
+            n, (block + kBlockBytes - inst.pc) / kInstBytes);
+        if (block != cur_block) {
+            cur_block = block;
+            ffBlock(block);
+        }
+
+        // Predictors train on the architectural path exactly as the
+        // prediction unit would train them (predict() must precede
+        // update(): it latches the provider entry and the history). A
+        // control instruction is always a run of one.
         switch (inst.kind) {
           case InstKind::CondBranch:
             condPred_.predict(inst.pc);
@@ -865,16 +877,23 @@ Simulator::ffStep(const DynInst &inst, bool has_pf, Addr &cur_block)
           case InstKind::Return:
             ras_.pop();
             break;
-          default:
+          case InstKind::Plain:
             break;
         }
-    }
 
-    if (has_pf) {
         if (hierPf_)
-            hierPf_->onCommit(inst, cycle_);
-        else
-            pf_->onCommit(inst, cycle_);
+            hierPf_->onCommit(inst, in_block, cycle_);
+        else if (pf_)
+            pf_->onCommit(inst, in_block, cycle_);
+
+        committed_ += in_block;
+        cycle_ += in_block; // synthetic clock: keeps paced components moving
+        n -= in_block;
+        if (n == 0)
+            return;
+        inst.pc = block + kBlockBytes;
+        inst.marker = StreamMarker::None;
+        inst.markerArg = 0;
     }
 }
 
@@ -893,31 +912,25 @@ Simulator::fastForward(std::uint64_t insts)
     // requests and no MSHR survives into the functional segment.
     hier_.drainInFlight();
 
-    const bool has_pf = pf_ != nullptr;
     const std::uint64_t target = committed_ + insts;
     Addr cur_block = ~Addr(0);
 
     // First consume what the decoupled front end already materialized
-    // past the commit point, then pull straight from the engine.
-    while (committed_ < target && !window_.empty()) {
-        const DynInst inst = window_.front();
-        window_.pop_front();
-        windowFetch_.pop_front();
-        if (scenEngine_ && inst.marker != StreamMarker::None)
-            noteCommitMarker(inst, /*detailed=*/false);
-        ffStep(inst, has_pf, cur_block);
-        ++committed_;
-        ++cycle_; // synthetic clock: keeps paced components moving
-    }
+    // past the commit point, then pull runs straight from the engine.
     while (committed_ < target) {
         DynInst inst;
-        bool ok = stream_->next(inst);
-        panicIf(!ok, "workload stream ended unexpectedly");
+        std::uint64_t n = 1;
+        if (!window_.empty()) {
+            inst = window_.front();
+            window_.pop_front();
+            windowFetch_.pop_front();
+        } else {
+            n = stream_->next(inst, target - committed_);
+            panicIf(n == 0, "workload stream ended unexpectedly");
+        }
         if (scenEngine_ && inst.marker != StreamMarker::None)
             noteCommitMarker(inst, /*detailed=*/false);
-        ffStep(inst, has_pf, cur_block);
-        ++committed_;
-        ++cycle_;
+        ffRun(inst, n, cur_block);
     }
 
     resyncFrontEnd();

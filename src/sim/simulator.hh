@@ -294,8 +294,19 @@ class Simulator
     /** True while the measurement counters accumulate. */
     bool measuring() const { return mode_ == SimMode::DetailedMeasure; }
 
-    /** One fast-forward instruction (see fastForward). */
-    void ffStep(const DynInst &inst, bool has_pf, Addr &cur_block);
+    /**
+     * Fast-forwards a run of @p n instructions from @p inst (see
+     * InstStream::next): ffBlock for each cache block the run enters
+     * (@p cur_block is the block last touched), predictor training
+     * for a control instruction, and one counted commit hook per
+     * block.
+     */
+    void ffRun(DynInst inst, std::uint64_t n, Addr &cur_block);
+
+    /** Fast-forward's once-per-block work: the I-TLB, the functional
+     *  cache touch, the prefetcher's demand and tick hooks with the
+     *  request drain, and the reuse probe. */
+    void ffBlock(Addr block);
 
     /** Resynchronizes the decoupled front end to the commit point
      *  after a fast-forward segment. */

@@ -87,9 +87,10 @@ RequestEngine::seek(Frame &frame, std::uint32_t slot)
         ? slot - body[lo].offset : 0;
 }
 
-bool
-RequestEngine::next(DynInst &inst)
+std::uint64_t
+RequestEngine::next(DynInst &inst, std::uint64_t max)
 {
+    panicIf(max == 0, "RequestEngine::next needs max >= 1");
     if (frames_.empty())
         startRequest();
 
@@ -97,6 +98,7 @@ RequestEngine::next(DynInst &inst)
     const Function &fn = app_->program.func(frame.func);
     const BodyOp &op = fn.body[frame.opIdx];
 
+    std::uint64_t n = 1;
     inst = DynInst{};
     inst.func = frame.func;
     if (pendingMarker_ != StreamMarker::None) {
@@ -107,9 +109,13 @@ RequestEngine::next(DynInst &inst)
 
     switch (op.kind) {
       case OpKind::Run: {
+        // The rest of the op is straight-line code: hand out as much
+        // of it as the caller takes.
         inst.pc = fn.instAddr(op.offset + frame.intraRun);
         inst.kind = InstKind::Plain;
-        if (++frame.intraRun >= op.length) {
+        n = std::min<std::uint64_t>(max, op.length - frame.intraRun);
+        frame.intraRun += static_cast<std::uint32_t>(n);
+        if (frame.intraRun >= op.length) {
             frame.intraRun = 0;
             ++frame.opIdx;
         }
@@ -229,8 +235,8 @@ RequestEngine::next(DynInst &inst)
       }
     }
 
-    ++stats_.instructions;
-    return true;
+    stats_.instructions += n;
+    return n;
 }
 
 template <class Ar>

@@ -51,8 +51,10 @@ class RequestEngine : public InstStream
     RequestEngine(std::shared_ptr<const BuiltApp> app,
                   const AppProfile &profile);
 
-    /** Emits the next instruction; the stream never ends. */
-    bool next(DynInst &inst) override;
+    /** Emits the next run (see InstStream::next): up to @p max slots
+     *  of the current Run op, else one instruction. The stream never
+     *  ends. */
+    std::uint64_t next(DynInst &first, std::uint64_t max = 1) override;
 
     const EngineStats &stats() const { return stats_; }
 

@@ -94,8 +94,8 @@ ScenarioEngine::scheduleNext()
     }
 }
 
-bool
-ScenarioEngine::next(DynInst &inst)
+std::uint64_t
+ScenarioEngine::next(DynInst &inst, std::uint64_t max)
 {
     if (curChain_ < 0)
         scheduleNext();
@@ -103,7 +103,7 @@ ScenarioEngine::next(DynInst &inst)
     const std::vector<int> &hops =
         chainServices_[static_cast<std::size_t>(curChain_)];
     Service &svc = services_[static_cast<std::size_t>(hops[hop_])];
-    svc.engine->next(inst);
+    const std::uint64_t n = svc.engine->next(inst, max);
     const bool hop_done = svc.engine->idle();
 
     // Translate into the service's address window. target == 0 means
@@ -147,7 +147,7 @@ ScenarioEngine::next(DynInst &inst)
                     .driverAddr;
         }
     }
-    return true;
+    return n;
 }
 
 void

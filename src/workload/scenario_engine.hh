@@ -42,7 +42,10 @@ class ScenarioEngine : public InstStream
 
     explicit ScenarioEngine(std::shared_ptr<const Scenario> scen);
 
-    bool next(DynInst &inst) override;
+    /** Forwards the run of the active hop's engine, translated into
+     *  its service's address window. Only a one-instruction final
+     *  return ends a hop, so runs never cross one. */
+    std::uint64_t next(DynInst &first, std::uint64_t max = 1) override;
 
     /** Registers engine.* aggregates (the paths a single-workload
      *  run registers), latency.* counters, and scenario.* breakdowns. */

@@ -51,11 +51,11 @@ Cycle
 runBundle(HierarchicalPrefetcher &pf, Addr call_pc, Addr body_base,
           unsigned blocks, Cycle now)
 {
-    pf.onCommit(taggedCall(call_pc, body_base), now++);
+    pf.onCommit(taggedCall(call_pc, body_base), 1, now++);
     for (unsigned b = 0; b < blocks; ++b) {
         for (unsigned i = 0; i < kInstsPerBlock; ++i) {
             pf.onCommit(plain(body_base + Addr(b) * kBlockBytes +
-                              Addr(i) * kInstBytes),
+                              Addr(i) * kInstBytes), 1,
                         now);
         }
         now += 4;
@@ -125,11 +125,11 @@ TEST(HierarchicalPrefetcherTest, SupersedeKeepsOnlyLastFootprint)
 
     Addr entry = 0x400000;
     auto run_variant = [&pf, entry](unsigned skip_blocks, Cycle now) {
-        pf.onCommit(taggedCall(0x1000, entry), now++);
+        pf.onCommit(taggedCall(0x1000, entry), 1, now++);
         // Entry block always touched, then a variant suffix.
         for (unsigned b = skip_blocks; b < skip_blocks + 6; ++b) {
             pf.onCommit(
-                plain(entry + Addr(b) * kBlockBytes), now);
+                plain(entry + Addr(b) * kBlockBytes), 1, now);
             now += 2;
         }
         return now;
@@ -177,7 +177,7 @@ TEST(HierarchicalPrefetcherTest, MetadataReadLatencyDelaysReplay)
 
     Cycle now = runBundle(pf, 0x1000, 0x400000, 4, 0);
     Cycle trigger = now;
-    pf.onCommit(taggedCall(0x1000, 0x400000), trigger);
+    pf.onCommit(taggedCall(0x1000, 0x400000), 1, trigger);
     // Immediately after the trigger nothing can be issued yet.
     auto early = drain(pf, trigger + 1);
     EXPECT_TRUE(early.empty());
@@ -193,13 +193,13 @@ TEST(HierarchicalPrefetcherTest, RecordTruncatedAtMaxSegments)
 
     // Touch far more regions than 2 segments can hold (64 regions).
     Cycle now = 0;
-    pf.onCommit(taggedCall(0x1000, 0x400000), now++);
+    pf.onCommit(taggedCall(0x1000, 0x400000), 1, now++);
     for (unsigned r = 0; r < 200; ++r) {
         pf.onCommit(plain(0x400000 + Addr(r) * kRegionBlocks *
-                          kBlockBytes),
+                          kBlockBytes), 1,
                     now++);
     }
-    pf.onCommit(taggedCall(0x1000, 0x800000), now++); // close record
+    pf.onCommit(taggedCall(0x1000, 0x800000), 1, now++); // close record
     EXPECT_GT(pf.stats().recordsTruncated, 0u);
 }
 
@@ -215,7 +215,7 @@ TEST(HierarchicalPrefetcherTest, TaggedReturnStartsBundle)
     ret.target = 0x3000;
     ret.tagged = true;
 
-    pf.onCommit(ret, 0);
+    pf.onCommit(ret, 1, 0);
     EXPECT_EQ(pf.stats().bundlesStarted, 1u);
     EXPECT_EQ(pf.stats().taggedCommits, 1u);
 }
@@ -232,7 +232,7 @@ TEST(HierarchicalPrefetcherTest, UntaggedControlFlowIgnored)
     call.target = 0x3000;
     call.tagged = false;
 
-    pf.onCommit(call, 0);
+    pf.onCommit(call, 1, 0);
     EXPECT_EQ(pf.stats().bundlesStarted, 0u);
 }
 

@@ -54,14 +54,14 @@ drainQueue(Prefetcher &pf)
 void
 playSequence(EFetch &pf, Cycle &now)
 {
-    pf.onCommit(call(0x1000, 0x10000), now++); // A calls B
+    pf.onCommit(call(0x1000, 0x10000), 1, now++); // A calls B
     for (int i = 0; i < 8; ++i)
-        pf.onCommit(plain(0x10000 + i * 4), now++);
-    pf.onCommit(call(0x10020, 0x20000), now++); // B calls C
+        pf.onCommit(plain(0x10000 + i * 4), 1, now++);
+    pf.onCommit(call(0x10020, 0x20000), 1, now++); // B calls C
     for (int i = 0; i < 8; ++i)
-        pf.onCommit(plain(0x20000 + i * 4), now++);
-    pf.onCommit(ret(0x20020, 0x10024), now++);
-    pf.onCommit(ret(0x10024, 0x1004), now++);
+        pf.onCommit(plain(0x20000 + i * 4), 1, now++);
+    pf.onCommit(ret(0x20020, 0x10024), 1, now++);
+    pf.onCommit(ret(0x10024, 0x1004), 1, now++);
 }
 
 TEST(EFetchTest, PredictsNextCalleeAfterTraining)
@@ -72,7 +72,7 @@ TEST(EFetchTest, PredictsNextCalleeAfterTraining)
     drainQueue(pf);
     // Second pass: after the A->B call, the signature must predict the
     // B->C call and prefetch C's entry blocks.
-    pf.onCommit(call(0x1000, 0x10000), now++);
+    pf.onCommit(call(0x1000, 0x10000), 1, now++);
     auto blocks = drainQueue(pf);
     std::set<Addr> unique(blocks.begin(), blocks.end());
     EXPECT_TRUE(unique.count(blockAlign(0x20000)));
@@ -84,18 +84,18 @@ TEST(EFetchTest, FootprintVectorsCoverCalleeBody)
     Cycle now = 0;
     // Training pass: A calls B; inside B a call to C follows, and C
     // touches 3 blocks of its body.
-    pf.onCommit(call(0x1000, 0x10000), now++);  // A -> B
-    pf.onCommit(call(0x10020, 0x20000), now++); // B -> C
+    pf.onCommit(call(0x1000, 0x10000), 1, now++);  // A -> B
+    pf.onCommit(call(0x10020, 0x20000), 1, now++); // B -> C
     for (int b = 0; b < 3; ++b)
-        pf.onCommit(plain(0x20000 + b * kBlockBytes), now++);
-    pf.onCommit(ret(0x200c0, 0x10024), now++);
-    pf.onCommit(ret(0x10024, 0x1004), now++);
+        pf.onCommit(plain(0x20000 + b * kBlockBytes), 1, now++);
+    pf.onCommit(ret(0x200c0, 0x10024), 1, now++);
+    pf.onCommit(ret(0x10024, 0x1004), 1, now++);
     drainQueue(pf);
 
     // Second pass: at the A->B call, EFetch predicts the B->C call and
     // must prefetch every learned footprint block of C, not just its
     // entry block.
-    pf.onCommit(call(0x1000, 0x10000), now++);
+    pf.onCommit(call(0x1000, 0x10000), 1, now++);
     auto blocks = drainQueue(pf);
     std::set<Addr> unique(blocks.begin(), blocks.end());
     for (int b = 0; b < 3; ++b)
@@ -107,7 +107,7 @@ TEST(EFetchTest, FootprintVectorsCoverCalleeBody)
 TEST(EFetchTest, NoPredictionWithoutTraining)
 {
     EFetch pf;
-    pf.onCommit(call(0x9000, 0x90000), 0);
+    pf.onCommit(call(0x9000, 0x90000), 1, 0);
     auto blocks = drainQueue(pf);
     EXPECT_TRUE(blocks.empty());
 }
@@ -128,8 +128,8 @@ TEST(EFetchTest, LookaheadIssuesMoreCallees)
     drainQueue(pf_deep);
     drainQueue(pf_shallow);
     Cycle n3 = now;
-    pf_deep.onCommit(call(0x1000, 0x10000), now++);
-    pf_shallow.onCommit(call(0x1000, 0x10000), n3);
+    pf_deep.onCommit(call(0x1000, 0x10000), 1, now++);
+    pf_shallow.onCommit(call(0x1000, 0x10000), 1, n3);
     EXPECT_GE(drainQueue(pf_deep).size(),
               drainQueue(pf_shallow).size());
 }
@@ -150,9 +150,9 @@ TEST(EFetchTest, DeepCallStackBounded)
     Cycle now = 0;
     // 1000 nested calls must not blow memory or crash.
     for (int i = 0; i < 1000; ++i)
-        pf.onCommit(call(0x1000 + i * 4, 0x100000 + i * 0x100), now++);
+        pf.onCommit(call(0x1000 + i * 4, 0x100000 + i * 0x100), 1, now++);
     for (int i = 0; i < 1000; ++i)
-        pf.onCommit(ret(0x100000 + i * 0x100, 0x1004 + i * 4), now++);
+        pf.onCommit(ret(0x100000 + i * 0x100, 0x1004 + i * 4), 1, now++);
     SUCCEED();
 }
 

@@ -54,15 +54,15 @@ TEST(RdipTest, ReplaysMissesOfRecurringSignature)
     Rdip pf;
     Cycle now = 0;
     // Enter context (call), observe two misses, leave (return).
-    pf.onCommit(call(0x1000, 0x10000), now++);
+    pf.onCommit(call(0x1000, 0x10000), 1, now++);
     drainQueue(pf);
     pf.onDemandAccess(blk(5), false, now++, 20);
     pf.onDemandAccess(blk(9), false, now++, 20);
-    pf.onCommit(ret(0x10040, 0x1004), now++);
+    pf.onCommit(ret(0x10040, 0x1004), 1, now++);
     drainQueue(pf);
 
     // Re-enter the same context: the recorded misses are prefetched.
-    pf.onCommit(call(0x1000, 0x10000), now++);
+    pf.onCommit(call(0x1000, 0x10000), 1, now++);
     auto blocks = drainQueue(pf);
     std::set<Addr> unique(blocks.begin(), blocks.end());
     EXPECT_TRUE(unique.count(blk(5)));
@@ -73,13 +73,13 @@ TEST(RdipTest, DistinctContextsDoNotAlias)
 {
     Rdip pf;
     Cycle now = 0;
-    pf.onCommit(call(0x1000, 0x10000), now++);
+    pf.onCommit(call(0x1000, 0x10000), 1, now++);
     pf.onDemandAccess(blk(5), false, now++, 20);
-    pf.onCommit(ret(0x10040, 0x1004), now++);
+    pf.onCommit(ret(0x10040, 0x1004), 1, now++);
     drainQueue(pf);
 
     // A different call context must not replay the other's misses.
-    pf.onCommit(call(0x2000, 0x20000), now++);
+    pf.onCommit(call(0x2000, 0x20000), 1, now++);
     auto blocks = drainQueue(pf);
     EXPECT_EQ(std::count(blocks.begin(), blocks.end(), blk(5)), 0);
 }
@@ -88,11 +88,11 @@ TEST(RdipTest, HitsAreNotRecorded)
 {
     Rdip pf;
     Cycle now = 0;
-    pf.onCommit(call(0x1000, 0x10000), now++);
+    pf.onCommit(call(0x1000, 0x10000), 1, now++);
     pf.onDemandAccess(blk(7), true, now++, 0); // hit
-    pf.onCommit(ret(0x10040, 0x1004), now++);
+    pf.onCommit(ret(0x10040, 0x1004), 1, now++);
     drainQueue(pf);
-    pf.onCommit(call(0x1000, 0x10000), now++);
+    pf.onCommit(call(0x1000, 0x10000), 1, now++);
     EXPECT_TRUE(drainQueue(pf).empty());
 }
 
@@ -102,12 +102,12 @@ TEST(RdipTest, EntryCapacityBounded)
     config.blocksPerEntry = 4;
     Rdip pf(config);
     Cycle now = 0;
-    pf.onCommit(call(0x1000, 0x10000), now++);
+    pf.onCommit(call(0x1000, 0x10000), 1, now++);
     for (unsigned i = 0; i < 20; ++i)
         pf.onDemandAccess(blk(i), false, now++, 20);
-    pf.onCommit(ret(0x10040, 0x1004), now++);
+    pf.onCommit(ret(0x10040, 0x1004), 1, now++);
     drainQueue(pf);
-    pf.onCommit(call(0x1000, 0x10000), now++);
+    pf.onCommit(call(0x1000, 0x10000), 1, now++);
     EXPECT_LE(drainQueue(pf).size(), 4u);
 }
 
