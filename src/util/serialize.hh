@@ -19,9 +19,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -34,6 +36,11 @@
 
 namespace hp
 {
+
+// On a little-endian host a scalar's in-memory bytes are its encoding,
+// so both archives move each scalar with one fixed-width copy.
+static_assert(std::endian::native == std::endian::little,
+              "the checkpoint encoding assumes a little-endian host");
 
 /** Serializes state into a growing canonical byte buffer. */
 class StateWriter
@@ -48,44 +55,61 @@ class StateWriter
         static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T>,
                       "value() takes scalars only; add an io() overload");
         if constexpr (std::is_same_v<T, bool>) {
-            buf_.push_back(v ? 1 : 0);
+            put(std::uint8_t(v ? 1 : 0));
         } else if constexpr (std::is_floating_point_v<T>) {
             static_assert(sizeof(T) == 8, "only double is supported");
-            std::uint64_t bits = 0;
-            std::memcpy(&bits, &v, sizeof(bits));
-            writeUint(bits, 8);
+            put(v);
         } else if constexpr (std::is_enum_v<T>) {
-            using U = std::underlying_type_t<T>;
-            writeUint(static_cast<std::uint64_t>(
-                          static_cast<std::make_unsigned_t<U>>(
-                              static_cast<U>(v))),
-                      sizeof(U));
+            put(static_cast<std::underlying_type_t<T>>(v));
         } else {
-            writeUint(static_cast<std::uint64_t>(
-                          static_cast<std::make_unsigned_t<T>>(v)),
-                      sizeof(T));
+            put(v);
         }
     }
 
     void
     bytes(const void *data, std::size_t n)
     {
-        const auto *p = static_cast<const std::uint8_t *>(data);
-        buf_.insert(buf_.end(), p, p + n);
+        if (n > 0)
+            std::memcpy(grow(n), data, n);
     }
 
-    const std::vector<std::uint8_t> &buffer() const { return buf_; }
-    std::vector<std::uint8_t> take() { return std::move(buf_); }
+    /** The bytes written so far; the writer is left empty. */
+    std::vector<std::uint8_t>
+    take()
+    {
+        std::vector<std::uint8_t> out(buf_.get(), buf_.get() + size_);
+        size_ = 0;
+        return out;
+    }
 
   private:
+    template <typename T>
     void
-    writeUint(std::uint64_t v, unsigned width)
+    put(T v)
     {
-        for (unsigned i = 0; i < width; ++i)
-            buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+        std::memcpy(grow(sizeof(T)), &v, sizeof(T));
     }
 
-    std::vector<std::uint8_t> buf_;
+    /** Claims @p n bytes at the end; capacity at least doubles when
+     *  it runs out, so a blob costs O(1) amortized copies per byte. */
+    std::uint8_t *
+    grow(std::size_t n)
+    {
+        if (cap_ - size_ < n) {
+            cap_ = std::max<std::size_t>(2 * cap_, size_ + n + 4096);
+            auto bigger = std::make_unique_for_overwrite<std::uint8_t[]>(cap_);
+            if (size_ > 0)
+                std::memcpy(bigger.get(), buf_.get(), size_);
+            buf_ = std::move(bigger);
+        }
+        std::uint8_t *at = buf_.get() + size_;
+        size_ += n;
+        return at;
+    }
+
+    std::unique_ptr<std::uint8_t[]> buf_;
+    std::size_t size_ = 0;
+    std::size_t cap_ = 0;
 };
 
 /**
@@ -157,11 +181,8 @@ class StateLoader
     std::uint64_t
     readUint(unsigned width)
     {
-        std::uint8_t raw[8] = {};
-        bytes(raw, width);
         std::uint64_t v = 0;
-        for (unsigned i = 0; i < width; ++i)
-            v |= static_cast<std::uint64_t>(raw[i]) << (8 * i);
+        bytes(&v, width);
         return v;
     }
 

@@ -60,11 +60,12 @@ TEST(TlbTest, EncodesRecencyOrderLikeAList)
     io(expected, pages);
     io(expected, accesses);
     io(expected, misses);
-    EXPECT_EQ(actual.buffer(), expected.buffer());
+    const std::vector<std::uint8_t> bytes = actual.take();
+    EXPECT_EQ(bytes, expected.take());
 
     // Restoring reproduces the recency order: 0x3000 is the LRU page.
     Tlb back(4, 10);
-    StateLoader loader(actual.buffer().data(), actual.buffer().size());
+    StateLoader loader(bytes.data(), bytes.size());
     back.serializeState(loader);
     ASSERT_FALSE(loader.failed());
     back.translate(0x6000);

@@ -207,7 +207,7 @@ TEST(ArrivalProcessTest, SerializedStateResumesIdentically)
     orig.serializeState(writer);
 
     ArrivalProcess resumed(&s);
-    const std::vector<std::uint8_t> bytes = writer.buffer();
+    const std::vector<std::uint8_t> bytes = writer.take();
     StateLoader loader(bytes.data(), bytes.size());
     resumed.serializeState(loader);
 

@@ -205,7 +205,7 @@ TEST(LatencyTrackerTest, SerializedStateResumesQueueExactly)
     a.serializeState(writer);
 
     LatencyTracker b;
-    const std::vector<std::uint8_t> bytes = writer.buffer();
+    const std::vector<std::uint8_t> bytes = writer.take();
     StateLoader loader(bytes.data(), bytes.size());
     b.serializeState(loader);
 
