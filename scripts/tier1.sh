@@ -2,7 +2,8 @@
 # Tier-1 verification flow, plus the sanitizer passes.
 #
 # Stage 1 is exactly the ROADMAP tier-1 command: configure, build,
-# ctest in build/. Stage 2 rebuilds everything with HP_SANITIZE=address
+# ctest in build/, then the scenario smoke runs and the profiler's
+# self-test (scripts/profile.sh). Stage 2 rebuilds everything with HP_SANITIZE=address
 # into build-asan/ and reruns the full suite under ASan, so memory
 # errors in the simulator, the checkpoint restore path, and the tests
 # themselves fail CI rather than silently corrupting results. Stage 3
@@ -62,6 +63,8 @@ if [[ "$stage" != "--asan-only" && "$stage" != "--ubsan-only" &&
     for spec in examples/scenarios/*.scenario; do
         ./build/bench/scenario_replay_check --smoke="$spec"
     done
+    # The committed profiler must still build, sample and symbolize.
+    scripts/profile.sh --self-test
 fi
 
 if [[ "$stage" != "--no-sanitizers" && "$stage" != "--ubsan-only" &&
