@@ -44,11 +44,15 @@ if [[ "${1:-}" == "--fast" ]]; then
     export HP_CKPT_DIR="${HP_CKPT_DIR:-$PWD/build/ckpt-fast}"
 fi
 
+# Bounded parallelism: a bare `cmake --build -j` is an unbounded
+# `make -j`, and a bare `ctest -j` runs serially on CMake 3.25.
+jobs="$(nproc)"
+
 run_stage() {
     local dir="$1"; shift
     cmake -B "$dir" -S . "$@"
-    cmake --build "$dir" -j
-    (cd "$dir" && ctest --output-on-failure -j)
+    cmake --build "$dir" -j "$jobs"
+    (cd "$dir" && ctest --output-on-failure -j "$jobs")
 }
 
 stage="${1:-}"
@@ -84,9 +88,9 @@ if [[ "$stage" != "--no-sanitizers" && "$stage" != "--asan-only" &&
       "$stage" != "--ubsan-only" ]]; then
     # TSan over the concurrency surface only (see header comment).
     cmake -B build-tsan -S . -DHP_SANITIZE=thread
-    cmake --build build-tsan -j
+    cmake --build build-tsan -j "$jobs"
     (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ctest \
-        --output-on-failure -j \
+        --output-on-failure -j "$jobs" \
         -R 'Executor|MultiCore|RuntimeOptions|RequestSpan|multi_tenant_equivalence|consolidation_scaling|tail_attribution_smoke')
 fi
 
