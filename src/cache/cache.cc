@@ -31,7 +31,6 @@ SetAssocCache::setIndex(Addr block) const
 std::optional<HitInfo>
 SetAssocCache::access(Addr block)
 {
-    ++accesses_;
     Line *set = &lines_[std::uint64_t(setIndex(block)) * ways_];
     for (unsigned w = 0; w < ways_; ++w) {
         Line &line = set[w];
@@ -42,7 +41,6 @@ SetAssocCache::access(Addr block)
             return info;
         }
     }
-    ++misses_;
     return std::nullopt;
 }
 
@@ -132,8 +130,6 @@ SetAssocCache::serializeState(Ar &ar)
         return;
     io(ar, useClock_);
     io(ar, lines_);
-    io(ar, accesses_);
-    io(ar, misses_);
 }
 
 template void SetAssocCache::serializeState(StateWriter &);

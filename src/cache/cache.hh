@@ -76,11 +76,10 @@ class SetAssocCache
     /** Invalidates the block if resident. */
     void invalidate(Addr block);
 
-    /** Invalidates every resident block (context-switch flush);
-     *  counters are untouched. */
+    /** Invalidates every resident block (context-switch flush). */
     void invalidateAll();
 
-    /** Marks the block used without counting an access (MSHR merges). */
+    /** Marks the block used without an access (MSHR merges). */
     void markUsed(Addr block);
 
     const std::string &name() const { return name_; }
@@ -88,16 +87,7 @@ class SetAssocCache
     unsigned numSets() const { return numSets_; }
     unsigned ways() const { return ways_; }
 
-    std::uint64_t accesses() const { return accesses_; }
-    std::uint64_t misses() const { return misses_; }
-
-    double
-    missRate() const
-    {
-        return accesses_ ? double(misses_) / accesses_ : 0.0;
-    }
-
-    /** Serializes/restores contents and counters (checkpointing). */
+    /** Serializes/restores the contents (checkpointing). */
     template <class Ar> void serializeState(Ar &ar);
 
   private:
@@ -129,9 +119,6 @@ class SetAssocCache
     unsigned ways_;
     std::uint64_t useClock_ = 0;
     std::vector<Line> lines_;
-
-    std::uint64_t accesses_ = 0;
-    std::uint64_t misses_ = 0;
 };
 
 } // namespace hp

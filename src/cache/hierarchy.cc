@@ -621,76 +621,32 @@ void
 CacheHierarchy::serializeMshrs(Ar &ar)
 {
     if constexpr (Ar::loading) {
-        mshrs_.clear();
-        std::uint64_t n = 0;
-        ar.value(n);
-        if (n > params_.l1iMshrs) {
+        io(ar, mshrs_);
+        if (mshrs_.size() > params_.l1iMshrs) {
             ar.markFailed();
             return;
         }
-        for (std::uint64_t i = 0; i < n; ++i) {
-            Addr key = 0;
-            Mshr mshr;
-            ar.value(key);
-            mshr.serializeState(ar);
-            if (key != mshr.block || findMshr(key)) {
-                ar.markFailed();
-                return;
-            }
-            mshrs_.push_back(mshr);
-        }
-        // The completion list must name every MSHR exactly once, at
-        // its readyAt; its order is the allocation order.
-        std::uint64_t m = 0;
-        ar.value(m);
-        if (m != n) {
-            ar.markFailed();
-            return;
-        }
-        constexpr std::uint64_t kUnlisted = ~std::uint64_t(0);
-        for (Mshr &mshr : mshrs_)
-            mshr.seq = kUnlisted;
-        for (std::uint64_t i = 0; i < m; ++i) {
-            Cycle ready = 0;
-            Addr block = 0;
-            ar.value(ready);
-            ar.value(block);
-            Mshr *mshr = findMshr(block);
-            if (!mshr || mshr->readyAt != ready ||
-                mshr->seq != kUnlisted) {
-                ar.markFailed();
-                return;
-            }
-            mshr->seq = i;
-        }
-        mshrSeq_ = n;
+        // Position is completion order, so it becomes the sequence.
         nextFillAt_ = kNoFill;
-        for (const Mshr &mshr : mshrs_)
-            nextFillAt_ = std::min(nextFillAt_, mshr.readyAt);
+        for (std::size_t i = 0; i < mshrs_.size(); ++i) {
+            for (std::size_t j = 0; j < i; ++j) {
+                if (mshrs_[j].block == mshrs_[i].block) {
+                    ar.markFailed();
+                    return;
+                }
+            }
+            mshrs_[i].seq = i;
+            nextFillAt_ = std::min(nextFillAt_, mshrs_[i].readyAt);
+        }
+        mshrSeq_ = mshrs_.size();
     } else {
-        std::vector<Mshr *> order;
-        for (Mshr &mshr : mshrs_)
-            order.push_back(&mshr);
+        std::vector<Mshr> order = mshrs_;
         std::sort(order.begin(), order.end(),
-                  [](const Mshr *a, const Mshr *b) {
-                      return a->block < b->block;
+                  [](const Mshr &a, const Mshr &b) {
+                      return a.readyAt != b.readyAt ? a.readyAt < b.readyAt
+                                                    : a.seq < b.seq;
                   });
-        std::uint64_t n = order.size();
-        ar.value(n);
-        for (Mshr *mshr : order) {
-            ar.value(mshr->block);
-            mshr->serializeState(ar);
-        }
-        std::sort(order.begin(), order.end(),
-                  [](const Mshr *a, const Mshr *b) {
-                      return a->readyAt != b->readyAt
-                          ? a->readyAt < b->readyAt : a->seq < b->seq;
-                  });
-        ar.value(n);
-        for (const Mshr *mshr : order) {
-            ar.value(mshr->readyAt);
-            ar.value(mshr->block);
-        }
+        io(ar, order);
     }
 }
 
@@ -707,9 +663,8 @@ CacheHierarchy::serializeState(Ar &ar)
     io(ar, fetchBlockSeq_);
     io(ar, metadataReads_);
     stats_.serializeState(ar);
-    // Appendix: only present when attribution runs, so the default
-    // checkpoint byte stream (and the golden blob) is unchanged.
-    // Enablement is process-global config, so writer and loader agree.
+    // Present only when attribution runs. Enablement is process-wide
+    // obs config, so writer and loader agree.
     if (attr_.enabled())
         attr_.serializeState(ar);
 }

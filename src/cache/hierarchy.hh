@@ -68,6 +68,30 @@ struct HierarchyParams
      */
     unsigned metadataDramEvery = 4;
 
+    /** Calls v(name, field) per field: see forEachField. */
+    template <class V>
+    constexpr void
+    visitFields(V &&v)
+    {
+        v("l1iBytes", l1iBytes);
+        v("l1iWays", l1iWays);
+        v("l1iLatency", l1iLatency);
+        v("l1iMshrs", l1iMshrs);
+        v("l2Bytes", l2Bytes);
+        v("l2Ways", l2Ways);
+        v("l2Latency", l2Latency);
+        v("l2InstFraction", l2InstFraction);
+        v("llcBytes", llcBytes);
+        v("llcWays", llcWays);
+        v("llcLatency", llcLatency);
+        v("llcInstFraction", llcInstFraction);
+        v("memLatency", memLatency);
+        v("itlbEntries", itlbEntries);
+        v("itlbWalkLatency", itlbWalkLatency);
+        v("mshrsReservedForDemand", mshrsReservedForDemand);
+        v("metadataDramEvery", metadataDramEvery);
+    }
+
     bool operator==(const HierarchyParams &) const = default;
 };
 
@@ -332,8 +356,6 @@ class CacheHierarchy : public MetadataMemory
      */
     void noteFetchBlock() { ++fetchBlockSeq_; }
 
-    std::uint64_t fetchBlockSeq() const { return fetchBlockSeq_; }
-
     // MetadataMemory interface (Section 5.3: metadata lives in memory,
     // cacheable in the LLC, competing with regular traffic).
     Cycle metadataRead(std::uint64_t bytes, Cycle now) override;
@@ -383,8 +405,8 @@ class CacheHierarchy : public MetadataMemory
         bool toL2Only = false;
         bool fromMem = false;
         /** Allocation order: fills with equal readyAt complete oldest
-         *  first. Not serialized; the completion list's order carries
-         *  it (serializeMshrs). */
+         *  first. Not serialized: serializeMshrs writes the MSHRs in
+         *  completion order. */
         std::uint64_t seq = 0;
 
         template <class Ar>
@@ -411,9 +433,8 @@ class CacheHierarchy : public MetadataMemory
     /** Retires the MSHR with the earliest (readyAt, seq) and lands
      *  its fill. */
     void completeEarliestFill();
-    /** The MSHR file in the layout of its former node containers: an
-     *  unordered_map<block, Mshr>, then the completion multimap of
-     *  (readyAt, block) in completion order. */
+    /** The MSHR file, each MSHR once in completion order; a load
+     *  renumbers seq by position. */
     template <class Ar> void serializeMshrs(Ar &ar);
 
     /** Looks up L2/LLC/mem and returns (latency, fill flags, fromMem). */

@@ -38,6 +38,10 @@ void
 Tlb::serializeState(Ar &ar)
 {
     io(ar, lru_);
+    if constexpr (Ar::loading) {
+        if (lru_.size() > entries_)
+            ar.markFailed();
+    }
     io(ar, accesses_);
     io(ar, misses_);
 }

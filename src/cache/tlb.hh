@@ -63,8 +63,7 @@ class Tlb
     /**
      * Resident pages in recency order, front = MRU: a linear scan over
      * at most entries_ pages in a vector reserved at construction, so
-     * a translation never allocates. It encodes exactly like the
-     * std::list it replaced.
+     * a translation never allocates.
      */
     std::vector<Addr> lru_;
 

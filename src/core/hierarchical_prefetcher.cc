@@ -127,7 +127,6 @@ HierarchicalPrefetcher::onCommit(const DynInst &inst, std::uint64_t n,
 void
 HierarchicalPrefetcher::noteFootprint(Addr block)
 {
-    curFootprint_.push_back(block);
     if (curBlockSet_.insert(block).second)
         curBlocks_.push_back(block);
 }
@@ -135,7 +134,6 @@ HierarchicalPrefetcher::noteFootprint(Addr block)
 void
 HierarchicalPrefetcher::clearFootprint()
 {
-    curFootprint_.clear();
     // Erase key by key: clear() would sweep the whole slot array,
     // which the largest Bundle sized, at every Bundle boundary.
     for (Addr block : curBlocks_)
@@ -526,25 +524,17 @@ HierarchicalPrefetcher::serializeState(Ar &ar)
     io(ar, replayIssued_);
     stats_.serializeState(ar);
     io(ar, prevFootprint_);
-    io(ar, curFootprint_);
+    io(ar, curBlocks_);
+    if constexpr (Ar::loading) {
+        curBlockSet_.clear();
+        for (Addr block : curBlocks_) {
+            if (!curBlockSet_.insert(block).second)
+                ar.markFailed();
+        }
+    }
 }
 
-void
-HierarchicalPrefetcher::saveState(StateWriter &ar)
-{
-    Prefetcher::saveState(ar);
-    serializeState(ar);
-}
-
-void
-HierarchicalPrefetcher::restoreState(StateLoader &ar)
-{
-    Prefetcher::restoreState(ar);
-    serializeState(ar);
-    const std::vector<Addr> sequence = std::move(curFootprint_);
-    clearFootprint();
-    for (Addr block : sequence)
-        noteFootprint(block);
-}
+template void HierarchicalPrefetcher::serializeState(StateWriter &);
+template void HierarchicalPrefetcher::serializeState(StateLoader &);
 
 } // namespace hp

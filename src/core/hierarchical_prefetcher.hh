@@ -86,6 +86,23 @@ struct HierarchicalConfig
      */
     bool trackBundleStats = false;
 
+    /** Calls v(name, field) per field: see forEachField. */
+    template <class V>
+    constexpr void
+    visitFields(V &&v)
+    {
+        v("compressionEntries", compressionEntries);
+        v("metadataBufferBytes", metadataBufferBytes);
+        v("matEntries", matEntries);
+        v("matWays", matWays);
+        v("maxSegmentsPerBundle", maxSegmentsPerBundle);
+        v("aheadSegments", aheadSegments);
+        v("replayDedup", replayDedup);
+        v("subSegmentPacing", subSegmentPacing);
+        v("supersedeRecords", supersedeRecords);
+        v("trackBundleStats", trackBundleStats);
+    }
+
     bool operator==(const HierarchicalConfig &) const = default;
 };
 
@@ -185,9 +202,6 @@ class HierarchicalPrefetcher final : public Prefetcher
      */
     void onContextSwitch(unsigned tenant);
 
-    void saveState(StateWriter &ar) override;
-    void restoreState(StateLoader &ar) override;
-
   private:
     /** One segment's worth of replay work. */
     struct ReplaySegment
@@ -225,6 +239,8 @@ class HierarchicalPrefetcher final : public Prefetcher
     };
 
     template <class Ar> void serializeState(Ar &ar);
+    void saveOwnState(StateWriter &ar) override { serializeState(ar); }
+    void restoreOwnState(StateLoader &ar) override { serializeState(ar); }
 
     void bundleBoundary(const DynInst &inst, Cycle now);
     /** Adds @p block to the current footprint (trackBundleStats). */
@@ -275,12 +291,10 @@ class HierarchicalPrefetcher final : public Prefetcher
     /** Previous execution footprint per Bundle (sorted distinct
      *  blocks), for Jaccard. */
     std::unordered_map<BundleId, std::vector<Addr>> prevFootprint_;
-    /** The record's block sequence, one entry per block change: the
-     *  serialized form of the current footprint. */
-    std::vector<Addr> curFootprint_;
-    /** The distinct blocks of curFootprint_, deduplicated on insert
-     *  so endRecord sorts only those; derived state, rebuilt from
-     *  curFootprint_ on restore. */
+    /** The current record's distinct blocks in first-touch order
+     *  (curBlocks_), so endRecord sorts only those; curBlockSet_
+     *  deduplicates on insert and is rebuilt from curBlocks_ on
+     *  restore. */
     FlatSet<Addr> curBlockSet_;
     std::vector<Addr> curBlocks_;
 

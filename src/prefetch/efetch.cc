@@ -252,18 +252,7 @@ EFetch::serializeState(Ar &ar)
     io(ar, haveLastSignature_);
 }
 
-void
-EFetch::saveState(StateWriter &ar)
-{
-    Prefetcher::saveState(ar);
-    serializeState(ar);
-}
-
-void
-EFetch::restoreState(StateLoader &ar)
-{
-    Prefetcher::restoreState(ar);
-    serializeState(ar);
-}
+template void EFetch::serializeState(StateWriter &);
+template void EFetch::serializeState(StateLoader &);
 
 } // namespace hp

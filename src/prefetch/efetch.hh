@@ -44,6 +44,18 @@ struct EFetchConfig
     /** Footprint table entries (per-callee touched-block vectors). */
     unsigned footprintEntries = 4096;
 
+    /** Calls v(name, field) per field: see forEachField. */
+    template <class V>
+    constexpr void
+    visitFields(V &&v)
+    {
+        v("tableEntries", tableEntries);
+        v("signatureDepth", signatureDepth);
+        v("calleesPerEntry", calleesPerEntry);
+        v("lookahead", lookahead);
+        v("footprintEntries", footprintEntries);
+    }
+
     bool operator==(const EFetchConfig &) const = default;
 };
 
@@ -59,9 +71,6 @@ class EFetch final : public Prefetcher
 
     void onCommit(const DynInst &first, std::uint64_t n,
                   Cycle now) override;
-
-    void saveState(StateWriter &ar) override;
-    void restoreState(StateLoader &ar) override;
 
   private:
     struct CalleeSlot
@@ -110,6 +119,8 @@ class EFetch final : public Prefetcher
     };
 
     template <class Ar> void serializeState(Ar &ar);
+    void saveOwnState(StateWriter &ar) override { serializeState(ar); }
+    void restoreOwnState(StateLoader &ar) override { serializeState(ar); }
 
     /** True when footprintFifo_ lists every footprint key once. */
     bool fifoMatchesFootprints() const;

@@ -152,18 +152,7 @@ Eip::serializeState(Ar &ar)
     io(ar, history_);
 }
 
-void
-Eip::saveState(StateWriter &ar)
-{
-    Prefetcher::saveState(ar);
-    serializeState(ar);
-}
-
-void
-Eip::restoreState(StateLoader &ar)
-{
-    Prefetcher::restoreState(ar);
-    serializeState(ar);
-}
+template void Eip::serializeState(StateWriter &);
+template void Eip::serializeState(StateLoader &);
 
 } // namespace hp

@@ -44,6 +44,18 @@ struct EipConfig
      */
     unsigned targetRunBlocks = 3;
 
+    /** Calls v(name, field) per field: see forEachField. */
+    template <class V>
+    constexpr void
+    visitFields(V &&v)
+    {
+        v("tableEntries", tableEntries);
+        v("tableWays", tableWays);
+        v("historyEntries", historyEntries);
+        v("maxTargets", maxTargets);
+        v("targetRunBlocks", targetRunBlocks);
+    }
+
     bool operator==(const EipConfig &) const = default;
 };
 
@@ -61,9 +73,6 @@ class Eip final : public Prefetcher
                         Cycle fill_latency) override;
 
     void onFdipPrefetch(Addr block, Cycle now) override;
-
-    void saveState(StateWriter &ar) override;
-    void restoreState(StateLoader &ar) override;
 
   private:
     struct Target
@@ -99,6 +108,8 @@ class Eip final : public Prefetcher
     };
 
     template <class Ar> void serializeState(Ar &ar);
+    void saveOwnState(StateWriter &ar) override { serializeState(ar); }
+    void restoreOwnState(StateLoader &ar) override { serializeState(ar); }
 
     void observeFetch(Addr block, Cycle now);
     void entangle(Addr source, Addr target);

@@ -159,18 +159,7 @@ Mana::serializeState(Ar &ar)
     io(ar, divergences_);
 }
 
-void
-Mana::saveState(StateWriter &ar)
-{
-    Prefetcher::saveState(ar);
-    serializeState(ar);
-}
-
-void
-Mana::restoreState(StateLoader &ar)
-{
-    Prefetcher::restoreState(ar);
-    serializeState(ar);
-}
+template void Mana::serializeState(StateWriter &);
+template void Mana::serializeState(StateLoader &);
 
 } // namespace hp

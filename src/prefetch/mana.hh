@@ -37,6 +37,17 @@ struct ManaConfig
     /** Look-ahead depth in spatial regions (paper default: 3). */
     unsigned lookahead = 3;
 
+    /** Calls v(name, field) per field: see forEachField. */
+    template <class V>
+    constexpr void
+    visitFields(V &&v)
+    {
+        v("regionBlocks", regionBlocks);
+        v("historyRegions", historyRegions);
+        v("indexEntries", indexEntries);
+        v("lookahead", lookahead);
+    }
+
     bool operator==(const ManaConfig &) const = default;
 };
 
@@ -52,9 +63,6 @@ class Mana final : public Prefetcher
 
     void onDemandAccess(Addr block, bool hit, Cycle now,
                         Cycle fill_latency) override;
-
-    void saveState(StateWriter &ar) override;
-    void restoreState(StateLoader &ar) override;
 
     /** Stream divergences observed (re-index events). */
     std::uint64_t divergences() const { return divergences_; }
@@ -91,6 +99,8 @@ class Mana final : public Prefetcher
     };
 
     template <class Ar> void serializeState(Ar &ar);
+    void saveOwnState(StateWriter &ar) override { serializeState(ar); }
+    void restoreOwnState(StateLoader &ar) override { serializeState(ar); }
 
     void recordAccess(Addr block);
     void closeOpenRegion();

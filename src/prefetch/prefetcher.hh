@@ -147,14 +147,28 @@ class Prefetcher
     void noteCycle(Cycle now) { obsNow_ = now; }
 
     /**
-     * Serializes/restores prefetcher state for checkpointing. The
-     * base handles the shared request queue and its counters;
-     * overrides serialize their own tables after calling the base.
+     * Serializes/restores prefetcher state for checkpointing: the
+     * shared request queue and its counters, then the subclass's own
+     * state (saveOwnState / restoreOwnState).
      */
-    virtual void saveState(StateWriter &ar) { serializeQueue(ar); }
-    virtual void restoreState(StateLoader &ar) { serializeQueue(ar); }
+    template <class Ar>
+    void
+    serializeState(Ar &ar)
+    {
+        io(ar, queue_);
+        io(ar, pushed_);
+        io(ar, popped_);
+        io(ar, droppedFull_);
+        if constexpr (Ar::loading)
+            restoreOwnState(ar);
+        else
+            saveOwnState(ar);
+    }
 
   protected:
+    virtual void saveOwnState(StateWriter &ar) = 0;
+    virtual void restoreOwnState(StateLoader &ar) = 0;
+
     /** Enqueues a block-aligned prefetch request. */
     void
     push(Addr block)
@@ -180,16 +194,6 @@ class Prefetcher
     std::size_t maxQueue() const { return maxQueue_; }
 
   private:
-    template <class Ar>
-    void
-    serializeQueue(Ar &ar)
-    {
-        io(ar, queue_);
-        io(ar, pushed_);
-        io(ar, popped_);
-        io(ar, droppedFull_);
-    }
-
     std::size_t maxQueue_ = 512;
     /** FIFO request queue; a ring keeps the pop/push path pointer-
      *  chase free (the deque paid a double indirection per access). */

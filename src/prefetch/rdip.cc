@@ -118,18 +118,7 @@ Rdip::serializeState(Ar &ar)
     io(ar, haveSignature_);
 }
 
-void
-Rdip::saveState(StateWriter &ar)
-{
-    Prefetcher::saveState(ar);
-    serializeState(ar);
-}
-
-void
-Rdip::restoreState(StateLoader &ar)
-{
-    Prefetcher::restoreState(ar);
-    serializeState(ar);
-}
+template void Rdip::serializeState(StateWriter &);
+template void Rdip::serializeState(StateLoader &);
 
 } // namespace hp

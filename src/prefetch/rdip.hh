@@ -35,6 +35,16 @@ struct RdipConfig
     /** Miss blocks recorded per signature (the 60KB-class budget). */
     unsigned blocksPerEntry = 4;
 
+    /** Calls v(name, field) per field: see forEachField. */
+    template <class V>
+    constexpr void
+    visitFields(V &&v)
+    {
+        v("tableEntries", tableEntries);
+        v("signatureDepth", signatureDepth);
+        v("blocksPerEntry", blocksPerEntry);
+    }
+
     bool operator==(const RdipConfig &) const = default;
 };
 
@@ -53,9 +63,6 @@ class Rdip final : public Prefetcher
 
     void onDemandAccess(Addr block, bool hit, Cycle now,
                         Cycle fill_latency) override;
-
-    void saveState(StateWriter &ar) override;
-    void restoreState(StateLoader &ar) override;
 
   private:
     struct Entry
@@ -77,6 +84,8 @@ class Rdip final : public Prefetcher
     };
 
     template <class Ar> void serializeState(Ar &ar);
+    void saveOwnState(StateWriter &ar) override { serializeState(ar); }
+    void restoreOwnState(StateLoader &ar) override { serializeState(ar); }
 
     std::uint64_t currentSignature() const;
     Entry &entryFor(std::uint64_t sig);

@@ -8,6 +8,7 @@
 #include "sim/runner.hh"
 #include "sim/runtime_options.hh"
 #include "sim/simulator.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/serialize.hh"
 
@@ -34,6 +35,15 @@ evictStaleCheckpoint(const std::string &path, std::string *error)
         if (error)
             *error += "; evicted stale checkpoint file";
     }
+}
+
+/** The header checksum: the key's hash seeds the payload's, so a
+ *  flipped bit anywhere after the header fails decode. */
+std::uint64_t
+checksum(const void *key, std::uint64_t key_size, const void *payload,
+         std::uint64_t payload_size)
+{
+    return hashBytes(payload, payload_size, hashBytes(key, key_size));
 }
 
 std::string
@@ -100,11 +110,11 @@ Checkpoint::encode() const
     StateWriter writer;
     writer.bytes(kMagic, sizeof(kMagic));
     writer.value(kCheckpointFormatVersion);
-    std::uint64_t key_size = warmupKey_.size();
-    writer.value(key_size);
+    writer.value(std::uint64_t(warmupKey_.size()));
+    writer.value(std::uint64_t(payload_.size()));
+    writer.value(checksum(warmupKey_.data(), warmupKey_.size(),
+                          payload_.data(), payload_.size()));
     writer.bytes(warmupKey_.data(), warmupKey_.size());
-    std::uint64_t payload_size = payload_.size();
-    writer.value(payload_size);
     writer.bytes(payload_.data(), payload_.size());
     return writer.take();
 }
@@ -113,49 +123,41 @@ std::shared_ptr<const Checkpoint>
 Checkpoint::decode(const std::vector<std::uint8_t> &bytes,
                    std::string *error)
 {
+    auto reject = [error](std::string why) {
+        if (error)
+            *error = std::move(why);
+        return nullptr;
+    };
     StateLoader loader(bytes.data(), bytes.size());
     char magic[sizeof(kMagic)] = {};
     loader.bytes(magic, sizeof(magic));
     if (loader.failed() ||
-        std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-        if (error)
-            *error = "not a checkpoint blob (bad magic)";
-        return nullptr;
-    }
+        std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
+        return reject("not a checkpoint blob (bad magic)");
 
     std::uint32_t version = 0;
     loader.value(version);
-    if (loader.failed() || version != kCheckpointFormatVersion) {
-        if (error)
-            *error = "checkpoint format version " +
-                     std::to_string(version) + ", this build expects " +
-                     std::to_string(kCheckpointFormatVersion);
-        return nullptr;
-    }
+    if (loader.failed() || version != kCheckpointFormatVersion)
+        return reject("checkpoint format version " +
+                      std::to_string(version) + ", this build expects " +
+                      std::to_string(kCheckpointFormatVersion));
 
-    std::string key;
-    std::uint64_t key_size = 0;
+    std::uint64_t key_size = 0, payload_size = 0, sum = 0;
     loader.value(key_size);
-    if (!loader.failed() && key_size <= loader.remaining()) {
-        key.resize(key_size);
-        loader.bytes(key.data(), key_size);
-    } else {
-        if (error)
-            *error = "checkpoint header truncated";
-        return nullptr;
-    }
-
-    std::uint64_t payload_size = 0;
     loader.value(payload_size);
-    if (loader.failed() || payload_size != loader.remaining()) {
-        if (error)
-            *error = "checkpoint payload length mismatch";
-        return nullptr;
-    }
-    std::vector<std::uint8_t> payload(payload_size);
-    loader.bytes(payload.data(), payload_size);
-    return std::make_shared<const Checkpoint>(std::move(key),
-                                              std::move(payload));
+    loader.value(sum);
+    const std::uint64_t body = loader.remaining();
+    if (loader.failed() || key_size > body ||
+        payload_size != body - key_size)
+        return reject("checkpoint length mismatch (truncated blob)");
+
+    const std::uint8_t *key = bytes.data() + (bytes.size() - body);
+    const std::uint8_t *payload = key + key_size;
+    if (checksum(key, key_size, payload, payload_size) != sum)
+        return reject("checkpoint checksum mismatch (corrupt blob)");
+    return std::make_shared<const Checkpoint>(
+        std::string(reinterpret_cast<const char *>(key), key_size),
+        std::vector<std::uint8_t>(payload, payload + payload_size));
 }
 
 CheckpointStore::Acquire
@@ -287,8 +289,9 @@ loadCheckpointFile(const std::string &path,
         Checkpoint::decode(bytes, error);
     if (!ckpt) {
         // A blob we can open but not decode (bad magic, stale format
-        // version, truncation) will never become loadable; evict it so
-        // HP_CKPT_DIR does not accumulate dead files across versions.
+        // version, truncation, checksum mismatch) will never become
+        // loadable; evict it so HP_CKPT_DIR does not accumulate dead
+        // files across versions.
         evictStaleCheckpoint(path, error);
         return nullptr;
     }
@@ -307,9 +310,7 @@ intervalCheckpointKey(const SimConfig &measurement_config,
                       std::uint64_t start_inst,
                       std::uint64_t warm_insts)
 {
-    // The "w" marks the detailed-warmup suffix baked into the state;
-    // it also keeps these keys disjoint from the pre-warmup "iv@<rel>"
-    // blobs of the earlier format, which are stale under this scheme.
+    // The "w" marks the detailed-warmup length baked into the state.
     return ExperimentRunner::configKey(measurement_config) + "|iv@" +
            std::to_string(start_inst) + "w" +
            std::to_string(warm_insts);
@@ -336,16 +337,20 @@ checkpointingEnabled(const SimConfig &config)
 }
 
 std::shared_ptr<const Checkpoint>
-acquireWarmedCheckpoint(const SimConfig &config)
+acquireWarmedCheckpoint(const SimConfig &config,
+                        std::unique_ptr<Simulator> *producer)
 {
     const SimConfig wcfg = warmupConfig(config);
     const std::string key = ExperimentRunner::configKey(wcfg);
 
-    auto produce = [&config, &key] {
-        Simulator sim(config);
-        sim.runWarmup();
-        return std::make_shared<const Checkpoint>(
-            Checkpoint::capture(sim, key));
+    auto produce = [&config, &key, producer] {
+        auto sim = std::make_unique<Simulator>(config);
+        sim->runWarmup();
+        auto ckpt = std::make_shared<const Checkpoint>(
+            Checkpoint::capture(*sim, key));
+        if (producer)
+            *producer = std::move(sim);
+        return ckpt;
     };
 
     if (!checkpointingEnabled(config))
@@ -362,6 +367,7 @@ acquireWarmedCheckpoint(const SimConfig &config)
         return produce();
     }
 
+    // Cross-process reuse: a prior run may have spilled this class.
     const std::string dir = checkpointDir();
     if (!dir.empty()) {
         std::string error;
@@ -391,57 +397,14 @@ acquireWarmedCheckpoint(const SimConfig &config)
 SimMetrics
 runCheckpointed(const SimConfig &config)
 {
-    if (!checkpointingEnabled(config)) {
-        Simulator sim(config);
-        return sim.run();
-    }
-
-    const SimConfig wcfg = warmupConfig(config);
-    CheckpointStore &store = CheckpointStore::global();
-    CheckpointStore::Acquire acq = store.acquire(wcfg);
-
-    if (acq.owner) {
-        const std::string key = ExperimentRunner::configKey(wcfg);
-        const std::string dir = checkpointDir();
-
-        // Cross-process reuse: a prior run may have spilled this class.
-        if (!dir.empty()) {
-            std::string error;
-            std::shared_ptr<const Checkpoint> ckpt = loadCheckpointFile(
-                (std::filesystem::path(dir) / checkpointFileName(wcfg))
-                    .string(),
-                key, &error);
-            if (ckpt) {
-                Simulator sim(config);
-                if (ckpt->restoreInto(sim, &error)) {
-                    store.publish(wcfg, ckpt);
-                    return sim.finishRun();
-                }
-                HP_WARN_LIMIT(8, "ignoring unusable checkpoint: " +
-                                     error);
-            }
-        }
-
-        // Produce the class checkpoint with this config's own warmup;
-        // the producer continues directly, paying no restore cost.
-        Simulator sim(config);
-        std::shared_ptr<const Checkpoint> fresh;
-        try {
-            sim.runWarmup();
-            fresh = std::make_shared<const Checkpoint>(
-                Checkpoint::capture(sim, key));
-        } catch (...) {
-            store.publish(wcfg, nullptr);
-            throw;
-        }
-        store.publish(wcfg, fresh);
-        if (!dir.empty())
-            saveCheckpointFile(dir, checkpointFileName(wcfg), *fresh);
-        return sim.finishRun();
-    }
-
-    std::shared_ptr<const Checkpoint> ckpt = acq.future.get();
-    if (ckpt) {
+    if (checkpointingEnabled(config)) {
+        // The producer of the class checkpoint continues the simulator
+        // it warmed, paying no restore.
+        std::unique_ptr<Simulator> warmed;
+        const std::shared_ptr<const Checkpoint> ckpt =
+            acquireWarmedCheckpoint(config, &warmed);
+        if (warmed)
+            return warmed->finishRun();
         Simulator sim(config);
         std::string error;
         if (ckpt->restoreInto(sim, &error))

@@ -42,7 +42,7 @@ class Simulator;
  * component's serializeState layout changes — a version mismatch
  * rejects the blob instead of misinterpreting it.
  */
-constexpr std::uint32_t kCheckpointFormatVersion = 1;
+constexpr std::uint32_t kCheckpointFormatVersion = 2;
 
 /**
  * The warmup-equivalence twin of @p config: every field the warmup
@@ -77,12 +77,15 @@ class Checkpoint
      */
     bool restoreInto(Simulator &sim, std::string *error) const;
 
-    /** Encodes magic + version + key + payload into one file image. */
+    /** Encodes the header (magic, version, key and payload lengths,
+     *  checksum), the key and the payload into one file image. */
     std::vector<std::uint8_t> encode() const;
 
     /**
      * Validates and parses a file image. @return nullptr with
-     * @p error set on bad magic, version mismatch, or truncation.
+     * @p error set on bad magic, version mismatch, a length that
+     * disagrees with the image, or a checksum mismatch. Never throws
+     * on bad input.
      */
     static std::shared_ptr<const Checkpoint>
     decode(const std::vector<std::uint8_t> &bytes, std::string *error);
@@ -202,10 +205,13 @@ SimMetrics runCheckpointed(const SimConfig &config);
  * blob, so interval replay is bit-identical regardless of how many
  * intervals run or on which threads. With checkpointing disabled
  * (HP_CKPT=0) a private, unshared checkpoint is produced instead.
+ * When this call warms a simulator to produce the checkpoint and
+ * @p producer is set, the warmed simulator is handed over there.
  * Never returns nullptr; warmup failures propagate as exceptions.
  */
 std::shared_ptr<const Checkpoint>
-acquireWarmedCheckpoint(const SimConfig &config);
+acquireWarmedCheckpoint(const SimConfig &config,
+                        std::unique_ptr<Simulator> *producer = nullptr);
 
 } // namespace hp
 

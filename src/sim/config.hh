@@ -7,6 +7,7 @@
 #ifndef HP_SIM_CONFIG_HH
 #define HP_SIM_CONFIG_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -64,16 +65,25 @@ struct SampleConfig
 
     bool enabled() const { return intervals > 0; }
 
+    /** Calls v(name, field) per field: see forEachField. */
+    template <class V>
+    constexpr void
+    visitFields(V &&v)
+    {
+        v("intervals", intervals);
+        v("windowInsts", windowInsts);
+        v("detailWarmupInsts", detailWarmupInsts);
+        v("seed", seed);
+    }
+
     bool operator==(const SampleConfig &) const = default;
 };
 
 /**
  * The modeled core: every front-end and back-end parameter of one
- * core (Table 1). Hoisted out of the flat SimConfig so per-core
- * overrides in multi-tenant runs reuse one struct instead of cloning
- * loose fields. SimConfig derives from it, so existing member access
- * (`config.ftqEntries`) — and therefore configHash, dedup keys, and
- * the checkpoint blob layout — is unchanged.
+ * core (Table 1). Per-core overrides in multi-tenant runs reuse it,
+ * and SimConfig derives from it, so a core parameter reads as
+ * `config.ftqEntries`.
  */
 struct CoreConfig
 {
@@ -116,14 +126,32 @@ struct CoreConfig
     unsigned backendStallPermille = 26;
     unsigned backendStallCycles = 29;
 
+    /** Calls v(name, field) per field: see forEachField. */
+    template <class V>
+    constexpr void
+    visitFields(V &&v)
+    {
+        v("ftqEntries", ftqEntries);
+        v("fetchBytesPerCycle", fetchBytesPerCycle);
+        v("bpBlocksPerCycle", bpBlocksPerCycle);
+        v("btbEntries", btbEntries);
+        v("btbWays", btbWays);
+        v("rasDepth", rasDepth);
+        v("btbMissPenalty", btbMissPenalty);
+        v("mispredictPenalty", mispredictPenalty);
+        v("pipelineDepth", pipelineDepth);
+        v("commitWidth", commitWidth);
+        v("robEntries", robEntries);
+        v("backendStallPermille", backendStallPermille);
+        v("backendStallCycles", backendStallCycles);
+    }
+
     bool operator==(const CoreConfig &) const = default;
 };
 
 /**
  * Multi-tenant / multi-core extension (DESIGN.md §12). Disabled
- * (tenants empty) the run is the classic single-core simulation and
- * none of these fields participate in hashes or dedup keys, so every
- * pre-existing key and checkpoint blob is byte-stable.
+ * (tenants empty) the run is the classic single-core simulation.
  */
 struct MultiTenantConfig
 {
@@ -171,6 +199,20 @@ struct MultiTenantConfig
     std::vector<CoreConfig> coreOverrides;
 
     bool enabled() const { return !tenants.empty(); }
+
+    /** Calls v(name, field) per field: see forEachField. */
+    template <class V>
+    constexpr void
+    visitFields(V &&v)
+    {
+        v("tenants", tenants);
+        v("cores", cores);
+        v("switchQuantum", switchQuantum);
+        v("partitionMetadata", partitionMetadata);
+        v("metadataReadBytesPerCycle", metadataReadBytesPerCycle);
+        v("dramFillGapCycles", dramFillGapCycles);
+        v("coreOverrides", coreOverrides);
+    }
 
     /** Modeled core count (resolves the cores==0 default). */
     unsigned
@@ -242,14 +284,40 @@ struct SimConfig : CoreConfig
 
     // ---- Multi-tenant / multi-core (DESIGN.md §12) ----
 
-    /** Multi-core consolidation run ("" semantics: tenants empty =
-     *  off = the classic single-core path, bit-identical). */
+    /** Multi-core consolidation run (tenants empty = off = the
+     *  classic single-core path). */
     MultiTenantConfig mt;
 
     /** The modeled-core parameter block (the inherited fields), for
      *  callers that want to copy or override it wholesale. */
-    CoreConfig &core() { return *this; }
-    const CoreConfig &core() const { return *this; }
+    constexpr CoreConfig &core() { return *this; }
+    constexpr const CoreConfig &core() const { return *this; }
+
+    /** Calls v(name, field) per field, the CoreConfig base as "core":
+     *  see forEachField. */
+    template <class V>
+    constexpr void
+    visitFields(V &&v)
+    {
+        v("core", core());
+        v("workload", workload);
+        v("warmupInsts", warmupInsts);
+        v("measureInsts", measureInsts);
+        v("mem", mem);
+        v("prefetcher", prefetcher);
+        v("efetch", efetch);
+        v("mana", mana);
+        v("eip", eip);
+        v("rdip", rdip);
+        v("hier", hier);
+        v("extPrefetchToL2", extPrefetchToL2);
+        v("extPrefetchesPerCycle", extPrefetchesPerCycle);
+        v("trackReuse", trackReuse);
+        v("longRangePercentile", longRangePercentile);
+        v("sample", sample);
+        v("scenario", scenario);
+        v("mt", mt);
+    }
 
     /**
      * Full-struct equality: every field that affects the simulation
@@ -265,6 +333,48 @@ struct SimConfig : CoreConfig
  * file names. Collisions are resolved with operator==.
  */
 std::uint64_t configHash(const SimConfig &config);
+
+namespace detail
+{
+
+template <class T> constexpr bool kIsVector = false;
+template <class T, class A>
+constexpr bool kIsVector<std::vector<T, A>> = true;
+
+/** A struct that lists its fields with visitFields. */
+template <class T>
+concept ConfigStruct = requires(T &t) {
+    t.visitFields([](const char *, auto &) {});
+};
+
+} // namespace detail
+
+/**
+ * Walks @p value's fields depth first in visitFields order, calling
+ * fn(path, field) on each one that is not a config struct. A nested
+ * struct extends the path ("mem.l1iBytes"; SimConfig's CoreConfig
+ * base is "core"); a vector goes to fn itself, its size being part of
+ * the config, and then element by element as "path.<index>".
+ * configKey and the config tests walk the field list through here.
+ */
+template <class T, class Fn>
+void
+forEachField(T &value, Fn &&fn, const std::string &path = "")
+{
+    if constexpr (detail::ConfigStruct<T>) {
+        value.visitFields([&](const char *name, auto &field) {
+            forEachField(field, fn,
+                         path.empty() ? std::string(name)
+                                      : path + "." + name);
+        });
+    } else if constexpr (detail::kIsVector<T>) {
+        fn(path, value);
+        for (std::size_t i = 0; i < value.size(); ++i)
+            forEachField(value[i], fn, path + "." + std::to_string(i));
+    } else {
+        fn(path, value);
+    }
+}
 
 } // namespace hp
 

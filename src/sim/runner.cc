@@ -4,7 +4,7 @@
 #include <atomic>
 #include <charconv>
 #include <mutex>
-#include <sstream>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -22,23 +22,36 @@ namespace hp
 namespace
 {
 
-std::uint64_t
-hashString(std::uint64_t seed, const std::string &s)
-{
-    std::uint64_t h = hashCombine(seed, s.size());
-    for (char c : s)
-        h = hashCombine(h, static_cast<unsigned char>(c));
-    return h;
-}
-
-/** Shortest decimal form that round-trips to exactly @p d: the key
- *  stays exact, and a literal such as 0.65 prints as written. */
+/**
+ * One field's value in the key. Doubles print in the shortest form
+ * that round-trips exactly. A name (workload, tenant) prints as
+ * written; any other text, such as a scenario spec of kilobytes with
+ * newlines, as '#' and the hex hash of its content (operator== still
+ * resolves any collision). A vector prints its size; forEachField
+ * then visits the elements.
+ */
+template <class T>
 std::string
-exactDouble(double d)
+fieldText(const T &field)
 {
     char buf[32];
-    const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), d);
-    return std::string(buf, r.ptr);
+    if constexpr (std::is_floating_point_v<T>) {
+        return std::string(buf, std::to_chars(buf, buf + 32, field).ptr);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        if (field.find_first_not_of("abcdefghijklmnopqrstuvwxyz"
+                                    "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                                    "0123456789-_.@") == std::string::npos)
+            return field;
+        const std::uint64_t hash = hashBytes(field.data(), field.size());
+        return "#" +
+               std::string(buf, std::to_chars(buf, buf + 32, hash, 16).ptr);
+    } else if constexpr (std::is_enum_v<T>) {
+        return std::to_string(+static_cast<std::underlying_type_t<T>>(field));
+    } else if constexpr (std::is_arithmetic_v<T>) {
+        return std::to_string(field);
+    } else {
+        return std::to_string(field.size());
+    }
 }
 
 /**
@@ -60,89 +73,23 @@ std::atomic<std::size_t> g_runs{0};
 std::uint64_t
 configHash(const SimConfig &c)
 {
-    return hashString(0x9e3779b97f4a7c15ULL, ExperimentRunner::configKey(c));
+    const std::string key = ExperimentRunner::configKey(c);
+    return hashBytes(key.data(), key.size());
 }
 
 std::string
-ExperimentRunner::configKey(const SimConfig &c)
+ExperimentRunner::configKey(const SimConfig &config)
 {
-    std::ostringstream key;
-    key << c.workload << '|' << c.warmupInsts << '|' << c.measureInsts
-        << '|' << c.ftqEntries << '|' << c.fetchBytesPerCycle << '|'
-        << c.bpBlocksPerCycle << '|' << c.btbEntries << '|' << c.btbWays
-        << '|' << c.rasDepth << '|' << c.btbMissPenalty << '|'
-        << c.mispredictPenalty << '|' << c.pipelineDepth << '|'
-        << c.commitWidth << '|' << c.robEntries << '|'
-        << c.backendStallPermille << '|' << c.backendStallCycles << '|';
-
-    const HierarchyParams &m = c.mem;
-    key << m.l1iBytes << ',' << m.l1iWays << ',' << m.l1iLatency << ','
-        << m.l1iMshrs << ',' << m.l2Bytes << ',' << m.l2Ways << ','
-        << m.l2Latency << ',' << exactDouble(m.l2InstFraction) << ','
-        << m.llcBytes
-        << ',' << m.llcWays << ',' << m.llcLatency << ','
-        << exactDouble(m.llcInstFraction) << ',' << m.memLatency << ','
-        << m.itlbEntries << ',' << m.itlbWalkLatency << ','
-        << m.mshrsReservedForDemand << ',' << m.metadataDramEvery << '|';
-
-    key << int(c.prefetcher) << '|';
-    key << c.efetch.tableEntries << ',' << c.efetch.signatureDepth << ','
-        << c.efetch.calleesPerEntry << ',' << c.efetch.lookahead << ','
-        << c.efetch.footprintEntries << '|';
-    key << c.mana.regionBlocks << ',' << c.mana.historyRegions << ','
-        << c.mana.indexEntries << ',' << c.mana.lookahead << '|';
-    key << c.eip.tableEntries << ',' << c.eip.tableWays << ','
-        << c.eip.historyEntries << ',' << c.eip.maxTargets << ','
-        << c.eip.targetRunBlocks << '|';
-    key << c.rdip.tableEntries << ',' << c.rdip.signatureDepth << ','
-        << c.rdip.blocksPerEntry << '|';
-    key << c.hier.compressionEntries << ',' << c.hier.metadataBufferBytes
-        << ',' << c.hier.matEntries << ',' << c.hier.matWays << ','
-        << c.hier.maxSegmentsPerBundle << ',' << c.hier.aheadSegments
-        << ',' << c.hier.replayDedup << ','
-        << c.hier.subSegmentPacing << ','
-        << c.hier.supersedeRecords << ','
-        << c.hier.trackBundleStats << '|';
-    key << c.extPrefetchToL2 << '|' << c.extPrefetchesPerCycle << '|'
-        << c.trackReuse << '|' << exactDouble(c.longRangePercentile);
-    // Appendix-style suffix: only present when sampling is on, so
-    // every key from a non-sampled config (including the warmup key
-    // embedded in the golden checkpoint blob) is byte-stable.
-    if (c.sample.enabled()) {
-        key << "|sample=" << c.sample.intervals << ','
-            << c.sample.windowInsts << ',' << c.sample.detailWarmupInsts
-            << ',' << c.sample.seed;
-    }
-    // The scenario text can be kilobytes with newlines; key on its
-    // content hash instead of embedding it (operator== still resolves
-    // any collision). Absent entirely for scenario-less configs.
-    if (!c.scenario.empty()) {
-        std::ostringstream hex;
-        hex << std::hex << hashString(0x9e3779b97f4a7c15ULL, c.scenario);
-        key << "|scenario=" << hex.str();
-    }
-    // Multi-tenant suffix, same appendix style: absent for every
-    // single-core config.
-    if (c.mt.enabled()) {
-        key << "|mt=";
-        for (std::size_t i = 0; i < c.mt.tenants.size(); ++i)
-            key << (i ? "+" : "") << c.mt.tenants[i];
-        key << ';' << c.mt.cores << ',' << c.mt.switchQuantum << ','
-            << c.mt.partitionMetadata << ','
-            << c.mt.metadataReadBytesPerCycle << ','
-            << c.mt.dramFillGapCycles;
-        for (const CoreConfig &cc : c.mt.coreOverrides) {
-            key << ";ov=" << cc.ftqEntries << ','
-                << cc.fetchBytesPerCycle << ',' << cc.bpBlocksPerCycle
-                << ',' << cc.btbEntries << ',' << cc.btbWays << ','
-                << cc.rasDepth << ',' << cc.btbMissPenalty << ','
-                << cc.mispredictPenalty << ',' << cc.pipelineDepth
-                << ',' << cc.commitWidth << ',' << cc.robEntries << ','
-                << cc.backendStallPermille << ','
-                << cc.backendStallCycles;
-        }
-    }
-    return key.str();
+    SimConfig c = config; // forEachField walks a mutable config
+    std::string key;
+    forEachField(c, [&key](const std::string &path, const auto &field) {
+        if (!key.empty())
+            key += '|';
+        key += path;
+        key += '=';
+        key += fieldText(field);
+    });
+    return key;
 }
 
 SimConfig

@@ -960,41 +960,17 @@ Simulator::resyncFrontEnd()
 
 template <class Ar>
 void
-Simulator::serializeWindow(Ar &ar)
-{
-    // The two SoA rings encode as one interleaved (AoS) sequence —
-    // the exact byte layout of the pre-split RingBuffer<{DynInst,
-    // Cycle}> window — so existing checkpoint blobs stay valid
-    // without a format-version bump.
-    if constexpr (Ar::loading) {
-        std::uint64_t n = 0;
-        ar.value(n);
-        window_.clear();
-        windowFetch_.clear();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            DynInst inst;
-            inst.serializeState(ar);
-            Cycle fetch_cycle = kNotFetched;
-            ar.value(fetch_cycle);
-            window_.push_back(inst);
-            windowFetch_.push_back(fetch_cycle);
-        }
-    } else {
-        std::uint64_t n = window_.size();
-        ar.value(n);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            window_[i].serializeState(ar);
-            ar.value(windowFetch_[i]);
-        }
-    }
-}
-
-template <class Ar>
-void
 Simulator::serializeState(Ar &ar)
 {
     io(ar, cycle_);
-    serializeWindow(ar);
+    io(ar, window_);
+    io(ar, windowFetch_);
+    if constexpr (Ar::loading) {
+        if (window_.size() != windowFetch_.size()) {
+            ar.markFailed();
+            return;
+        }
+    }
     io(ar, windowBase_);
     io(ar, bpSeq_);
     io(ar, fetchSeq_);
@@ -1012,28 +988,24 @@ Simulator::serializeState(Ar &ar)
     condPred_.serializeState(ar);
     indirectPred_.serializeState(ar);
     ras_.serializeState(ar);
-    // Single-tenant: one engine, the exact pre-multi-tenant blob
-    // layout. Multi-tenant cores append every tenant's engine plus
-    // the scheduler state (no pre-existing blob covers that shape).
     for (TenantRt &t : tenants_) {
         if (t.scenEngine)
             t.scenEngine->serializeState(ar);
         else
             t.engine->serializeState(ar);
     }
-    if (tenants_.size() > 1) {
-        io(ar, activeTenant_);
-        io(ar, nextSwitchAt_);
-        io(ar, contextSwitches_);
-        if constexpr (Ar::loading)
-            bindTenant(activeTenant_);
+    io(ar, activeTenant_);
+    io(ar, nextSwitchAt_);
+    io(ar, contextSwitches_);
+    if constexpr (Ar::loading) {
+        if (activeTenant_ >= tenants_.size()) {
+            ar.markFailed();
+            return;
+        }
+        bindTenant(activeTenant_);
     }
-    if (pf_) {
-        if constexpr (Ar::loading)
-            pf_->restoreState(ar);
-        else
-            pf_->saveState(ar);
-    }
+    if (pf_)
+        pf_->serializeState(ar);
     if (cfg_.trackReuse) {
         reuse_.serializeState(ar);
         reuseHist_->serializeState(ar);
@@ -1045,7 +1017,7 @@ Simulator::serializeState(Ar &ar)
     // (sim/sampling.cc) instead of paying construction per interval.
     // The mode and the boundary's owed clock advance are control
     // state, not checkpoint state, so they are reset rather than
-    // serialized and the byte stream is unchanged.
+    // serialized.
     if constexpr (Ar::loading) {
         mode_ = SimMode::DetailedWarmup;
         owesAdvance_ = true;

@@ -312,10 +312,6 @@ class Simulator
      *  after a fast-forward segment. */
     void resyncFrontEnd();
 
-    /** Serializes the SoA window in the interleaved (AoS) byte layout
-     *  the golden checkpoint blob pins. */
-    template <class Ar> void serializeWindow(Ar &ar);
-
     /** Registers every component's counters (constructor helper). */
     void registerStats();
 

@@ -215,6 +215,26 @@ checkShape(Ar &ar, const C &c)
     return true;
 }
 
+/**
+ * Writes a container's element count @p n, or reads one. Every
+ * element encodes to at least one byte, so a count read above the
+ * bytes left is corrupt: it fails the stream and reads as zero, and a
+ * restore never sizes a container from it.
+ */
+template <class Ar>
+std::uint64_t
+ioCount(Ar &ar, std::uint64_t n)
+{
+    ar.value(n);
+    if constexpr (Ar::loading) {
+        if (n > ar.remaining()) {
+            ar.markFailed();
+            return 0;
+        }
+    }
+    return n;
+}
+
 /** Scalars go through value(); anything else must serializeState. */
 template <class Ar, typename T>
 void
@@ -230,20 +250,16 @@ template <class Ar>
 void
 io(Ar &ar, std::string &s)
 {
-    std::uint64_t n = s.size();
-    ar.value(n);
-    if constexpr (Ar::loading)
-        s.resize(n);
-    if (n > 0)
-        ar.bytes(s.data(), n);
+    s.resize(ioCount(ar, s.size()));
+    if (!s.empty())
+        ar.bytes(s.data(), s.size());
 }
 
 template <class Ar, typename T>
 void
 io(Ar &ar, std::vector<T> &v)
 {
-    std::uint64_t n = v.size();
-    ar.value(n);
+    const std::uint64_t n = ioCount(ar, v.size());
     if constexpr (Ar::loading) {
         v.clear();
         v.resize(n);
@@ -264,8 +280,7 @@ template <class Ar, typename T>
 void
 io(Ar &ar, std::deque<T> &d)
 {
-    std::uint64_t n = d.size();
-    ar.value(n);
+    const std::uint64_t n = ioCount(ar, d.size());
     if constexpr (Ar::loading) {
         d.clear();
         d.resize(n);
@@ -288,9 +303,8 @@ template <class Ar, typename K, typename V>
 void
 io(Ar &ar, std::unordered_map<K, V> &m)
 {
+    const std::uint64_t n = ioCount(ar, m.size());
     if constexpr (Ar::loading) {
-        std::uint64_t n = 0;
-        ar.value(n);
         m.clear();
         m.reserve(n);
         for (std::uint64_t i = 0; i < n; ++i) {
@@ -299,8 +313,6 @@ io(Ar &ar, std::unordered_map<K, V> &m)
             io(ar, m[k]);
         }
     } else {
-        std::uint64_t n = m.size();
-        ar.value(n);
         std::vector<K> keys;
         keys.reserve(m.size());
         for (const auto &kv : m)
@@ -317,9 +329,8 @@ template <class Ar, typename K>
 void
 io(Ar &ar, std::unordered_set<K> &s)
 {
+    const std::uint64_t n = ioCount(ar, s.size());
     if constexpr (Ar::loading) {
-        std::uint64_t n = 0;
-        ar.value(n);
         s.clear();
         s.reserve(n);
         for (std::uint64_t i = 0; i < n; ++i) {
@@ -328,8 +339,6 @@ io(Ar &ar, std::unordered_set<K> &s)
             s.insert(std::move(k));
         }
     } else {
-        std::uint64_t n = s.size();
-        ar.value(n);
         std::vector<K> keys(s.begin(), s.end());
         std::sort(keys.begin(), keys.end());
         for (K &k : keys)
@@ -337,21 +346,19 @@ io(Ar &ar, std::unordered_set<K> &s)
     }
 }
 
-/** Flat maps and sets encode exactly like the std::unordered_map /
- *  std::unordered_set they replaced: the count, then the keys sorted,
- *  each followed by its value (maps only). */
+/** Flat maps and sets encode canonically, as the unordered ones do:
+ *  the count, then the keys sorted, each followed by its value (maps
+ *  only). */
 template <class Ar, typename K, typename V>
 void
 io(Ar &ar, FlatMap<K, V> &m)
 {
     constexpr bool kHasValue = !std::is_same_v<V, FlatNoValue>;
+    const std::uint64_t n = ioCount(ar, m.size());
     if constexpr (Ar::loading) {
-        std::uint64_t n = 0;
-        ar.value(n);
         m.clear();
-        // A corrupt count stops at the end of the stream, not at n.
-        m.reserve(std::min<std::uint64_t>(n, ar.remaining() / sizeof(K)));
-        for (std::uint64_t i = 0; i < n && !ar.failed(); ++i) {
+        m.reserve(n);
+        for (std::uint64_t i = 0; i < n; ++i) {
             K k{};
             io(ar, k);
             V &v = m[k];
@@ -359,8 +366,6 @@ io(Ar &ar, FlatMap<K, V> &m)
                 io(ar, v);
         }
     } else {
-        std::uint64_t n = m.size();
-        ar.value(n);
         std::vector<std::pair<K, V>> entries;
         entries.reserve(m.size());
         m.forEach([&entries](K k, const V &v) { entries.emplace_back(k, v); });
@@ -382,9 +387,8 @@ template <class Ar, typename T>
 void
 io(Ar &ar, RingBuffer<T> &rb)
 {
+    const std::uint64_t n = ioCount(ar, rb.size());
     if constexpr (Ar::loading) {
-        std::uint64_t n = 0;
-        ar.value(n);
         rb.clear();
         for (std::uint64_t i = 0; i < n; ++i) {
             T t{};
@@ -392,8 +396,6 @@ io(Ar &ar, RingBuffer<T> &rb)
             rb.push_back(std::move(t));
         }
     } else {
-        std::uint64_t n = rb.size();
-        ar.value(n);
         for (std::uint64_t i = 0; i < n; ++i)
             io(ar, rb[i]);
     }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "cache/hierarchy.hh"
 #include "util/serialize.hh"
 
@@ -339,6 +341,34 @@ TEST(HierarchyTest, LiveMshrsAndItlbRestoreAndReencodeIdentically)
         h->tick(5000);
     }
     EXPECT_EQ(encodeHierarchy(restored), encodeHierarchy(hier));
+}
+
+TEST(HierarchyTest, RestoreRejectsDuplicateMshrBlocks)
+{
+    CacheHierarchy hier(smallParams());
+    driveToLiveMshrs(hier);
+    std::vector<std::uint8_t> bytes = encodeHierarchy(hier);
+
+    // The MSHR file follows the caches and the I-TLB: its count, then
+    // one entry per MSHR, each led by its block.
+    StateWriter prefix;
+    hier.l1i().serializeState(prefix);
+    hier.l2().serializeState(prefix);
+    hier.llc().serializeState(prefix);
+    hier.itlb().serializeState(prefix);
+    const std::size_t count_at = prefix.take().size();
+    std::uint64_t count = 0;
+    std::memcpy(&count, bytes.data() + count_at, sizeof(count));
+    ASSERT_EQ(count, smallParams().l1iMshrs - hier.freeMshrs());
+    ASSERT_GE(count, 2u);
+
+    // Entry 1 takes entry 0's block (8 + 1 + 8 + 5 bytes per entry).
+    const std::size_t entry0 = count_at + sizeof(count);
+    std::memcpy(bytes.data() + entry0 + 22, bytes.data() + entry0, 8);
+    CacheHierarchy restored(smallParams());
+    StateLoader loader(bytes.data(), bytes.size());
+    restored.serializeState(loader);
+    EXPECT_TRUE(loader.failed());
 }
 
 TEST(HierarchyTest, RestoreRejectsMoreMshrsThanTheFileHolds)

@@ -44,9 +44,8 @@ TEST(TlbTest, CapacityRespected)
 
 TEST(TlbTest, EncodesRecencyOrderLikeAList)
 {
-    // The checkpoint layout is that of the std::list the TLB once
-    // kept: the page count, the pages MRU first, then the two
-    // counters.
+    // The checkpoint layout: the page count, the pages MRU first,
+    // then the two counters.
     Tlb tlb(4, 10);
     for (Addr page : {0x1000, 0x2000, 0x3000, 0x1000, 0x4000, 0x5000})
         tlb.translate(page);

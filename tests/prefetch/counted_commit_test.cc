@@ -28,7 +28,7 @@ std::vector<std::uint8_t>
 savedBytes(Prefetcher &pf)
 {
     StateWriter w;
-    pf.saveState(w);
+    pf.serializeState(w);
     return w.take();
 }
 
@@ -95,7 +95,7 @@ TEST_P(CountedCommitTest, RunCommitMatchesSingleCommits)
                 makePrefetcher(config, memory);
             const std::vector<std::uint8_t> blob = savedBytes(*counted);
             StateLoader loader(blob.data(), blob.size());
-            restored->restoreState(loader);
+            restored->serializeState(loader);
             ASSERT_FALSE(loader.failed());
             ASSERT_EQ(loader.remaining(), 0u);
             counted = std::move(restored);

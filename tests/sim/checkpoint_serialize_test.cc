@@ -1,13 +1,13 @@
 /**
  * @file
  * Checkpoint blob format tests: golden-file stability, save → restore
- * → save byte-identity, and rejection (never UB) of malformed,
- * version-mismatched, or foreign-keyed blobs.
+ * → save byte-identity, and rejection (never UB, never a throw) of
+ * malformed, corrupted, version-mismatched, or foreign-keyed blobs.
  *
  * The golden blob tests/golden/warmup_small.ckpt is checked in. When
  * an intentional format change bumps kCheckpointFormatVersion,
  * regenerate it with:
- *     HP_CKPT_GOLDEN_REGEN=1 ./sim_test \
+ *     HP_CKPT_GOLDEN_REGEN=1 ./checkpoint_test \
  *         --gtest_filter='*Golden*'
  * and commit the new blob together with the version bump.
  */
@@ -164,6 +164,40 @@ TEST(CheckpointFormatTest, RejectsTruncation)
     }
 }
 
+TEST(CheckpointFormatTest, RejectsEveryBitFlipAndTruncationOfTheGolden)
+{
+    // The header checksum covers the key and the payload, and every
+    // length must match the image: a flipped bit or a cut anywhere in
+    // a real blob decodes to null with a diagnostic, never a throw.
+    std::vector<std::uint8_t> image = readFile(goldenPath());
+    std::string error;
+    ASSERT_NE(Checkpoint::decode(image, &error), nullptr) << error;
+
+    // Every bit of the first 64 bytes (the header and the key's
+    // start), then a stride of 45 bytes + 1 bit, which walks every
+    // bit position in turn.
+    auto expectRejected = [](const std::vector<std::uint8_t> &bytes,
+                             const std::string &what) {
+        std::string why;
+        std::shared_ptr<const Checkpoint> back;
+        EXPECT_NO_THROW(back = Checkpoint::decode(bytes, &why)) << what;
+        EXPECT_EQ(back, nullptr) << what;
+        EXPECT_FALSE(why.empty()) << what;
+    };
+    const std::size_t bits = image.size() * 8;
+    for (std::size_t bit = 0; bit < bits; bit += bit < 512 ? 1 : 361) {
+        const std::uint8_t mask = std::uint8_t(1u << (bit % 8));
+        image[bit / 8] ^= mask;
+        expectRejected(image, "bit " + std::to_string(bit) + " flipped");
+        image[bit / 8] ^= mask;
+    }
+    for (std::size_t n = 0; n < image.size(); n += n < 64 ? 1 : 97) {
+        expectRejected(std::vector<std::uint8_t>(image.begin(),
+                                                 image.begin() + n),
+                       "cut at " + std::to_string(n));
+    }
+}
+
 TEST(CheckpointFormatTest, RejectsTrailingGarbage)
 {
     std::vector<std::uint8_t> image = Checkpoint("k", {7}).encode();
@@ -245,6 +279,21 @@ TEST(CheckpointFileTest, StaleBlobsAreEvictedOnLoad)
     }
     EXPECT_EQ(loadCheckpointFile(old, "k", &error), nullptr);
     EXPECT_FALSE(fs::exists(old));
+
+    // A payload bit flipped on disk: the checksum rejects it, and the
+    // file is evicted like a stale one.
+    const std::string flipped = dir + "/flipped.ckpt";
+    {
+        std::vector<std::uint8_t> image =
+            Checkpoint("k", {1, 2, 3}).encode();
+        image.back() ^= 0x10;
+        std::ofstream out(flipped, std::ios::binary);
+        out.write(reinterpret_cast<const char *>(image.data()),
+                  std::streamsize(image.size()));
+    }
+    EXPECT_EQ(loadCheckpointFile(flipped, "k", &error), nullptr);
+    EXPECT_NE(error.find("checksum"), std::string::npos) << error;
+    EXPECT_FALSE(fs::exists(flipped));
 
     // Key-mismatched blob (same format, different config): evicted,
     // since its name can only ever be probed with the same wrong key.

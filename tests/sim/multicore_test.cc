@@ -184,11 +184,6 @@ TEST(MultiCoreTest, ConfigKeyDistinguishesTenantSets)
               ExperimentRunner::configKey(b));
     EXPECT_NE(ExperimentRunner::configKey(a),
               ExperimentRunner::configKey(c));
-
-    // And the mt block stays out of single-core keys entirely.
-    SimConfig plain;
-    EXPECT_EQ(ExperimentRunner::configKey(plain).find("|mt="),
-              std::string::npos);
 }
 
 } // namespace

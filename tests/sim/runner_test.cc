@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <functional>
 #include <set>
 #include <string>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "sim/runner.hh"
@@ -22,6 +22,91 @@ quickConfig(PrefetcherKind kind = PrefetcherKind::None)
     config.warmupInsts = 100'000;
     config.measureInsts = 200'000;
     config.prefetcher = kind;
+    return config;
+}
+
+/** Converts to any member type, so T{AnyField{}...} compiles for up
+ *  to as many initializers as aggregate T has members. */
+struct AnyField
+{
+    template <class U> operator U() const;
+};
+
+/** Member count of aggregate T (a base class counts as one). */
+template <class T, class... A>
+consteval std::size_t
+memberCount()
+{
+    if constexpr (requires { T{A{}..., AnyField{}}; })
+        return memberCount<T, A..., AnyField>();
+    else
+        return sizeof...(A);
+}
+
+/** True when T::visitFields names every member of T, and likewise
+ *  for every config struct it reaches, vector elements included. */
+template <class T>
+constexpr bool
+visitsEveryMember()
+{
+    T t{};
+    std::size_t named = 0;
+    bool nested = true;
+    t.visitFields([&](const char *, auto &field) {
+        using F = std::remove_reference_t<decltype(field)>;
+        ++named;
+        if constexpr (detail::ConfigStruct<F>) {
+            nested = nested && visitsEveryMember<F>();
+        } else if constexpr (detail::kIsVector<F>) {
+            if constexpr (detail::ConfigStruct<typename F::value_type>)
+                nested = nested && visitsEveryMember<typename F::value_type>();
+        }
+    });
+    return nested && named == memberCount<T>();
+}
+
+// A member added without its visitFields line would be missing from
+// configKey, letting two configs share results and checkpoints.
+static_assert(visitsEveryMember<SimConfig>());
+
+/** Moves @p field to another valid value. */
+template <class T>
+void
+perturb(T &field)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        field = !field;
+    else if constexpr (std::is_same_v<T, double>)
+        field = std::nextafter(field, 2.0);
+    else if constexpr (std::is_enum_v<T>)
+        field = T(std::underlying_type_t<T>(field) + 1);
+    else if constexpr (std::is_arithmetic_v<T>)
+        field = field ? 2 * field : 1;
+    else if constexpr (std::is_same_v<T, std::string>)
+        field += "x";
+    else
+        field.emplace_back(); // a vector: one more element
+}
+
+/** The path of every field of @p config, in forEachField order. */
+std::vector<std::string>
+fieldPaths(SimConfig config)
+{
+    std::vector<std::string> paths;
+    forEachField(config, [&paths](const std::string &path, auto &) {
+        paths.push_back(path);
+    });
+    return paths;
+}
+
+/** @p config with the field at @p path perturbed. */
+SimConfig
+perturbed(SimConfig config, const std::string &path)
+{
+    forEachField(config, [&path](const std::string &p, auto &field) {
+        if (p == path)
+            perturb(field);
+    });
     return config;
 }
 
@@ -59,112 +144,78 @@ TEST(RunnerTest, ConfigHashDistinguishesKnobsAndMatchesEquality)
 TEST(RunnerTest, ConfigKeyDistinguishesEveryKnob)
 {
     // Sampling and a consolidation with one core override are on, so
-    // their fields are part of the identity too.
+    // their fields are walked too.
     SimConfig base = quickConfig();
     base.sample.intervals = 4;
     base.mt.tenants = {"caddy", "gin"};
     base.mt.coreOverrides = {CoreConfig{}};
 
-    // One entry per config field: configHash is a hash of configKey,
-    // so a field the key misses would alias two configs in the
-    // experiment cache and the checkpoint store.
-#define KNOB(stmt) {#stmt, [](SimConfig &c) { stmt; }}
-    // A CoreConfig field, both inherited and in the core override.
-#define CORE_KNOB(field) KNOB(++c.field), KNOB(++c.mt.coreOverrides[0].field)
-    const std::vector<std::pair<const char *,
-                                std::function<void(SimConfig &)>>> knobs = {
-        KNOB(c.workload = "gin"), KNOB(++c.warmupInsts),
-        KNOB(++c.measureInsts), KNOB(c.prefetcher = PrefetcherKind::Eip),
-        KNOB(c.extPrefetchToL2 = true), KNOB(++c.extPrefetchesPerCycle),
-        KNOB(c.trackReuse = true), KNOB(c.longRangePercentile = 0.95),
-        KNOB(c.scenario = "scenario s"),
-        CORE_KNOB(ftqEntries), CORE_KNOB(fetchBytesPerCycle),
-        CORE_KNOB(bpBlocksPerCycle), CORE_KNOB(btbEntries),
-        CORE_KNOB(btbWays), CORE_KNOB(rasDepth), CORE_KNOB(btbMissPenalty),
-        CORE_KNOB(mispredictPenalty), CORE_KNOB(pipelineDepth),
-        CORE_KNOB(commitWidth), CORE_KNOB(robEntries),
-        CORE_KNOB(backendStallPermille), CORE_KNOB(backendStallCycles),
-        // HierarchyParams
-        KNOB(c.mem.l1iBytes *= 2), KNOB(++c.mem.l1iWays),
-        KNOB(++c.mem.l1iLatency), KNOB(++c.mem.l1iMshrs),
-        KNOB(c.mem.l2Bytes *= 2), KNOB(++c.mem.l2Ways),
-        KNOB(++c.mem.l2Latency), KNOB(c.mem.l2InstFraction = 0.7),
-        KNOB(c.mem.llcBytes *= 2), KNOB(++c.mem.llcWays),
-        KNOB(++c.mem.llcLatency), KNOB(c.mem.llcInstFraction = 0.5),
-        KNOB(++c.mem.memLatency), KNOB(++c.mem.itlbEntries),
-        KNOB(++c.mem.itlbWalkLatency), KNOB(++c.mem.mshrsReservedForDemand),
-        KNOB(++c.mem.metadataDramEvery),
-        // Prefetcher configs
-        KNOB(++c.efetch.tableEntries), KNOB(++c.efetch.signatureDepth),
-        KNOB(++c.efetch.calleesPerEntry), KNOB(++c.efetch.lookahead),
-        KNOB(++c.efetch.footprintEntries), KNOB(++c.mana.regionBlocks),
-        KNOB(++c.mana.historyRegions), KNOB(++c.mana.indexEntries),
-        KNOB(++c.mana.lookahead), KNOB(++c.eip.tableEntries),
-        KNOB(++c.eip.tableWays), KNOB(++c.eip.historyEntries),
-        KNOB(++c.eip.maxTargets), KNOB(++c.eip.targetRunBlocks),
-        KNOB(++c.rdip.tableEntries), KNOB(++c.rdip.signatureDepth),
-        KNOB(++c.rdip.blocksPerEntry), KNOB(++c.hier.compressionEntries),
-        KNOB(++c.hier.metadataBufferBytes), KNOB(++c.hier.matEntries),
-        KNOB(++c.hier.matWays), KNOB(++c.hier.maxSegmentsPerBundle),
-        KNOB(++c.hier.aheadSegments),
-        KNOB(c.hier.replayDedup = !c.hier.replayDedup),
-        KNOB(c.hier.subSegmentPacing = !c.hier.subSegmentPacing),
-        KNOB(c.hier.supersedeRecords = !c.hier.supersedeRecords),
-        KNOB(c.hier.trackBundleStats = !c.hier.trackBundleStats),
-        // SampleConfig (enabled)
-        KNOB(++c.sample.intervals), KNOB(++c.sample.windowInsts),
-        KNOB(++c.sample.detailWarmupInsts), KNOB(++c.sample.seed),
-        // MultiTenantConfig (enabled)
-        KNOB(c.mt.tenants[1] = "echo"), KNOB(c.mt.tenants.push_back("echo")),
-        KNOB(++c.mt.cores), KNOB(++c.mt.switchQuantum),
-        KNOB(c.mt.partitionMetadata = true),
-        KNOB(++c.mt.metadataReadBytesPerCycle), KNOB(++c.mt.dramFillGapCycles),
-        KNOB(c.mt.coreOverrides.push_back(CoreConfig{})),
-        // Doubles are printed exactly: these agree with the defaults
-        // to 6 significant digits, where an ostream stops by default.
-        KNOB(c.mem.l2InstFraction = 0.6500001),
-        KNOB(c.mem.l2InstFraction = std::nextafter(0.65, 1.0)),
-        KNOB(c.longRangePercentile = 0.9000001),
-    };
-#undef CORE_KNOB
-#undef KNOB
-
+    // configHash is a hash of configKey, so a field the key missed
+    // would alias two configs in the experiment cache and the
+    // checkpoint store. Doubles move by one ulp, which a key that
+    // rounded them would miss.
+    const std::vector<std::string> paths = fieldPaths(base);
     std::set<std::string> keys = {ExperimentRunner::configKey(base)};
-    for (const auto &[name, perturb] : knobs) {
-        SimConfig c = base;
-        perturb(c);
-        ASSERT_FALSE(c == base) << name;
-        EXPECT_NE(ExperimentRunner::configKey(c),
-                  ExperimentRunner::configKey(base))
-            << name;
-        EXPECT_NE(configHash(c), configHash(base)) << name;
+    for (const std::string &path : paths) {
+        const SimConfig c = perturbed(base, path);
+        ASSERT_FALSE(c == base) << path;
+        EXPECT_NE(configHash(c), configHash(base)) << path;
         keys.insert(ExperimentRunner::configKey(c));
     }
     // No two perturbations collide either.
-    EXPECT_EQ(keys.size(), knobs.size() + 1);
+    EXPECT_EQ(keys.size(), paths.size() + 1);
+}
+
+TEST(RunnerTest, ConfigKeyPrintsEveryFieldAlways)
+{
+    // Every field, set or not, as "path=value": a plain config's key
+    // has the sample, scenario and mt fields too.
+    SimConfig consolidated = quickConfig();
+    consolidated.mt.tenants = {"caddy", "gin"};
+    for (const SimConfig &config : {quickConfig(), consolidated}) {
+        const std::string key = "|" + ExperimentRunner::configKey(config);
+        const std::vector<std::string> paths = fieldPaths(config);
+        EXPECT_EQ(std::size_t(std::count(key.begin(), key.end(), '|')),
+                  paths.size());
+        for (const std::string &path : paths)
+            EXPECT_NE(key.find("|" + path + "="), std::string::npos) << path;
+    }
+    EXPECT_NE(ExperimentRunner::configKey(quickConfig())
+                  .find("|mem.l2InstFraction=0.65|"),
+              std::string::npos);
 }
 
 TEST(RunnerTest, MeasurementConfigPinsOnlyUnreadFields)
 {
-    // Fields the configured prefetcher never reads are normalized...
-    SimConfig none = quickConfig(PrefetcherKind::None);
-    none.eip.maxTargets = 7;
-    none.hier.aheadSegments = 9;
-    none.mana.indexEntries = 123;
-    EXPECT_EQ(measurementConfig(none),
-              measurementConfig(quickConfig(PrefetcherKind::None)));
+    // For every kind, each field whose perturbation measurementConfig
+    // normalizes away must leave a cold run's stats unchanged. Plain
+    // Simulator runs: ExperimentRunner::run and runCheckpointed dedup
+    // on measurementConfig itself.
+    for (PrefetcherKind kind :
+         {PrefetcherKind::None, PrefetcherKind::EFetch,
+          PrefetcherKind::Mana, PrefetcherKind::Eip, PrefetcherKind::Rdip,
+          PrefetcherKind::Hierarchical, PrefetcherKind::PerfectL1I}) {
+        SimConfig base = quickConfig(kind);
+        base.warmupInsts = 30'000;
+        base.measureInsts = 60'000;
+        const SimConfig pinned = measurementConfig(base);
+        const std::string stats = Simulator(base).run().stats.toJson();
+        std::size_t normalized = 0;
+        for (const std::string &path : fieldPaths(base)) {
+            const SimConfig c = perturbed(base, path);
+            if (!(measurementConfig(c) == pinned))
+                continue;
+            ++normalized;
+            EXPECT_EQ(Simulator(c).run().stats.toJson(), stats)
+                << prefetcherName(kind) << ": " << path;
+        }
+        EXPECT_GT(normalized, 0u) << prefetcherName(kind);
+    }
 
-    // ...but fields the simulation does read must survive untouched.
+    // A field the simulation does read survives.
     SimConfig hier = quickConfig(PrefetcherKind::Hierarchical);
     hier.hier.aheadSegments = 9;
-    EXPECT_NE(measurementConfig(hier),
-              measurementConfig(quickConfig(PrefetcherKind::Hierarchical)));
     EXPECT_EQ(measurementConfig(hier).hier.aheadSegments, 9u);
-
-    SimConfig eip = quickConfig(PrefetcherKind::Eip);
-    eip.eip.maxTargets = 5; // actually-read sweep knob
-    EXPECT_NE(measurementConfig(eip),
-              measurementConfig(quickConfig(PrefetcherKind::Eip)));
 }
 
 TEST(RunnerTest, CacheDoesNotRerunConfigsDifferingOnlyInUnreadFields)

@@ -201,7 +201,6 @@ TEST(SamplingDedupTest, DistinctSamplingConfigsNeverAlias)
     s.sample.seed = 2;
 
     const std::string base_key = ExperimentRunner::configKey(base);
-    EXPECT_NE(base_key.find("sample="), std::string::npos);
     for (const SimConfig &other : {k, w, u, s}) {
         EXPECT_NE(configHash(other), configHash(base));
         EXPECT_NE(ExperimentRunner::configKey(other), base_key);
@@ -212,8 +211,6 @@ TEST(SamplingDedupTest, DistinctSamplingConfigsNeverAlias)
     off.sample = SampleConfig{};
     EXPECT_NE(configHash(off), configHash(base));
     EXPECT_NE(ExperimentRunner::configKey(off), base_key);
-    EXPECT_EQ(ExperimentRunner::configKey(off).find("sample="),
-              std::string::npos);
 }
 
 TEST(SamplingDedupTest, DisabledSamplingJunkIsPinnedAway)

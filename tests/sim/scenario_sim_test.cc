@@ -96,17 +96,20 @@ TEST(ScenarioSimTest, ScenarioRunIsBitDeterministic)
     EXPECT_EQ(a.latency->queueDepthSum, b.latency->queueDepthSum);
 }
 
-TEST(ScenarioSimTest, ConfigKeyCarriesScenarioOnlyWhenSet)
+TEST(ScenarioSimTest, ConfigKeyCarriesScenarioHash)
 {
     SimConfig plain;
     plain.workload = "caddy";
     const std::string plain_key = ExperimentRunner::configKey(plain);
-    EXPECT_EQ(plain_key.find("scenario="), std::string::npos);
+    EXPECT_NE(plain_key.find("|scenario=|"), std::string::npos);
 
+    // The spec text keys by its content hash, so the key stays one
+    // line however long the spec is.
     SimConfig with = plain;
     with.scenario = kSmallScenario;
     const std::string with_key = ExperimentRunner::configKey(with);
-    EXPECT_NE(with_key.find("scenario="), std::string::npos);
+    EXPECT_NE(with_key.find("|scenario=#"), std::string::npos);
+    EXPECT_EQ(with_key.find('\n'), std::string::npos);
     EXPECT_NE(with_key, plain_key);
 
     SimConfig other = plain;

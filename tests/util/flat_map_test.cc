@@ -4,8 +4,9 @@
  * of insert / find / erase / clear must leave the same contents as a
  * std::unordered_map, including backward-shift erases whose probe
  * runs wrap past the end of the slot array; and the StateWriter
- * encoding must be byte-identical to that of the std::unordered_map /
- * std::unordered_set it replaced, so checkpoint blobs do not change.
+ * encoding must be byte-identical to that of a std::unordered_map /
+ * std::unordered_set of the same contents: the count, then the keys
+ * sorted, whatever the insertion history.
  */
 
 #include <gtest/gtest.h>
