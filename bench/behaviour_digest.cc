@@ -17,9 +17,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -99,16 +96,7 @@ int
 main(int argc, char **argv)
 {
     hpbench::handleCommonArgs(argc, argv, "behaviour_digest",
-                              "  --golden=path  diff against this file\n"
-                              "  --update       rewrite it instead\n");
-    std::string golden_path;
-    bool update = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--golden=", 9) == 0)
-            golden_path = argv[i] + 9;
-        else if (std::strcmp(argv[i], "--update") == 0)
-            update = true;
-    }
+                              hpbench::kGoldenFlags);
 
     std::vector<std::string> labels;
     std::vector<SimConfig> configs;
@@ -185,19 +173,8 @@ main(int argc, char **argv)
     }
     std::fputs(text.c_str(), stdout);
 
-    if (golden_path.empty())
-        return 0;
-    if (update) {
-        std::ofstream(golden_path, std::ios::binary) << text;
-        std::fprintf(stderr, "behaviour_digest: wrote %s\n",
-                     golden_path.c_str());
-        return 0;
-    }
-    std::ostringstream golden;
-    golden << std::ifstream(golden_path, std::ios::binary).rdbuf();
-    const bool ok = golden.str() == text;
-    std::fprintf(stderr, "behaviour_digest: %s (%zu runs vs %s)\n",
-                 ok ? "OK" : "FAILED, drifted from golden", labels.size(),
-                 golden_path.c_str());
+    const bool ok = hpbench::checkGolden(argc, argv, text);
+    std::fprintf(stderr, "behaviour_digest: %s (%zu runs)\n",
+                 ok ? "OK" : "FAILED", labels.size());
     return ok ? 0 : 1;
 }

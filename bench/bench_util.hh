@@ -2,9 +2,10 @@
  * @file
  * Shared helpers for the table/figure benchmark harnesses: the standard
  * prefetcher lineup, geometric/arithmetic means, the paper-vs-measured
- * footer each bench prints, and the opt-in JSON run-report scope
+ * footer each bench prints, the opt-in JSON run-report scope
  * (`--json[=path]` flag or HP_STATS_JSON=path) that writes a
- * machine-readable stats document next to the unchanged text output.
+ * machine-readable stats document next to the unchanged text output,
+ * and the golden-file check of the check binaries.
  */
 
 #ifndef HP_BENCH_BENCH_UTIL_HH
@@ -14,6 +15,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -257,6 +260,69 @@ class JsonReportScope
     bool obsEnabled_ = false;
     bool obsWritten_ = false;
 };
+
+/** The whole of the file at @p path; empty when it cannot be read. */
+inline std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+}
+
+/** --help lines for the flags checkGolden reads. */
+inline const char *const kGoldenFlags =
+    "  --golden=path             diff the output against this file\n"
+    "  --update                  with --golden, rewrite the file\n";
+
+/**
+ * The golden check of the check binaries. With `--golden=<file>`,
+ * @p text must equal the file byte for byte; a drift prints the first
+ * line that differs to stderr. With `--golden=<file> --update` the
+ * file is rewritten from @p text instead. @return false on a drift or
+ * an unreadable golden, true otherwise (also without --golden).
+ */
+inline bool
+checkGolden(int argc, char **argv, const std::string &text)
+{
+    std::string path;
+    bool update = false;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strncmp(argv[i], "--golden=", 9) == 0)
+            path = argv[i] + 9;
+        else if (std::strcmp(argv[i], "--update") == 0)
+            update = true;
+    }
+    if (path.empty())
+        return true;
+    if (update) {
+        std::ofstream(path, std::ios::binary) << text;
+        std::fprintf(stderr, "wrote golden: %s\n", path.c_str());
+        return true;
+    }
+    const std::string golden = readFile(path);
+    if (golden.empty()) {
+        std::fprintf(stderr, "cannot read golden file %s\n", path.c_str());
+        return false;
+    }
+    if (golden == text)
+        return true;
+    std::istringstream want(golden), got(text);
+    std::string want_line, got_line;
+    int line = 0;
+    do {
+        ++line;
+        std::getline(want, want_line);
+        std::getline(got, got_line);
+    } while (want_line == got_line && (want || got));
+    std::fprintf(stderr,
+                 "output drifted from golden %s at line %d\n"
+                 "  golden:   %s\n  measured: %s\n"
+                 "(--update rewrites the golden for an intended change)\n",
+                 path.c_str(), line, want_line.c_str(), got_line.c_str());
+    return false;
+}
 
 /**
  * Prints the standard footer: what the paper reports for this

@@ -11,29 +11,17 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
-#include "sim/checkpoint.hh"
 #include "sim/simulator.hh"
 
 namespace
 {
 
 using namespace hp;
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
 
 double
 secondsSince(std::chrono::steady_clock::time_point start)
@@ -48,12 +36,8 @@ secondsSince(std::chrono::steady_clock::time_point start)
 int
 main(int argc, char **argv)
 {
-    hpbench::JsonReportScope report(argc, argv, "checkpoint_equivalence");
-    std::string golden_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--golden=", 9) == 0)
-            golden_path = argv[i] + 9;
-    }
+    hpbench::JsonReportScope report(argc, argv, "checkpoint_equivalence",
+                                   hpbench::kGoldenFlags);
 
     // Grid with deliberate warmup sharing: per prefetcher kind, three
     // measurement lengths fork from one warmed state.
@@ -120,29 +104,11 @@ main(int argc, char **argv)
              << (match ? "yes" : "NO") << "\n";
     }
     std::fputs(text.str().c_str(), stdout);
-
-    if (!golden_path.empty()) {
-        const std::string golden = readFile(golden_path);
-        if (golden.empty()) {
-            std::fprintf(stderr, "cannot read golden file %s\n",
-                         golden_path.c_str());
-            ok = false;
-        } else if (golden != text.str()) {
-            std::fprintf(stderr,
-                         "summary drifted from golden %s\n"
-                         "---- golden ----\n%s"
-                         "---- measured ----\n%s",
-                         golden_path.c_str(), golden.c_str(),
-                         text.str().c_str());
-            ok = false;
-        }
-    }
+    ok = hpbench::checkGolden(argc, argv, text.str()) && ok;
 
     std::fprintf(stderr,
-                 "grid points: %zu, warmup classes: %zu, "
-                 "cold %.2fs vs checkpointed %.2fs\n",
-                 grid.size(), CheckpointStore::global().size(),
-                 cold_seconds, warm_seconds);
+                 "grid points: %zu, cold %.2fs vs checkpointed %.2fs\n",
+                 grid.size(), cold_seconds, warm_seconds);
 
     if (report.enabled())
         report.write();

@@ -19,8 +19,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,15 +31,6 @@ namespace
 {
 
 using namespace hp;
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
 
 /** The two canonical scenarios the golden document pins. Requests
  *  are long (a tidb-tpcc request is ~300k instructions, a three-hop
@@ -228,25 +217,21 @@ main(int argc, char **argv)
 {
     hpbench::handleCommonArgs(
         argc, argv, "scenario_replay_check",
-        "  --smoke=spec              parse/round-trip/run one scenario\n"
-        "  --scenarios=dir           scenario specs directory\n"
-        "  --golden=path             diff the report against a golden\n"
-        "  --write-golden=path       regenerate the golden\n");
-    std::string golden_path, write_path, scenarios_dir;
+        std::string(
+            "  --smoke=spec              parse/round-trip/run one scenario\n"
+            "  --scenarios=dir           scenario specs directory\n") +
+            hpbench::kGoldenFlags);
+    std::string scenarios_dir;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--smoke=", 8) == 0)
             return smoke(argv[i] + 8);
-        else if (std::strncmp(argv[i], "--golden=", 9) == 0)
-            golden_path = argv[i] + 9;
-        else if (std::strncmp(argv[i], "--write-golden=", 15) == 0)
-            write_path = argv[i] + 15;
         else if (std::strncmp(argv[i], "--scenarios=", 12) == 0)
             scenarios_dir = argv[i] + 12;
     }
     if (scenarios_dir.empty()) {
         std::fprintf(stderr,
                      "usage: scenario_replay_check "
-                     "--scenarios=<dir> [--golden=<file>] "
+                     "--scenarios=<dir> [--golden=<file> [--update]] "
                      "| --smoke=<file>\n");
         return 2;
     }
@@ -254,7 +239,7 @@ main(int argc, char **argv)
     std::vector<SimConfig> grid;
     for (const Canonical &c : kCanonical) {
         const std::string text =
-            readFile(scenarios_dir + "/" + c.file);
+            hpbench::readFile(scenarios_dir + "/" + c.file);
         if (text.empty()) {
             std::fprintf(stderr, "cannot read %s/%s\n",
                          scenarios_dir.c_str(), c.file);
@@ -284,25 +269,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (!write_path.empty()) {
-        std::ofstream out(write_path, std::ios::binary);
-        out << doc;
-        std::fprintf(stderr, "wrote golden: %s\n", write_path.c_str());
-    }
-    if (!golden_path.empty()) {
-        const std::string golden = readFile(golden_path);
-        if (golden.empty()) {
-            std::fprintf(stderr, "cannot read golden file %s\n",
-                         golden_path.c_str());
-            ok = false;
-        } else if (golden != doc) {
-            std::fprintf(stderr,
-                         "scenario report drifted from golden %s\n"
-                         "---- measured ----\n%s",
-                         golden_path.c_str(), doc.c_str());
-            ok = false;
-        }
-    }
+    ok = hpbench::checkGolden(argc, argv, doc) && ok;
 
     // Checkpoint-split replay of the first canonical scenario (the
     // cheap one; the property is engine-level, not per-scenario).

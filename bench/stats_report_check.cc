@@ -9,8 +9,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,15 +19,6 @@ namespace
 {
 
 using namespace hp;
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
 
 bool
 contains(const std::string &haystack, const char *needle)
@@ -45,12 +34,8 @@ contains(const std::string &haystack, const char *needle)
 int
 main(int argc, char **argv)
 {
-    hpbench::JsonReportScope report(argc, argv, "stats_report_check");
-    std::string golden_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--golden=", 9) == 0)
-            golden_path = argv[i] + 9;
-    }
+    hpbench::JsonReportScope report(argc, argv, "stats_report_check",
+                                   hpbench::kGoldenFlags);
 
     std::vector<SimConfig> grid;
     for (PrefetcherKind kind :
@@ -77,24 +62,7 @@ main(int argc, char **argv)
     }
     std::fputs(text.str().c_str(), stdout);
 
-    bool ok = true;
-
-    if (!golden_path.empty()) {
-        const std::string golden = readFile(golden_path);
-        if (golden.empty()) {
-            std::fprintf(stderr, "cannot read golden file %s\n",
-                         golden_path.c_str());
-            ok = false;
-        } else if (golden != text.str()) {
-            std::fprintf(stderr,
-                         "summary drifted from golden %s\n"
-                         "---- golden ----\n%s"
-                         "---- measured ----\n%s",
-                         golden_path.c_str(), golden.c_str(),
-                         text.str().c_str());
-            ok = false;
-        }
-    }
+    bool ok = hpbench::checkGolden(argc, argv, text.str());
 
     // Every run's snapshot must survive a JSON round-trip unchanged.
     for (const SimMetrics &m : runs) {
@@ -108,7 +76,7 @@ main(int argc, char **argv)
 
     if (report.enabled()) {
         report.write();
-        const std::string doc = readFile(report.path());
+        const std::string doc = hpbench::readFile(report.path());
         for (const char *key :
              {"\"schema\": \"hp-stats-report-v1\"", "\"runs\"",
               "\"workload\": \"caddy\"", "\"prefetcher\": \"FDIP\"",

@@ -26,8 +26,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,15 +48,6 @@ check(bool cond, const std::string &what)
         std::fprintf(stderr, "FAIL: %s\n", what.c_str());
         g_ok = false;
     }
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
 }
 
 /** The canonical scenario, parameterized by arrival rate. One
@@ -209,18 +198,13 @@ main(int argc, char **argv)
 {
     hpbench::handleCommonArgs(
         argc, argv, "tail_attribution",
-        "  --smoke                   short run, invariants only\n"
-        "  --golden=path             diff the report against a golden\n"
-        "  --write-golden=path       regenerate the golden\n");
+        std::string("  --smoke                   short run, invariants "
+                    "only\n") +
+            hpbench::kGoldenFlags);
     bool smoke = false;
-    std::string golden_path, write_path;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
-        else if (std::strncmp(argv[i], "--golden=", 9) == 0)
-            golden_path = argv[i] + 9;
-        else if (std::strncmp(argv[i], "--write-golden=", 15) == 0)
-            write_path = argv[i] + 15;
     }
 
     // This test owns the process-global obs config: spans on, the
@@ -261,27 +245,9 @@ main(int argc, char **argv)
         RunReportLog::enable();
         for (std::size_t i = 0; i < grid.size(); ++i)
             RunReportLog::record(grid[i], runs[i]);
-        const std::string doc = RunReportLog::documentJson();
-        if (!write_path.empty()) {
-            std::ofstream out(write_path, std::ios::binary);
-            out << doc;
-            std::fprintf(stderr, "wrote golden: %s\n",
-                         write_path.c_str());
-        }
-        if (!golden_path.empty()) {
-            const std::string golden = readFile(golden_path);
-            if (golden.empty()) {
-                std::fprintf(stderr, "cannot read golden file %s\n",
-                             golden_path.c_str());
-                g_ok = false;
-            } else if (golden != doc) {
-                std::fprintf(stderr,
-                             "tail-attribution report drifted from "
-                             "golden %s\n---- measured ----\n%s",
-                             golden_path.c_str(), doc.c_str());
-                g_ok = false;
-            }
-        }
+        g_ok = hpbench::checkGolden(argc, argv,
+                                    RunReportLog::documentJson()) &&
+               g_ok;
     }
 
     std::fprintf(stderr, "tail_attribution: %s\n",

@@ -22,7 +22,8 @@
 # byte-exactness question.
 #
 # Stage 4 builds with HP_SANITIZE=thread into build-tsan/ and runs the
-# concurrency surface under TSan: the executor's worker pool plus the
+# concurrency surface under TSan: the executor's worker pool, the
+# compute-once map behind every process-wide cache, plus the
 # multi-core/multi-tenant, runtime-options and request-span suites —
 # the code that actually shares state across threads (or across
 # interleaved cores) and the warn-once latch. The full suite under
@@ -91,7 +92,7 @@ if [[ "$stage" != "--no-sanitizers" && "$stage" != "--asan-only" &&
     cmake --build build-tsan -j "$jobs"
     (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ctest \
         --output-on-failure -j "$jobs" \
-        -R 'Executor|MultiCore|RuntimeOptions|RequestSpan|multi_tenant_equivalence|consolidation_scaling|tail_attribution_smoke')
+        -R 'Executor|OnceMap|MultiCore|RuntimeOptions|RequestSpan|multi_tenant_equivalence|consolidation_scaling|tail_attribution_smoke')
 fi
 
 echo "tier1: all stages passed"

@@ -325,7 +325,6 @@ CacheHierarchy::demandAccess(Addr block, Cycle now)
     mshr.fromMem = probe.fromMem;
     mshr.demandMerged = true;
     allocMshr(mshr);
-#ifndef HP_NO_OBS
     if (obs_) {
         EventKind kind = probe.level == ServiceLevel::L2
             ? EventKind::DemandMissL2
@@ -333,7 +332,6 @@ CacheHierarchy::demandAccess(Addr block, Cycle now)
                                                : EventKind::DemandMissMem;
         obs_->emitSpan(kind, now, mshr.readyAt, block);
     }
-#endif
     if (attr_.enabled())
         attr_.onMissFill(block, probe.latency);
     return {false, mshr.readyAt, probe.level};

@@ -5,11 +5,10 @@
  * The record path is built to vanish from the simulation's cost model
  * when observability is off. Components hold a plain `EventSink *`
  * that stays nullptr unless tracing was requested, and every emit site
- * goes through HP_EMIT, which compiles to a single null check (or to
- * nothing at all when the library is built with -DHP_NO_OBS). When the
- * ring fills, the oldest events are dropped and counted, so a long run
- * keeps its most recent window — usually the interesting part — at a
- * fixed memory bound.
+ * goes through HP_EMIT, which compiles to a single null check. When
+ * the ring fills, the oldest events are dropped and counted, so a long
+ * run keeps its most recent window — usually the interesting part — at
+ * a fixed memory bound.
  */
 
 #ifndef HP_OBS_EVENT_SINK_HH
@@ -89,20 +88,13 @@ class EventSink
 
 /**
  * Emit-site macro: `HP_EMIT(obs_, emit(...))`. A null sink (the
- * default) costs one predictable branch; building with -DHP_NO_OBS
- * removes the record path from the binary entirely.
+ * default) costs one predictable branch.
  */
-#ifdef HP_NO_OBS
-#define HP_EMIT(sink, call)                                               \
-    do {                                                                  \
-    } while (0)
-#else
 #define HP_EMIT(sink, call)                                               \
     do {                                                                  \
         if (sink)                                                         \
             (sink)->call;                                                 \
     } while (0)
-#endif
 
 } // namespace hp
 

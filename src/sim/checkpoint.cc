@@ -1,15 +1,16 @@
 #include "sim/checkpoint.hh"
 
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 
+#include "obs/obs.hh"
 #include "sim/runner.hh"
 #include "sim/runtime_options.hh"
 #include "sim/simulator.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
+#include "util/once_map.hh"
 #include "util/serialize.hh"
 
 namespace hp
@@ -23,7 +24,7 @@ constexpr char kMagic[8] = {'H', 'P', 'C', 'K', 'P', 'T', '0', '\n'};
 
 /**
  * Removes a checkpoint file that failed validation. The file name is
- * derived from the warmup-config hash, so a blob that fails the
+ * derived from the hash of the blob's key, so a blob that fails the
  * version or key check under its own name can never load again —
  * leaving it would just re-fail (and leak disk) on every future run.
  */
@@ -56,6 +57,27 @@ hexHash(std::uint64_t hash)
         hash >>= 4;
     }
     return out;
+}
+
+/** "<prefix>-<hash of key>.ckpt": the HP_CKPT_DIR file of a blob. */
+std::string
+blobFileName(const std::string &prefix, const std::string &key)
+{
+    return prefix + "-" + hexHash(hashBytes(key.data(), key.size())) +
+           ".ckpt";
+}
+
+/**
+ * The miss-attribution mode's part of a blob's identity. The
+ * hierarchy serializes its attribution tracker only when attribution
+ * is on (the process-wide obs::config()), so a blob captured in one
+ * mode must never be restored in the other.
+ */
+const char *
+attributionMark()
+{
+    return obs::config().attributionEnabled() ? "|attribution=1"
+                                              : "|attribution=0";
 }
 
 } // namespace
@@ -160,71 +182,11 @@ Checkpoint::decode(const std::vector<std::uint8_t> &bytes,
         std::vector<std::uint8_t>(payload, payload + payload_size));
 }
 
-CheckpointStore::Acquire
-CheckpointStore::acquire(const SimConfig &warmup_config)
-{
-    const std::uint64_t hash = configHash(warmup_config);
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::unique_ptr<Slot>> &bucket = slots_[hash];
-    for (const std::unique_ptr<Slot> &slot : bucket) {
-        if (slot->config == warmup_config)
-            return Acquire{slot->future, false};
-    }
-
-    auto slot = std::make_unique<Slot>();
-    slot->config = warmup_config;
-    slot->future = slot->promise.get_future().share();
-    Acquire acquire{slot->future, true};
-    bucket.push_back(std::move(slot));
-    return acquire;
-}
-
-void
-CheckpointStore::publish(const SimConfig &warmup_config,
-                         CheckpointPtr ckpt)
-{
-    const std::uint64_t hash = configHash(warmup_config);
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (std::unique_ptr<Slot> &slot : slots_[hash]) {
-        if (slot->config != warmup_config || slot->published)
-            continue;
-        slot->promise.set_value(std::move(ckpt));
-        slot->published = true;
-        return;
-    }
-}
-
-std::size_t
-CheckpointStore::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t n = 0;
-    for (const auto &bucket : slots_)
-        n += bucket.second.size();
-    return n;
-}
-
-CheckpointStore &
-CheckpointStore::global()
-{
-    static CheckpointStore store;
-    return store;
-}
-
 std::string
 checkpointDir()
 {
     const char *dir = runtimeEnv("HP_CKPT_DIR");
     return dir ? std::string(dir) : std::string();
-}
-
-std::string
-checkpointFileName(const SimConfig &warmup_config)
-{
-    return warmup_config.workload + "-" +
-           hexHash(configHash(warmup_config)) + ".ckpt";
 }
 
 bool
@@ -311,8 +273,8 @@ intervalCheckpointKey(const SimConfig &measurement_config,
                       std::uint64_t warm_insts)
 {
     // The "w" marks the detailed-warmup length baked into the state.
-    return ExperimentRunner::configKey(measurement_config) + "|iv@" +
-           std::to_string(start_inst) + "w" +
+    return ExperimentRunner::configKey(measurement_config) +
+           attributionMark() + "|iv@" + std::to_string(start_inst) + "w" +
            std::to_string(warm_insts);
 }
 
@@ -321,99 +283,64 @@ intervalCheckpointFileName(const SimConfig &measurement_config,
                            std::uint64_t start_inst,
                            std::uint64_t warm_insts)
 {
-    return measurement_config.workload + "-iv-" +
-           hexHash(configHash(measurement_config)) + "-" +
-           std::to_string(start_inst) + "w" +
-           std::to_string(warm_insts) + ".ckpt";
-}
-
-bool
-checkpointingEnabled(const SimConfig &config)
-{
-    if (config.warmupInsts == 0)
-        return false;
-    const char *env = runtimeEnv("HP_CKPT");
-    return env == nullptr || std::strcmp(env, "0") != 0;
+    return blobFileName(
+        measurement_config.workload + "-iv",
+        intervalCheckpointKey(measurement_config, start_inst, warm_insts));
 }
 
 std::shared_ptr<const Checkpoint>
 acquireWarmedCheckpoint(const SimConfig &config,
                         std::unique_ptr<Simulator> *producer)
 {
+    static OnceMap<std::string, std::shared_ptr<const Checkpoint>> classes;
     const SimConfig wcfg = warmupConfig(config);
-    const std::string key = ExperimentRunner::configKey(wcfg);
-
-    auto produce = [&config, &key, producer] {
+    const std::string key =
+        ExperimentRunner::configKey(wcfg) + attributionMark();
+    return classes.get(key, [&] {
+        // Cross-process reuse: a prior run may have spilled this class.
+        const std::string dir = checkpointDir();
+        const std::string file = blobFileName(wcfg.workload, key);
+        if (!dir.empty()) {
+            std::string error;
+            if (auto ckpt = loadCheckpointFile(
+                    (std::filesystem::path(dir) / file).string(), key,
+                    &error))
+                return ckpt;
+        }
         auto sim = std::make_unique<Simulator>(config);
         sim->runWarmup();
         auto ckpt = std::make_shared<const Checkpoint>(
             Checkpoint::capture(*sim, key));
+        if (!dir.empty())
+            saveCheckpointFile(dir, file, *ckpt);
         if (producer)
             *producer = std::move(sim);
         return ckpt;
-    };
-
-    if (!checkpointingEnabled(config))
-        return produce();
-
-    CheckpointStore &store = CheckpointStore::global();
-    CheckpointStore::Acquire acq = store.acquire(wcfg);
-    if (!acq.owner) {
-        std::shared_ptr<const Checkpoint> ckpt = acq.future.get();
-        if (ckpt)
-            return ckpt;
-        // The producing requester failed; fall back to a private
-        // warmup rather than failing this experiment too.
-        return produce();
-    }
-
-    // Cross-process reuse: a prior run may have spilled this class.
-    const std::string dir = checkpointDir();
-    if (!dir.empty()) {
-        std::string error;
-        std::shared_ptr<const Checkpoint> ckpt = loadCheckpointFile(
-            (std::filesystem::path(dir) / checkpointFileName(wcfg))
-                .string(),
-            key, &error);
-        if (ckpt) {
-            store.publish(wcfg, ckpt);
-            return ckpt;
-        }
-    }
-
-    std::shared_ptr<const Checkpoint> fresh;
-    try {
-        fresh = produce();
-    } catch (...) {
-        store.publish(wcfg, nullptr);
-        throw;
-    }
-    store.publish(wcfg, fresh);
-    if (!dir.empty())
-        saveCheckpointFile(dir, checkpointFileName(wcfg), *fresh);
-    return fresh;
+    });
 }
 
 SimMetrics
 runCheckpointed(const SimConfig &config)
 {
-    if (checkpointingEnabled(config)) {
-        // The producer of the class checkpoint continues the simulator
-        // it warmed, paying no restore.
-        std::unique_ptr<Simulator> warmed;
-        const std::shared_ptr<const Checkpoint> ckpt =
-            acquireWarmedCheckpoint(config, &warmed);
-        if (warmed)
-            return warmed->finishRun();
-        Simulator sim(config);
-        std::string error;
-        if (ckpt->restoreInto(sim, &error))
-            return sim.finishRun();
-        HP_WARN_LIMIT(8, "checkpoint restore failed (" + error +
-                             "); running cold");
-    }
-    Simulator cold(config);
-    return cold.run();
+    // Without warmup there is no boundary to share: a zero-length
+    // warmup steps a cycle only when the run measures anything, so
+    // warmupConfig() would merge two different states.
+    if (config.warmupInsts == 0)
+        return Simulator(config).run();
+    // The producer of the class checkpoint continues the simulator it
+    // warmed, paying no restore.
+    std::unique_ptr<Simulator> warmed;
+    const std::shared_ptr<const Checkpoint> ckpt =
+        acquireWarmedCheckpoint(config, &warmed);
+    if (warmed)
+        return warmed->finishRun();
+    Simulator sim(config);
+    std::string error;
+    if (ckpt->restoreInto(sim, &error))
+        return sim.finishRun();
+    HP_WARN_LIMIT(8, "checkpoint restore failed (" + error +
+                         "); running cold");
+    return Simulator(config).run();
 }
 
 } // namespace hp

@@ -5,13 +5,16 @@
  * equivalence class* and fork every matching measurement run from it
  * instead of re-simulating the warmup phase.
  *
- * Two configs belong to the same class when warmupConfig() — the
- * config with every warmup-irrelevant field pinned to a fixed value —
- * compares equal. The CheckpointStore dedups in-flight warmups with
- * the same future-based scheme as the runner's result cache, so
- * concurrent grid points block on the one warmup instead of racing.
- * With HP_CKPT_DIR set, checkpoints are also spilled to disk and
- * reused across processes (see DESIGN.md §8 for the blob format).
+ * Two configs belong to the same class when their warmupConfig() —
+ * the config with every warmup-irrelevant field pinned to a fixed
+ * value — has the same key and the process runs in the same
+ * miss-attribution mode (the blob carries the attribution tracker
+ * only when it is on). A OnceMap (util/once_map.hh) keyed by that
+ * identity warms each class once, the same way the runner's result
+ * cache simulates each config once, so concurrent grid points block
+ * on the one warmup instead of racing. With HP_CKPT_DIR set,
+ * checkpoints are also spilled to disk and reused across processes
+ * (see DESIGN.md §8 for the blob format).
  *
  * Correctness bar: a restored run must be bit-identical to a cold
  * run — enforced by tests/sim/checkpoint_replay_test and the
@@ -22,11 +25,8 @@
 #define HP_SIM_CHECKPOINT_HH
 
 #include <cstdint>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/config.hh"
@@ -98,54 +98,8 @@ class Checkpoint
     std::vector<std::uint8_t> payload_;
 };
 
-/**
- * Process-wide cache of warmed checkpoints keyed by warmup config,
- * future-based like the runner's result cache: the first requester of
- * a class owns producing the checkpoint, every later requester blocks
- * on the same future.
- */
-class CheckpointStore
-{
-  public:
-    using CheckpointPtr = std::shared_ptr<const Checkpoint>;
-
-    struct Acquire
-    {
-        std::shared_future<CheckpointPtr> future;
-        /** True if this caller must produce and publish() the blob. */
-        bool owner = false;
-    };
-
-    /** Finds or creates the slot for @p warmup_config's class. */
-    Acquire acquire(const SimConfig &warmup_config);
-
-    /** Fulfills the class's future (owner only; nullptr = failed). */
-    void publish(const SimConfig &warmup_config, CheckpointPtr ckpt);
-
-    /** Number of warmup classes seen (diagnostics/tests). */
-    std::size_t size() const;
-
-    static CheckpointStore &global();
-
-  private:
-    struct Slot
-    {
-        SimConfig config;
-        std::promise<CheckpointPtr> promise;
-        std::shared_future<CheckpointPtr> future;
-        bool published = false;
-    };
-
-    mutable std::mutex mutex_;
-    std::unordered_map<std::uint64_t, std::vector<std::unique_ptr<Slot>>>
-        slots_;
-};
-
 /** HP_CKPT_DIR, or empty when disk spill is disabled. */
 std::string checkpointDir();
-
-/** File name for a class: "<workload>-<warmup-config-hash>.ckpt". */
-std::string checkpointFileName(const SimConfig &warmup_config);
 
 /** Atomically (tmp + rename) writes @p ckpt under @p dir. */
 bool saveCheckpointFile(const std::string &dir,
@@ -162,12 +116,6 @@ loadCheckpointFile(const std::string &path,
                    const std::string &expected_key, std::string *error);
 
 /**
- * True when runCheckpointed() will use the checkpoint path for
- * @p config: the config has a warmup phase and HP_CKPT is not "0".
- */
-bool checkpointingEnabled(const SimConfig &config);
-
-/**
  * Key / file name for a *mid-stream interval fork* blob: the window
  * simulator state @p start_inst committed instructions past the
  * warmup boundary, reached by fast-forwarding to
@@ -176,10 +124,12 @@ bool checkpointingEnabled(const SimConfig &config);
  * starts from, detailed warmup included, so a cache hit pays only the
  * window itself. Keyed by the measurement config (sample pinned off —
  * the instruction stream does not depend on where the windows fall)
- * plus both positions, so every sampled run with the same config and
- * detail-warmup length, in any process, shares the same fork blobs.
- * Positions are relative to the boundary, never absolute, so a blob
- * can be addressed without first restoring the warmup checkpoint.
+ * plus both positions and the miss-attribution mode, so every sampled
+ * run with the same config, detail-warmup length and attribution
+ * mode, in any process, shares the same fork blobs. Positions are
+ * relative to the boundary, never absolute, so a blob can be
+ * addressed without first restoring the warmup checkpoint. The file
+ * name is "<workload>-iv-<hash of the key>.ckpt".
  */
 std::string intervalCheckpointKey(const SimConfig &measurement_config,
                                   std::uint64_t start_inst,
@@ -191,23 +141,25 @@ intervalCheckpointFileName(const SimConfig &measurement_config,
 
 /**
  * Runs @p config to completion, reusing (or creating) the shared
- * warmup checkpoint of its class. Results are bit-identical to
- * Simulator(config).run(); any checkpoint problem falls back to a
- * cold run rather than failing the experiment.
+ * warmup checkpoint of its class; a config without warmup runs cold.
+ * Results are bit-identical to Simulator(config).run(); a blob that
+ * fails to restore falls back to a cold run rather than failing the
+ * experiment.
  */
 SimMetrics runCheckpointed(const SimConfig &config);
 
 /**
- * The warmed checkpoint of @p config's warmup class, producing it
- * (and spilling it to HP_CKPT_DIR) if no other requester has yet.
- * This is the re-fork anchor of sampled simulation: every measurement
- * interval restores a fresh Simulator from the returned immutable
- * blob, so interval replay is bit-identical regardless of how many
- * intervals run or on which threads. With checkpointing disabled
- * (HP_CKPT=0) a private, unshared checkpoint is produced instead.
- * When this call warms a simulator to produce the checkpoint and
- * @p producer is set, the warmed simulator is handed over there.
- * Never returns nullptr; warmup failures propagate as exceptions.
+ * The warmed checkpoint of @p config's warmup class. The first
+ * requester of a class produces it: it loads the class's blob from
+ * HP_CKPT_DIR, or warms a simulator, captures it and spills the blob
+ * there as "<workload>-<hash of the key>.ckpt". The key is that of
+ * warmupConfig() plus the miss-attribution mode. This is the re-fork anchor of sampled simulation: every
+ * measurement interval restores a fresh Simulator from the returned
+ * immutable blob, so interval replay is bit-identical regardless of
+ * how many intervals run or on which threads. When this call warms a
+ * simulator and @p producer is set, the warmed simulator is handed
+ * over there. Never returns nullptr; a producer's exception reaches
+ * every requester of the class.
  */
 std::shared_ptr<const Checkpoint>
 acquireWarmedCheckpoint(const SimConfig &config,

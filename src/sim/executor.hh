@@ -5,11 +5,11 @@
  * Every grid point of the evaluation pipeline (workload x prefetcher x
  * knob sweep) is an independent simulation, so the bench harnesses
  * submit their whole grid up front and a pool of workers drains it.
- * Deduplication lives in the ExperimentRunner cache (futures keyed by
- * a 64-bit config hash), so a config shared by several grids — the
- * FDIP baseline, most commonly — is simulated exactly once no matter
- * how many threads request it, and results collected in submission
- * order are bit-identical to a serial run.
+ * Deduplication lives in the ExperimentRunner's result cache (a
+ * OnceMap keyed by measurementConfig), so a config shared by several
+ * grids — the FDIP baseline, most commonly — is simulated exactly once
+ * no matter how many threads request it, and results collected in
+ * submission order are bit-identical to a serial run.
  *
  * The worker count defaults to std::thread::hardware_concurrency(),
  * overridable with the HP_JOBS environment variable.

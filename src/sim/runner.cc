@@ -1,19 +1,15 @@
 #include "sim/runner.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <charconv>
-#include <mutex>
 #include <type_traits>
-#include <unordered_map>
-#include <vector>
 
-#include "sim/checkpoint.hh"
 #include "sim/executor.hh"
 #include "sim/multicore.hh"
 #include "sim/sampling.hh"
 #include "sim/run_report.hh"
 #include "util/hash.hh"
+#include "util/once_map.hh"
 #include "workload/scenario.hh"
 
 namespace hp
@@ -54,19 +50,15 @@ fieldText(const T &field)
     }
 }
 
-/**
- * One cache slot: the full config for collision resolution plus the
- * shared future every requester blocks on.
- */
-struct CacheSlot
+/** Buckets the result cache by configHash; SimConfig::operator==
+ *  resolves a collision. */
+struct ConfigHasher
 {
-    SimConfig config;
-    std::shared_future<SimMetrics> future;
+    std::size_t operator()(const SimConfig &c) const { return configHash(c); }
 };
 
-std::mutex g_mutex;
-std::unordered_map<std::uint64_t, std::vector<CacheSlot>> g_cache;
-std::atomic<std::size_t> g_runs{0};
+/** One result per measurementConfig, shared by every requester. */
+OnceMap<SimConfig, SimMetrics, ConfigHasher> g_results;
 
 } // namespace
 
@@ -164,27 +156,14 @@ acquireSimulation(const SimConfig &config,
     // Dedup on the normalized config so grid points differing only in
     // fields this simulation never reads share one run. The full
     // original config still reaches the simulation and the report log.
-    const SimConfig mcfg = measurementConfig(config);
-    const std::uint64_t hash = configHash(mcfg);
-
-    std::lock_guard<std::mutex> lock(g_mutex);
-    std::vector<CacheSlot> &bucket = g_cache[hash];
-    for (const CacheSlot &slot : bucket) {
-        if (slot.config == mcfg)
-            return slot.future;
-    }
-
-    // First request for this class: this caller runs the simulation.
-    std::packaged_task<SimMetrics()> sim([config] {
-        SimMetrics metrics = runMaybeSampled(config);
-        g_runs.fetch_add(1, std::memory_order_relaxed);
-        RunReportLog::record(config, metrics);
-        return metrics;
-    });
-    std::shared_future<SimMetrics> future = sim.get_future().share();
-    bucket.push_back(CacheSlot{mcfg, future});
-    *task = std::move(sim);
-    return future;
+    return g_results.acquire(
+        measurementConfig(config),
+        [config] {
+            SimMetrics metrics = runMaybeSampled(config);
+            RunReportLog::record(config, metrics);
+            return metrics;
+        },
+        task);
 }
 
 } // namespace detail
@@ -234,7 +213,7 @@ ExperimentRunner::runPair(const SimConfig &config)
 std::size_t
 ExperimentRunner::simulationsRun()
 {
-    return g_runs.load(std::memory_order_relaxed);
+    return g_results.size();
 }
 
 SimConfig

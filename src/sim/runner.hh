@@ -3,9 +3,10 @@
  * Experiment runner: memoized simulation runs plus the paired
  * run-vs-FDIP-baseline computation every figure needs. Within one
  * process, identical configurations are simulated once — even when
- * requested concurrently from many threads: the cache stores futures,
- * so every requester of a config blocks on the one in-flight
- * simulation instead of racing or double-running it.
+ * requested concurrently from many threads: the result cache is a
+ * OnceMap (util/once_map.hh), so every requester of a config blocks
+ * on the one in-flight simulation instead of racing or double-running
+ * it.
  */
 
 #ifndef HP_SIM_RUNNER_HH
@@ -69,7 +70,8 @@ class ExperimentRunner
      */
     static std::string configKey(const SimConfig &config);
 
-    /** Number of distinct simulations performed so far. */
+    /** Number of distinct simulations started so far (finished or
+     *  in flight). */
     static std::size_t simulationsRun();
 };
 
@@ -77,11 +79,9 @@ namespace detail
 {
 
 /**
- * Finds or creates the cache slot for @p config and returns its
- * future. If this call created the slot, @p task is set to the
- * simulation task and the caller is responsible for executing it
- * (inline or on a worker thread); every other caller gets the same
- * future and an invalid task.
+ * The result cache's future for @p config (OnceMap::acquire). The
+ * first requester of a config gets the simulation in @p task and runs
+ * it: ExperimentRunner::run inline, Executor::submit on a worker.
  */
 std::shared_future<SimMetrics>
 acquireSimulation(const SimConfig &config,

@@ -21,8 +21,6 @@ runtimeOptionTable()
         {"HP_JOBS", "N", "",
          "executor worker threads, 1-1024 (default: hardware "
          "concurrency)"},
-        {"HP_CKPT", "0|1", "",
-         "reuse warmed checkpoints across runs (default 1; 0 disables)"},
         {"HP_CKPT_DIR", "dir", "",
          "spill/share checkpoint blobs across processes in this dir"},
         {"HP_SAMPLE", "K,W[,U[,S]]", "--sample=K,W[,U[,S]]",

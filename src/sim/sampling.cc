@@ -263,8 +263,7 @@ runSampled(const SimConfig &config)
     // checkpoint, no per-interval detailed warmup. The scout is
     // materialized only when an interval blob is actually missing.
     const SimConfig mcfg = measurementConfig(full);
-    const std::string dir =
-        checkpointingEnabled(config) ? checkpointDir() : std::string();
+    const std::string dir = checkpointDir();
     constexpr std::uintmax_t kMaxIntervalBlobBytes = 4u << 20;
     std::string err;
     std::unique_ptr<Simulator> scout;

@@ -124,7 +124,6 @@ Simulator::Simulator(const SimConfig &config, const CoreInit &init)
         sampler_ = std::make_unique<IntervalSampler>(
             registry_, ocfg.intervalInsts);
     }
-#ifndef HP_NO_OBS
     // Request spans need a scenario stream (the Request{Begin,End}
     // markers); "@scenario" is always a core's sole tenant, so a
     // non-null scenEngine_ here is stable across the whole run.
@@ -142,7 +141,6 @@ Simulator::Simulator(const SimConfig &config, const CoreInit &init)
         spanTracker_ = std::make_unique<obs::RequestSpanTracker>(
             std::move(chains), ocfg.spanReservoir, obs_.get());
     }
-#endif
 }
 
 obs::SpanCounters
@@ -559,12 +557,10 @@ Simulator::stepCommit()
 
         if (scenEngine_ && inst.marker != StreamMarker::None)
             noteCommitMarker(inst, /*detailed=*/true);
-#ifndef HP_NO_OBS
         // Chain hand-off detection: one null check when spans are off,
         // one window compare while a span is open.
         if (spanTracker_)
             spanTracker_->onCommitPc(inst.pc, cycle_);
-#endif
 
         // Idealized back end: a deterministic slice of instructions
         // behaves as long-latency (off-core data) and stalls commit.
@@ -627,24 +623,18 @@ Simulator::noteCommitMarker(const DynInst &inst, bool detailed)
     // because the scenario stream interleaves no two requests.
     if (inst.marker == StreamMarker::RequestBegin) {
         scenEngine_->tracker().onBegin(cycle_, detailed);
-#ifndef HP_NO_OBS
         if (spanTracker_) {
             spanTracker_->onBegin(cycle_, inst.markerArg, detailed,
                                   spanCountersNow());
         }
-#endif
     } else if (inst.marker == StreamMarker::RequestEnd) {
         const CompletionInfo done =
             scenEngine_->tracker().onEnd(cycle_, detailed);
-#ifndef HP_NO_OBS
         if (spanTracker_) {
             spanTracker_->onEnd(cycle_, done.completed, done.latency,
                                 done.service, done.queueing,
                                 spanCountersNow());
         }
-#else
-        (void)done;
-#endif
     }
 }
 
@@ -654,13 +644,11 @@ Simulator::beginMeasurement()
     mode_ = SimMode::DetailedMeasure;
     if (scenEngine_)
         scenEngine_->tracker().beginRecording();
-#ifndef HP_NO_OBS
     // Anchor the span telescoping at the same instant the registry
     // snapshot below pins, so inSpan + outside partitions the
     // measurement delta exactly.
     if (spanTracker_)
         spanTracker_->beginRecording(spanCountersNow());
-#endif
 
     // The warmup boundary: counters are never reset, so the
     // measurement phase is the end-of-run snapshot minus this one.
@@ -678,12 +666,10 @@ Simulator::stepCycle()
     // for single-tenant cores.
     if (nextSwitchAt_ != 0 && committed_ >= nextSwitchAt_)
         contextSwitch();
-#ifndef HP_NO_OBS
     // Latch the clock for prefetcher-internal emit sites (queue
     // squashes) whose call paths carry no cycle argument.
     if (obs_ && pf_)
         pf_->noteCycle(cycle_);
-#endif
     hier_.tick(cycle_);
     stepPredict();
     if (pf_)
@@ -776,7 +762,6 @@ Simulator::endMeasurement(bool pay_advance)
         m.latency = std::make_shared<const LatencyReport>(
             scenEngine_->tracker().report(m.stats));
     }
-#ifndef HP_NO_OBS
     if (spanTracker_) {
         // Same instant as the registry snapshot above: no simulation
         // ran in between, so the partition invariant is exact.
@@ -784,7 +769,6 @@ Simulator::endMeasurement(bool pay_advance)
             std::make_shared<const obs::TailAttribution>(
                 spanTracker_->report(spanCountersNow()));
     }
-#endif
 
     flushObs();
     return m;

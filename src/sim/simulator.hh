@@ -408,7 +408,7 @@ class Simulator
     std::unique_ptr<EventSink> obs_;
     std::unique_ptr<IntervalSampler> sampler_;
     /** Request spans + tail attribution; created only for scenario
-     *  runs with HP_SPANS on (never under -DHP_NO_OBS). */
+     *  runs with HP_SPANS on. */
     std::unique_ptr<obs::RequestSpanTracker> spanTracker_;
     bool obsFlushed_ = false;
 };

@@ -1,11 +1,9 @@
 #include "workload/program_builder.hh"
 
 #include <algorithm>
-#include <future>
-#include <map>
-#include <mutex>
 
 #include "util/logging.hh"
+#include "util/once_map.hh"
 #include "util/rng.hh"
 
 namespace hp
@@ -565,36 +563,10 @@ ProgramBuilder::build(const AppProfile &profile)
 std::shared_ptr<const BuiltApp>
 ProgramBuilder::cached(const AppProfile &profile)
 {
-    // The cache stores futures so that concurrent first requests for
-    // the same binary block on one build, while different binaries
-    // build in parallel (the builder itself runs outside the lock).
-    using AppPtr = std::shared_ptr<const BuiltApp>;
-    static std::mutex mutex;
-    static std::map<std::string, std::shared_future<AppPtr>> cache;
-
-    std::shared_ptr<std::promise<AppPtr>> promise;
-    std::shared_future<AppPtr> future;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        auto it = cache.find(profile.binary);
-        if (it != cache.end()) {
-            future = it->second;
-        } else {
-            promise = std::make_shared<std::promise<AppPtr>>();
-            future = promise->get_future().share();
-            cache.emplace(profile.binary, future);
-        }
-    }
-
-    if (promise) {
-        try {
-            promise->set_value(build(profile));
-        } catch (...) {
-            promise->set_exception(std::current_exception());
-            throw;
-        }
-    }
-    return future.get();
+    // Concurrent first requests for a binary block on one build, while
+    // different binaries build in parallel.
+    static OnceMap<std::string, std::shared_ptr<const BuiltApp>> apps;
+    return apps.get(profile.binary, [&profile] { return build(profile); });
 }
 
 } // namespace hp

@@ -6,12 +6,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <mutex>
 #include <sstream>
-#include <unordered_map>
 
 #include "sim/runtime_options.hh"
 #include "util/logging.hh"
+#include "util/once_map.hh"
 #include "workload/app_profile.hh"
 
 namespace hp
@@ -581,30 +580,17 @@ loadScenarioFile(const std::string &path, std::string *text,
     return true;
 }
 
-namespace
-{
-
-std::mutex g_cache_mutex;
-
-} // namespace
-
 std::shared_ptr<const Scenario>
 cachedScenario(const std::string &text)
 {
-    static std::unordered_map<std::string,
-                              std::shared_ptr<const Scenario>>
-        cache;
-    std::lock_guard<std::mutex> lock(g_cache_mutex);
-    auto it = cache.find(text);
-    if (it != cache.end())
-        return it->second;
-
-    auto scen = std::make_shared<Scenario>();
-    std::string err;
-    fatalIf(!parseScenario(text, scen.get(), &err),
-            "bad scenario spec: " + err);
-    cache.emplace(text, scen);
-    return scen;
+    static OnceMap<std::string, std::shared_ptr<const Scenario>> parsed;
+    return parsed.get(text, [&text] {
+        auto scen = std::make_shared<Scenario>();
+        std::string err;
+        fatalIf(!parseScenario(text, scen.get(), &err),
+                "bad scenario spec: " + err);
+        return std::shared_ptr<const Scenario>(std::move(scen));
+    });
 }
 
 const std::string &

@@ -19,7 +19,7 @@ TEST(RuntimeOptionsTest, TableDeclaresTheRuntimeSurface)
 
     // Every historical getenv site must be represented.
     for (const char *name :
-         {"HP_JOBS", "HP_CKPT", "HP_CKPT_DIR", "HP_SAMPLE",
+         {"HP_JOBS", "HP_CKPT_DIR", "HP_SAMPLE",
           "HP_SCENARIO", "HP_STATS_JSON", "HP_TRACE_JSON",
           "HP_TIMESERIES", "HP_TS_INTERVAL", "HP_MISS_ATTR",
           "HP_TRACE_CAP", "HP_LOG_LEVEL", "HP_CKPT_GOLDEN_REGEN"}) {

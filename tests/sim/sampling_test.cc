@@ -3,16 +3,23 @@
  * Sampled-simulation unit tests: the CI math against hand-computed
  * references, interval start placement, spec parsing, dedup-key
  * separation of sampling parameters, degenerate-parameter fallback,
+ * blobs of the two miss-attribution modes kept apart in HP_CKPT_DIR,
  * and the fast-forward vs detailed throughput contract.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <string>
 #include <vector>
 
+#include "obs/obs.hh"
 #include "sim/checkpoint.hh"
 #include "sim/runner.hh"
 #include "sim/sampling.hh"
@@ -310,6 +317,101 @@ TEST(RunSampledTest, SampledRunShapeAndDeterminism)
     EXPECT_EQ(n.sampling->ipcCi95, m.sampling->ipcCi95);
     EXPECT_EQ(n.stats.entries(), m.stats.entries());
     EXPECT_EQ(n.cycles, m.cycles);
+}
+
+// ---- the attribution mode in the checkpoint identity ----------------
+
+std::size_t
+filesIn(const std::filesystem::path &dir)
+{
+    std::size_t n = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        n += entry.is_regular_file();
+    return n;
+}
+
+/**
+ * Runs @p config sampled over one fresh HP_CKPT_DIR: first with miss
+ * attribution @p first_on, which fills the directory, then twice with
+ * the other mode. The hierarchy serializes its attribution tracker
+ * only when attribution is on, so a blob of one mode does not restore
+ * in the other: the second run must use none of the first run's blobs
+ * (a failed restore falls back to an unsampled run), match it on every
+ * architectural counter, and leave the third run nothing to write.
+ */
+void
+checkAttributionModesShareNoBlobs(const SimConfig &config, bool first_on)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("hp_attr_ckpt_" + std::to_string(::getpid()) +
+         (first_on ? "_on" : "_off"));
+    fs::remove_all(dir);
+    const char *inherited = std::getenv("HP_CKPT_DIR");
+    const std::string saved_dir = inherited ? inherited : "";
+    const obs::ObsConfig saved_obs = obs::config();
+    ::setenv("HP_CKPT_DIR", dir.c_str(), 1);
+
+    auto run = [&config](bool attribution) {
+        obs::config() = obs::ObsConfig{};
+        obs::config().attribution = attribution;
+        return runSampled(config);
+    };
+    const SimMetrics first = run(first_on);
+    const std::size_t one_mode = filesIn(dir);
+    const SimMetrics second = run(!first_on);
+    const std::size_t both_modes = filesIn(dir);
+    const SimMetrics again = run(!first_on);
+    const std::size_t after_rerun = filesIn(dir);
+
+    obs::config() = saved_obs;
+    if (inherited)
+        ::setenv("HP_CKPT_DIR", saved_dir.c_str(), 1);
+    else
+        ::unsetenv("HP_CKPT_DIR");
+    fs::remove_all(dir);
+
+    ASSERT_NE(first.sampling, nullptr);
+    ASSERT_NE(second.sampling, nullptr);
+    // One warmup blob plus one blob per interval, for each mode.
+    EXPECT_EQ(one_mode, 1 + config.sample.intervals);
+    EXPECT_EQ(both_modes, 2 * one_mode);
+    EXPECT_EQ(after_rerun, both_modes);
+    EXPECT_EQ(again.stats.entries(), second.stats.entries());
+
+    ASSERT_EQ(first.sampling->intervals.size(),
+              second.sampling->intervals.size());
+    for (std::size_t i = 0; i < first.sampling->intervals.size(); ++i) {
+        EXPECT_EQ(first.sampling->intervals[i].instructions,
+                  second.sampling->intervals[i].instructions);
+        EXPECT_EQ(first.sampling->intervals[i].cycles,
+                  second.sampling->intervals[i].cycles);
+    }
+    const SimMetrics &on = first_on ? first : second;
+    const SimMetrics &off = first_on ? second : first;
+    std::uint64_t attributed = 0;
+    for (const auto &[path, value] : on.stats.entries()) {
+        if (path.find("missAttribution.") != std::string::npos)
+            attributed += value;
+        else
+            EXPECT_EQ(off.stats.value(path), value) << path;
+    }
+    EXPECT_GT(attributed, 0u);
+}
+
+TEST(SamplingCheckpointDirTest, AttributionOffBlobsAreNotUsedWithItOn)
+{
+    SimConfig config = quickConfig(PrefetcherKind::Eip);
+    config.sample = {4, 4'000, 2'000, 1};
+    checkAttributionModesShareNoBlobs(config, /*first_on=*/false);
+}
+
+TEST(SamplingCheckpointDirTest, AttributionOnBlobsAreNotUsedWithItOff)
+{
+    SimConfig config = quickConfig(PrefetcherKind::Hierarchical);
+    config.sample = {4, 4'000, 2'000, 1};
+    checkAttributionModesShareNoBlobs(config, /*first_on=*/true);
 }
 
 // ---- three-mode engine contract -------------------------------------
