@@ -12,8 +12,11 @@
  * Configs are built field by field (never through defaultConfig), so
  * an inherited HP_SAMPLE or HP_SCENARIO cannot change the work.
  *
- * Usage: behaviour_digest [--golden=path [--update]]
+ * Usage: behaviour_digest [--golden=path [--update]] [--json=path]
  *   --update rewrites the golden from this run instead of checking it.
+ *   --json writes the full hp-stats-report-v1 document of every pinned
+ *   run; with HP_JOBS=1 the runs appear in a fixed order, so two
+ *   builds' documents can be compared path by path.
  */
 
 #include <cstdio>
@@ -95,8 +98,8 @@ digest(const SimMetrics &m)
 int
 main(int argc, char **argv)
 {
-    hpbench::handleCommonArgs(argc, argv, "behaviour_digest",
-                              hpbench::kGoldenFlags);
+    hpbench::JsonReportScope report(argc, argv, "behaviour_digest",
+                                    hpbench::kGoldenFlags);
 
     std::vector<std::string> labels;
     std::vector<SimConfig> configs;
