@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "obs/obs.hh"
+#include "obs/request_span.hh"
 #include "sim/executor.hh"
 #include "sim/run_report.hh"
 #include "sim/runner.hh"
@@ -73,6 +74,33 @@ inline std::vector<hp::SimMetrics>
 runAll(const std::vector<hp::SimConfig> &configs)
 {
     return hp::Executor::global().runAll(configs);
+}
+
+/**
+ * The span-table entries (obs::spanCounterTable) whose in_span +
+ * outside in @p tail differs from the measurement delta in @p stats,
+ * which is read under @p prefix ("core1." for one core of a
+ * consolidation). Empty when the partition holds for every entry.
+ */
+inline std::vector<std::string>
+brokenSpanPartitions(const hp::StatsSnapshot &stats,
+                     const hp::obs::TailAttribution &tail,
+                     const std::string &prefix = "")
+{
+    std::vector<std::string> broken;
+    const auto &table = hp::obs::spanCounterTable();
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        std::uint64_t whole = 0;
+        for (const std::string &path : table[i].paths)
+            whole += stats.value(prefix + path);
+        if (tail.inSpan[i] + tail.outside[i] != whole) {
+            broken.push_back(table[i].key + ": " +
+                             std::to_string(tail.inSpan[i]) + " + " +
+                             std::to_string(tail.outside[i]) + " != " +
+                             std::to_string(whole));
+        }
+    }
+    return broken;
 }
 
 /** The four prefetchers every comparison figure sweeps. */

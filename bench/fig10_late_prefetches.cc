@@ -19,8 +19,12 @@ main(int argc, char **argv)
     table.setHeader(
         {"workload", "EFetch", "MANA", "EIP", "Hierarchical"});
 
-    std::vector<RunPair> pairs = Executor::global().runGrid(
-        allWorkloads(), hpbench::comparedPrefetchers());
+    std::vector<SimConfig> grid;
+    for (const std::string &workload : allWorkloads()) {
+        for (PrefetcherKind kind : hpbench::comparedPrefetchers())
+            grid.push_back(defaultConfig(workload, kind));
+    }
+    std::vector<RunPair> pairs = hpbench::runPairs(grid);
 
     std::vector<std::vector<double>> cols(4);
     std::size_t next = 0;

@@ -21,8 +21,11 @@ main(int argc, char **argv)
     table.setHeader({"workload", "total", "overpredict share",
                      "metadata share"});
 
-    std::vector<RunPair> pairs = Executor::global().runGrid(
-        allWorkloads(), {PrefetcherKind::Hierarchical});
+    std::vector<SimConfig> grid;
+    for (const std::string &workload : allWorkloads())
+        grid.push_back(
+            defaultConfig(workload, PrefetcherKind::Hierarchical));
+    std::vector<RunPair> pairs = hpbench::runPairs(grid);
 
     std::vector<double> ratios, over_share, meta_share;
     std::size_t next = 0;

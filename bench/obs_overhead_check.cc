@@ -26,8 +26,8 @@
  * with request spans on, and every architectural counter — combined,
  * per-core, and shared (mt.*) — must equal the obs-off run. The
  * scenario run's tail-attribution roll-up must also partition the
- * scenario core's own missAttribution deltas exactly (in_span +
- * outside == core delta, per cause).
+ * scenario core's own measurement delta exactly (in_span + outside ==
+ * core delta, for every entry of the span table).
  *
  * Simulators are constructed directly (not through the executor) so
  * the obs-on runs cannot be served from the run-memo cache.
@@ -360,27 +360,9 @@ main(int argc, char **argv)
         check(tail.groups.size() == 1 &&
                   tail.groups[0].completed == tail.spansRecorded,
               "mt scenario group bookkeeping is inconsistent");
-        for (unsigned c = 0; c < kNumMissCauses; ++c) {
-            const std::string path =
-                std::string("core1.missAttribution.") +
-                missCauseName(static_cast<MissCause>(c));
-            check(stats.has(path),
-                  "per-core registry path missing: " + path);
-            const std::uint64_t whole =
-                stats.has(path) ? stats.value(path) : 0;
-            const std::uint64_t split = tail.inSpan.missCount[c] +
-                tail.outside.missCount[c];
-            check(split == whole,
-                  "span partition broke for " + path + ": " +
-                      std::to_string(split) + " != " +
-                      std::to_string(whole));
-        }
-        check(tail.inSpan.l1iMisses + tail.outside.l1iMisses ==
-                  stats.value("core1.l1i.demand_misses"),
-              "span partition broke for core1.l1i.demand_misses");
-        check(tail.inSpan.itlbMisses + tail.outside.itlbMisses ==
-                  stats.value("core1.itlb.misses"),
-              "span partition broke for core1.itlb.misses");
+        for (const std::string &broken :
+             hpbench::brokenSpanPartitions(stats, tail, "core1."))
+            check(false, "span partition broke for core1 " + broken);
     }
 
     std::fprintf(stderr, "obs_overhead_check: %s\n",

@@ -11,10 +11,10 @@
  * dominated by queueing, not by worse cache behaviour.
  *
  * Every run also re-checks the structural invariants in-process:
- * in_span + outside must partition the run's own missAttribution
- * deltas exactly (per cause, plus L1-I demand misses and I-TLB
- * misses), and the tail cohort can never report a smaller mean
- * latency than its equally sized median cohort.
+ * in_span + outside must partition the run's own measurement delta
+ * exactly, for every entry of the span table, and the tail cohort can
+ * never report a smaller mean latency than its equally sized median
+ * cohort.
  *
  * `--smoke` runs the same sweep at a shorter measurement length with
  * the invariant checks only (no golden), for the fast tier-1 lane.
@@ -103,9 +103,9 @@ cohortMeanLatency(const obs::SpanCohort &c)
 double
 cohortCauseRate(const obs::SpanCohort &c, unsigned cause)
 {
-    return c.count ? double(c.deltas.missCount[cause]) /
-                         double(c.count)
-                   : 0.0;
+    const std::size_t i = obs::spanCounterIndex(
+        missCauseName(static_cast<MissCause>(cause)));
+    return c.count ? double(c.deltas[i]) / double(c.count) : 0.0;
 }
 
 /** The structural invariants every spans-on scenario run must obey,
@@ -125,23 +125,10 @@ checkInvariants(const std::string &who, const SimMetrics &m)
           who + ": more spans than completed requests");
 
     // The telescoping partition: in_span + outside equals the run's
-    // own measurement delta, cause by cause.
-    for (unsigned c = 0; c < kNumMissCauses; ++c) {
-        const std::string path = std::string("missAttribution.") +
-            missCauseName(static_cast<MissCause>(c));
-        const std::uint64_t whole =
-            m.stats.has(path) ? m.stats.value(path) : 0;
-        const std::uint64_t split =
-            tail.inSpan.missCount[c] + tail.outside.missCount[c];
-        check(split == whole, who + ": span partition broke for " +
-                                  path);
-    }
-    check(tail.inSpan.l1iMisses + tail.outside.l1iMisses ==
-              m.stats.value("l1i.demand_misses"),
-          who + ": span partition broke for l1i.demand_misses");
-    check(tail.inSpan.itlbMisses + tail.outside.itlbMisses ==
-              m.stats.value("itlb.misses"),
-          who + ": span partition broke for itlb.misses");
+    // own measurement delta, entry by entry of the span table.
+    for (const std::string &broken :
+         hpbench::brokenSpanPartitions(m.stats, tail))
+        check(false, who + ": span partition broke for " + broken);
 
     for (const obs::TailGroup &g : tail.groups) {
         const obs::SpanCohort worst = g.tailCohort();

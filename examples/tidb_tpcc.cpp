@@ -52,7 +52,7 @@ characterize(const AppProfile &profile,
                 ? inst.markerArg : -1;
         }
         if (inst.marker == StreamMarker::RequestBegin) {
-            unsigned type = engine.currentType();
+            const unsigned type = inst.markerArg; // the request type
             if (last_seen[type] != 0)
                 recurrence_gap.sample(double(seq - last_seen[type]));
             last_seen[type] = seq;

@@ -52,8 +52,8 @@ CacheHierarchy::dramQueueDelay(Cycle now)
     lvl.dramNextFree = start + lvl.dramGapCycles;
     const Cycle delay = start - now;
     if (delay > 0) {
-        ++lvl.dramQueuedFills;
-        lvl.dramQueueCycles += delay;
+        ++stats_.dramQueuedFills;
+        stats_.dramQueueCycles += delay;
     }
     return delay;
 }
@@ -511,9 +511,12 @@ CacheHierarchy::metadataRead(std::uint64_t bytes, Cycle now)
         metadataReads_ % params_.metadataDramEvery == 0;
     // Shared metadata read port: replay chain-walks from all cores
     // arbitrate FCFS for its bandwidth (inert when unmodeled).
-    Cycle start = lvl_->mdArbiter.enabled()
-        ? lvl_->mdArbiter.acquire(bytes, now)
-        : now;
+    Cycle start = now;
+    if (lvl_->mdArbiter.enabled()) {
+        start = lvl_->mdArbiter.acquire(bytes, now);
+        ++stats_.mdArbiterReads;
+        stats_.mdArbiterStallCycles += start - now;
+    }
     Cycle ready = start +
         (from_dram ? params_.memLatency : params_.llcLatency);
     HP_EMIT(obs_, emitSpan(EventKind::MetadataRead, now, ready,
@@ -608,6 +611,12 @@ CacheHierarchy::registerStats(StatsRegistry &reg) const
             [&s] { return s.dramMetadataReadBytes; });
     reg.add("dram.metadata_write_bytes",
             [&s] { return s.dramMetadataWriteBytes; });
+    reg.add("mt.dram_queued_fills", [&s] { return s.dramQueuedFills; });
+    reg.add("mt.dram_queue_cycles", [&s] { return s.dramQueueCycles; });
+    reg.add("mt.metadata_arbiter_reads",
+            [&s] { return s.mdArbiterReads; });
+    reg.add("mt.metadata_arbiter_stall_cycles",
+            [&s] { return s.mdArbiterStallCycles; });
 
     itlb_.registerStats(reg, "itlb");
 

@@ -217,11 +217,13 @@ struct HierarchyStats
     std::uint64_t dramMetadataReadBytes = 0;
     std::uint64_t dramMetadataWriteBytes = 0;
 
-    std::uint64_t totalMissCycles() const
-    {
-        return missCyclesL2 + missCyclesLlc + missCyclesMem +
-               missCyclesMshr;
-    }
+    /** This core's waits at the shared ports (DESIGN.md §12): DRAM
+     *  fills that queued and their queueing cycles, and metadata reads
+     *  through the arbiter and the cycles they waited for it. */
+    std::uint64_t dramQueuedFills = 0;
+    std::uint64_t dramQueueCycles = 0;
+    std::uint64_t mdArbiterReads = 0;
+    std::uint64_t mdArbiterStallCycles = 0;
 
     template <class Ar>
     void
@@ -251,6 +253,10 @@ struct HierarchyStats
         ar.value(dramExtBytes);
         ar.value(dramMetadataReadBytes);
         ar.value(dramMetadataWriteBytes);
+        ar.value(dramQueuedFills);
+        ar.value(dramQueueCycles);
+        ar.value(mdArbiterReads);
+        ar.value(mdArbiterStallCycles);
     }
 };
 
@@ -258,10 +264,11 @@ struct HierarchyStats
  * The levels of the hierarchy that consolidated cores share: the
  * instruction shares of the unified L2 and LLC, the DRAM fill port
  * (optional minimum-gap bandwidth model), and the Metadata Buffer
- * read-port arbiter (DESIGN.md §12). A single-core CacheHierarchy
- * privately owns one of these, so the classic path is the N=1
- * special case with every contention knob off — bit-identical to the
- * pre-multi-core model.
+ * read-port arbiter (DESIGN.md §12). It holds port state only; each
+ * core's CacheHierarchy counts its own waits. A single-core
+ * CacheHierarchy privately owns one of these, so the classic path is
+ * the N=1 special case with every contention knob off — bit-identical
+ * to the pre-multi-core model.
  */
 struct SharedLevels
 {
@@ -279,9 +286,6 @@ struct SharedLevels
     unsigned dramGapCycles = 0;
     /** Next cycle the DRAM fill port is free. */
     Cycle dramNextFree = 0;
-
-    std::uint64_t dramQueuedFills = 0; ///< Fills that waited.
-    std::uint64_t dramQueueCycles = 0; ///< Total fill queueing delay.
 };
 
 /**
@@ -366,8 +370,9 @@ class CacheHierarchy : public MetadataMemory
     /**
      * Registers every hierarchy counter: the l1i/l2i/llc demand path,
      * the per-origin fdip/ext prefetch stats, DRAM traffic buckets,
-     * the I-TLB (which this hierarchy owns) under "itlb", and the
-     * miss-attribution cause classes under "missAttribution".
+     * this core's shared-port waits under "mt", the I-TLB (which this
+     * hierarchy owns) under "itlb", and the miss-attribution cause
+     * classes under "missAttribution".
      */
     void registerStats(StatsRegistry &reg) const;
 
@@ -385,10 +390,6 @@ class CacheHierarchy : public MetadataMemory
     SetAssocCache &l2() { return l2_; }
     SetAssocCache &llc() { return llc_; }
     const HierarchyParams &params() const { return params_; }
-    const std::shared_ptr<SharedLevels> &sharedLevels() const
-    {
-        return lvl_;
-    }
 
     /** Serializes/restores caches, MSHRs, and counters. */
     template <class Ar> void serializeState(Ar &ar);

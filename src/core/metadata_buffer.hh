@@ -82,7 +82,9 @@ struct Segment
  * read port; each read occupies it for ceil(bytes / bytesPerCycle)
  * cycles and later reads queue FCFS behind it. Disabled (0
  * bytes/cycle, the single-core default) every read starts
- * immediately, exactly the pre-multi-core behavior.
+ * immediately, exactly the pre-multi-core behavior. The arbiter holds
+ * only the port state; each core's CacheHierarchy counts its own
+ * reads and stall cycles.
  */
 class MetadataReadArbiter
 {
@@ -100,26 +102,20 @@ class MetadataReadArbiter
     Cycle
     acquire(std::uint64_t bytes, Cycle now)
     {
-        ++reads_;
         if (bytesPerCycle_ == 0)
             return now;
         const Cycle start = nextFree_ > now ? nextFree_ : now;
-        stallCycles_ += start - now;
         const Cycle busy =
             (bytes + bytesPerCycle_ - 1) / bytesPerCycle_;
         nextFree_ = start + busy;
         return start;
     }
 
-    std::uint64_t reads() const { return reads_; }
-    std::uint64_t stallCycles() const { return stallCycles_; }
     Cycle nextFree() const { return nextFree_; }
 
   private:
     unsigned bytesPerCycle_;
     Cycle nextFree_ = 0;
-    std::uint64_t reads_ = 0;
-    std::uint64_t stallCycles_ = 0;
 };
 
 /**

@@ -72,7 +72,9 @@ struct DynInst
     /** Static function containing the instruction (probe/debug aid). */
     std::uint32_t func = 0;
 
-    /** Auxiliary marker payload (stage index for StageBegin). */
+    /** Auxiliary marker payload: the stage index for StageBegin; for
+     *  RequestBegin the request type (the chain index in scenario
+     *  streams). */
     std::uint16_t markerArg = 0;
 
     InstKind kind = InstKind::Plain;

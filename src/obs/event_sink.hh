@@ -65,9 +65,11 @@ class EventSink
     std::size_t size() const { return ring_.size(); }
     std::size_t capacity() const { return cap_; }
     std::uint64_t emitted() const { return emitted_; }
+    /** Events dropped since the last drain. */
     std::uint64_t dropped() const { return dropped_; }
 
-    /** Copies the retained events, oldest first. */
+    /** Moves the retained events out, oldest first; the drop count
+     *  restarts with them. */
     std::vector<TraceEvent>
     drain()
     {
@@ -76,6 +78,7 @@ class EventSink
         for (std::size_t i = 0; i < ring_.size(); ++i)
             out.push_back(ring_[i]);
         ring_.clear();
+        dropped_ = 0;
         return out;
     }
 

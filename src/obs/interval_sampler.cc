@@ -50,6 +50,14 @@ IntervalSampler::sample(std::uint64_t committed, bool measuring)
 }
 
 void
+IntervalSampler::anchor(std::uint64_t committed)
+{
+    lastInsts_ = committed;
+    last_ = read();
+    nextAt_ = (committed / interval_ + 1) * interval_;
+}
+
+void
 IntervalSampler::finalSample(std::uint64_t committed, bool measuring)
 {
     if (committed > lastInsts_)

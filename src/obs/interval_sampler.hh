@@ -13,6 +13,7 @@
 #define HP_OBS_INTERVAL_SAMPLER_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "stats/registry.hh"
@@ -60,8 +61,15 @@ class IntervalSampler
     /** Forces a final sample at the current position (run end). */
     void finalSample(std::uint64_t committed, bool measuring);
 
+    /**
+     * Restarts the deltas at @p committed and the counters' values
+     * now, for a simulator a checkpoint restore moved: the next row
+     * covers only instructions simulated after the move.
+     */
+    void anchor(std::uint64_t committed);
+
     const std::vector<SampleRow> &rows() const { return rows_; }
-    std::vector<SampleRow> takeRows() { return std::move(rows_); }
+    std::vector<SampleRow> takeRows() { return std::exchange(rows_, {}); }
     std::uint64_t interval() const { return interval_; }
 
   private:

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/logging.hh"
+
 namespace hp::obs
 {
 
@@ -26,45 +28,63 @@ heapCmp(const RequestSpan &a, const RequestSpan &b)
     return worseThan(a, b);
 }
 
-} // namespace
-
-SpanCounters
-SpanCounters::delta(const SpanCounters &a, const SpanCounters &b)
+/** @p into += @p later - @p earlier, entry by entry. */
+void
+accumulate(SpanCounters &into, const SpanCounters &later,
+           const SpanCounters &earlier = {})
 {
-    SpanCounters d;
-    for (unsigned i = 0; i < kNumMissCauses; ++i) {
-        d.missCount[i] = a.missCount[i] - b.missCount[i];
-        d.missLatency[i] = a.missLatency[i] - b.missLatency[i];
-    }
-    d.fdipUseful = a.fdipUseful - b.fdipUseful;
-    d.fdipLate = a.fdipLate - b.fdipLate;
-    d.extUseful = a.extUseful - b.extUseful;
-    d.extLate = a.extLate - b.extLate;
-    d.itlbMisses = a.itlbMisses - b.itlbMisses;
-    d.l1iMisses = a.l1iMisses - b.l1iMisses;
-    d.missCycles = a.missCycles - b.missCycles;
-    d.contextSwitches = a.contextSwitches - b.contextSwitches;
-    d.mdArbiterStallCycles =
-        a.mdArbiterStallCycles - b.mdArbiterStallCycles;
-    return d;
+    for (std::size_t i = 0; i < kNumSpanCounters; ++i)
+        into[i] += later[i] - earlier[i];
 }
 
-void
-SpanCounters::add(const SpanCounters &other)
+} // namespace
+
+const std::array<SpanCounterSpec, kNumSpanCounters> &
+spanCounterTable()
 {
-    for (unsigned i = 0; i < kNumMissCauses; ++i) {
-        missCount[i] += other.missCount[i];
-        missLatency[i] += other.missLatency[i];
+    static const std::array<SpanCounterSpec, kNumSpanCounters> table =
+        [] {
+            std::array<SpanCounterSpec, kNumSpanCounters> t;
+            std::size_t n = 0;
+            auto add = [&t, &n](std::string key,
+                                std::vector<std::string> paths) {
+                t[n++] = {std::move(key), std::move(paths)};
+            };
+            for (unsigned c = 0; c < kNumMissCauses; ++c) {
+                const std::string name =
+                    missCauseName(static_cast<MissCause>(c));
+                add(name, {"missAttribution." + name});
+                add(name + "_latency_cycles",
+                    {"missAttribution." + name + "_latency_cycles"});
+            }
+            add("fdip_useful", {"fdip.useful_l1"});
+            add("fdip_late", {"fdip.late_merges"});
+            add("ext_useful", {"ext.useful_l1"});
+            add("ext_late", {"ext.late_merges"});
+            add("itlb_misses", {"itlb.misses"});
+            add("l1i_demand_misses", {"l1i.demand_misses"});
+            add("miss_cycles",
+                {"l1i.miss_cycles_l2", "l1i.miss_cycles_llc",
+                 "l1i.miss_cycles_mem", "l1i.miss_cycles_mshr"});
+            add("context_switches", {"sim.context_switches"});
+            add("md_arbiter_stall_cycles",
+                {"mt.metadata_arbiter_stall_cycles"});
+            panicIf(n != kNumSpanCounters,
+                    "span table size disagrees with kNumSpanCounters");
+            return t;
+        }();
+    return table;
+}
+
+std::size_t
+spanCounterIndex(const std::string &key)
+{
+    const auto &table = spanCounterTable();
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        if (table[i].key == key)
+            return i;
     }
-    fdipUseful += other.fdipUseful;
-    fdipLate += other.fdipLate;
-    extUseful += other.extUseful;
-    extLate += other.extLate;
-    itlbMisses += other.itlbMisses;
-    l1iMisses += other.l1iMisses;
-    missCycles += other.missCycles;
-    contextSwitches += other.contextSwitches;
-    mdArbiterStallCycles += other.mdArbiterStallCycles;
+    panic("no span counter '" + key + "'");
 }
 
 void
@@ -74,7 +94,7 @@ SpanCohort::add(const RequestSpan &s)
     latencySum += s.latency;
     serviceSum += s.service;
     queueingSum += s.queueing;
-    deltas.add(s.deltas);
+    accumulate(deltas, s.deltas);
 }
 
 SpanCohort
@@ -118,8 +138,8 @@ mergeTailAttribution(TailAttribution &into, const TailAttribution &w)
 {
     if (into.topK == 0)
         into.topK = w.topK;
-    into.inSpan.add(w.inSpan);
-    into.outside.add(w.outside);
+    accumulate(into.inSpan, w.inSpan);
+    accumulate(into.outside, w.outside);
     into.spansRecorded += w.spansRecorded;
     into.spansDropped += w.spansDropped;
 
@@ -168,10 +188,16 @@ mergeTailAttribution(TailAttribution &into, const TailAttribution &w)
 }
 
 RequestSpanTracker::RequestSpanTracker(
+    const StatsRegistry &registry,
     std::vector<std::pair<std::string, std::string>> chains,
     std::size_t top_k, EventSink *sink)
     : topK_(top_k ? top_k : 1), sink_(sink)
 {
+    const auto &table = spanCounterTable();
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        for (const std::string &path : table[i].paths)
+            readers_.emplace_back(i, registry.reader(path));
+    }
     groups_.reserve(chains.size());
     std::uint64_t idx = 0;
     for (auto &[name, services] : chains) {
@@ -186,12 +212,21 @@ RequestSpanTracker::RequestSpanTracker(
     }
 }
 
+SpanCounters
+RequestSpanTracker::read() const
+{
+    SpanCounters now{};
+    for (const auto &[entry, reader] : readers_)
+        now[entry] += reader();
+    return now;
+}
+
 void
-RequestSpanTracker::beginRecording(const SpanCounters &now)
+RequestSpanTracker::beginRecording()
 {
     recording_ = true;
     inSpan_ = false;
-    lastSnap_ = now;
+    lastSnap_ = read();
     inSpanTotal_ = SpanCounters{};
     outsideTotal_ = SpanCounters{};
     spansRecorded_ = 0;
@@ -206,12 +241,13 @@ RequestSpanTracker::beginRecording(const SpanCounters &now)
 
 void
 RequestSpanTracker::onBegin(std::uint64_t cycle, std::uint32_t chain,
-                            bool detailed, const SpanCounters &now)
+                            bool detailed)
 {
     if (!recording_)
         return;
     // Whatever accrued since the last edge happened between requests.
-    outsideTotal_.add(SpanCounters::delta(now, lastSnap_));
+    const SpanCounters now = read();
+    accumulate(outsideTotal_, now, lastSnap_);
     lastSnap_ = now;
     inSpan_ = true;
     beganDetailed_ = detailed;
@@ -225,13 +261,13 @@ RequestSpanTracker::onBegin(std::uint64_t cycle, std::uint32_t chain,
 void
 RequestSpanTracker::onEnd(std::uint64_t cycle, bool completed,
                           std::uint64_t latency, std::uint64_t service,
-                          std::uint64_t queueing,
-                          const SpanCounters &now)
+                          std::uint64_t queueing)
 {
     if (!recording_ || !inSpan_)
         return;
     inSpan_ = false;
-    inSpanTotal_.add(SpanCounters::delta(now, lastSnap_));
+    const SpanCounters now = read();
+    accumulate(inSpanTotal_, now, lastSnap_);
     lastSnap_ = now;
 
     if (!completed || !beganDetailed_) {
@@ -251,7 +287,7 @@ RequestSpanTracker::onEnd(std::uint64_t cycle, bool completed,
     span.service = service;
     span.queueing = queueing;
     span.hops = curHops_;
-    span.deltas = SpanCounters::delta(now, spanStart_);
+    accumulate(span.deltas, now, spanStart_);
     recordSpan(span);
 
     if (sink_) {
@@ -318,7 +354,7 @@ RequestSpanTracker::recordSpan(const RequestSpan &span)
 }
 
 TailAttribution
-RequestSpanTracker::report(const SpanCounters &now) const
+RequestSpanTracker::report() const
 {
     TailAttribution out;
     out.topK = topK_;
@@ -328,12 +364,9 @@ RequestSpanTracker::report(const SpanCounters &now) const
     out.spansDropped = spansDropped_;
 
     // Close the telescoping: everything since the last edge (or the
-    // open span's start) up to "now" — snapshotted at the same instant
-    // as the measurement delta — so inSpan + outside partitions it.
-    if (inSpan_)
-        out.inSpan.add(SpanCounters::delta(now, lastSnap_));
-    else
-        out.outside.add(SpanCounters::delta(now, lastSnap_));
+    // open span's start) up to now — the instant of the measurement
+    // delta — so inSpan + outside partitions it.
+    accumulate(inSpan_ ? out.inSpan : out.outside, read(), lastSnap_);
 
     out.groups.reserve(groups_.size());
     for (const GroupState &g : groups_) {

@@ -4,25 +4,26 @@
  *
  * A *request span* covers one end-to-end request chain of a scenario
  * run, from the commit of its RequestBegin marker to the commit of its
- * final RequestEnd. At both edges the simulator snapshots the small
- * set of cause-level counters a tail investigation needs — the six
- * `missAttribution.*` classes (counts and latency cycles), prefetch
- * timeliness (useful vs late, FDIP and Ext separately), I-TLB misses,
- * L1-I demand misses and total miss cycles, context switches, and the
- * shared metadata-arbiter stall clock — so each completed span carries
- * the exact per-request delta of every one of them, plus the Lindley
- * queueing-vs-service split the latency tracker computed for it.
+ * final RequestEnd. At both edges the tracker reads the span table
+ * (spanCounterTable) through the core's stats registry: the cause-level
+ * counters a tail investigation needs — the six `missAttribution.*`
+ * classes (counts and latency cycles), prefetch timeliness (useful vs
+ * late, FDIP and Ext separately), I-TLB misses, L1-I demand misses and
+ * total miss cycles, context switches, and the core's metadata-port
+ * stall cycles — so each completed span carries the exact per-request
+ * delta of every one of them, plus the Lindley queueing-vs-service
+ * split the latency tracker computed for it.
  *
  * The tracker keeps the accounting bounded: per request chain it
  * retains an exact top-K worst-latency set (min-heap) and a uniform
  * reservoir (Algorithm R, deterministically seeded) that supplies the
  * median cohort for contrast. It also telescopes the snapshots into
- * two running totals — cycles attributed *inside* spans and *outside*
+ * two running totals — counts and cycles *inside* spans and *outside*
  * them — such that `inSpan + outside` equals the measurement-phase
- * registry delta of each counter exactly (the partition invariant
- * obs_overhead_check enforces). Everything here is observational: the
- * tracker only ever reads counters, so enabling it cannot perturb a
- * single architectural number.
+ * registry delta of every table entry exactly (the partition invariant
+ * tail_attribution and obs_overhead_check enforce). Everything here is
+ * observational: the tracker only ever reads counters, so enabling it
+ * cannot perturb a single architectural number.
  */
 
 #ifndef HP_OBS_REQUEST_SPAN_HH
@@ -35,35 +36,36 @@
 
 #include "obs/event_sink.hh"
 #include "obs/miss_attribution.hh"
+#include "stats/registry.hh"
 #include "util/rng.hh"
 
 namespace hp::obs
 {
 
-/** The counters a span snapshots at each edge (all monotone). */
-struct SpanCounters
+/** Entries of the span table. */
+constexpr std::size_t kNumSpanCounters = 2 * kNumMissCauses + 9;
+
+/** One value per span-table entry: a snapshot, a delta or a sum. */
+using SpanCounters = std::array<std::uint64_t, kNumSpanCounters>;
+
+/** One span-table entry. */
+struct SpanCounterSpec
 {
-    std::array<std::uint64_t, kNumMissCauses> missCount{};
-    std::array<std::uint64_t, kNumMissCauses> missLatency{};
-    std::uint64_t fdipUseful = 0;
-    std::uint64_t fdipLate = 0;
-    std::uint64_t extUseful = 0;
-    std::uint64_t extLate = 0;
-    std::uint64_t itlbMisses = 0;
-    std::uint64_t l1iMisses = 0;
-    std::uint64_t missCycles = 0; ///< Total demand miss-service cycles.
-    std::uint64_t contextSwitches = 0;
-    std::uint64_t mdArbiterStallCycles = 0;
-
-    /** Element-wise a - b (valid when a was snapshotted after b). */
-    static SpanCounters delta(const SpanCounters &a,
-                              const SpanCounters &b);
-
-    /** Element-wise accumulate. */
-    void add(const SpanCounters &other);
-
-    bool operator==(const SpanCounters &) const = default;
+    std::string key;                ///< Key in the tailAttribution block.
+    std::vector<std::string> paths; ///< Registry paths it sums.
 };
+
+/**
+ * The span table, in report order: each `missAttribution.*` class
+ * (count, then latency cycles), `fdip`/`ext` useful and late,
+ * `itlb.misses`, `l1i.demand_misses`, the four `l1i.miss_cycles_*`
+ * summed, `sim.context_switches` and the core's
+ * `mt.metadata_arbiter_stall_cycles`. All are monotone.
+ */
+const std::array<SpanCounterSpec, kNumSpanCounters> &spanCounterTable();
+
+/** Index of the table entry reported as @p key (a panic if none). */
+std::size_t spanCounterIndex(const std::string &key);
 
 /** One completed request span (kept in the bounded reservoirs). */
 struct RequestSpan
@@ -76,7 +78,7 @@ struct RequestSpan
     std::uint64_t service = 0;  ///< Commit-measured service cycles.
     std::uint64_t queueing = 0; ///< latency - service.
     std::uint32_t hops = 0;     ///< Cross-service hand-offs observed.
-    SpanCounters deltas;        ///< End-edge minus begin-edge snapshot.
+    SpanCounters deltas{};      ///< End-edge minus begin-edge snapshot.
 };
 
 /** Sum of a cohort of spans (tail or median; report side). */
@@ -86,7 +88,7 @@ struct SpanCohort
     std::uint64_t latencySum = 0;
     std::uint64_t serviceSum = 0;
     std::uint64_t queueingSum = 0;
-    SpanCounters deltas;
+    SpanCounters deltas{};
 
     void add(const RequestSpan &s);
 };
@@ -125,8 +127,8 @@ struct TailAttribution
 
     /** Counter cycles/events that landed inside spans vs between
      *  them; the two exactly partition the measurement delta. */
-    SpanCounters inSpan;
-    SpanCounters outside;
+    SpanCounters inSpan{};
+    SpanCounters outside{};
 
     std::uint64_t spansRecorded = 0;
     std::uint64_t spansDropped = 0; ///< Begin/end in a FF segment.
@@ -148,6 +150,9 @@ class RequestSpanTracker
 {
   public:
     /**
+     * @param registry The core's registry. Every span-table path must
+     *        be registered (a panic otherwise); the readers are
+     *        resolved here, once, and must outlive the tracker.
      * @param chains One (name, comma-joined services) label per
      *        request chain of the scenario.
      * @param top_k Reservoir bound per chain (>= 1).
@@ -155,20 +160,22 @@ class RequestSpanTracker
      *        trace events (may be null).
      */
     RequestSpanTracker(
+        const StatsRegistry &registry,
         std::vector<std::pair<std::string, std::string>> chains,
         std::size_t top_k, EventSink *sink);
 
     /**
      * Starts a measurement phase: clears reservoirs, drops any open
-     * span, and anchors the telescoping totals at @p now. Until this
-     * is called the tracker ignores all begin/end edges.
+     * span, and anchors the telescoping totals at the counters' values
+     * now. Until this is called the tracker ignores all begin/end
+     * edges.
      */
-    void beginRecording(const SpanCounters &now);
+    void beginRecording();
 
     /** A RequestBegin marker committed. @p detailed is false under
      *  the fast-forward clock (the span will be dropped). */
     void onBegin(std::uint64_t cycle, std::uint32_t chain,
-                 bool detailed, const SpanCounters &now);
+                 bool detailed);
 
     /**
      * The matching RequestEnd committed. @p completed is false when
@@ -177,7 +184,7 @@ class RequestSpanTracker
      */
     void onEnd(std::uint64_t cycle, bool completed,
                std::uint64_t latency, std::uint64_t service,
-               std::uint64_t queueing, const SpanCounters &now);
+               std::uint64_t queueing);
 
     /**
      * Every committed instruction's PC while a span is open: detects
@@ -194,9 +201,9 @@ class RequestSpanTracker
 
     bool inSpan() const { return inSpan_; }
 
-    /** Builds the report; @p now must be snapshotted at the same
-     *  instant as the measurement-phase registry delta. */
-    TailAttribution report(const SpanCounters &now) const;
+    /** Builds the report; call it at the instant the measurement-
+     *  phase registry delta is taken. */
+    TailAttribution report() const;
 
   private:
     struct GroupState
@@ -213,6 +220,11 @@ class RequestSpanTracker
     void noteCommitWindow(std::uint64_t pc, std::uint64_t cycle);
     void recordSpan(const RequestSpan &span);
 
+    /** Reads every table entry now (no allocation). */
+    SpanCounters read() const;
+
+    /** (table entry, reader of one of its paths), every path once. */
+    std::vector<std::pair<std::size_t, StatsRegistry::Reader>> readers_;
     std::vector<GroupState> groups_;
     std::size_t topK_;
     EventSink *sink_;
@@ -224,11 +236,11 @@ class RequestSpanTracker
     std::uint64_t curBegin_ = 0;
     std::uint32_t curHops_ = 0;
     std::uint64_t curWindow_ = 0; ///< Service index of the last PC.
-    SpanCounters spanStart_;
+    SpanCounters spanStart_{};
 
-    SpanCounters lastSnap_;
-    SpanCounters inSpanTotal_;
-    SpanCounters outsideTotal_;
+    SpanCounters lastSnap_{};
+    SpanCounters inSpanTotal_{};
+    SpanCounters outsideTotal_{};
     std::uint64_t spansRecorded_ = 0;
     std::uint64_t spansDropped_ = 0;
     std::uint64_t nextId_ = 0;

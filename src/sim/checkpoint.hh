@@ -42,7 +42,7 @@ class Simulator;
  * component's serializeState layout changes — a version mismatch
  * rejects the blob instead of misinterpreting it.
  */
-constexpr std::uint32_t kCheckpointFormatVersion = 2;
+constexpr std::uint32_t kCheckpointFormatVersion = 3;
 
 /**
  * The warmup-equivalence twin of @p config: every field the warmup

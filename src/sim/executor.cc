@@ -122,31 +122,4 @@ Executor::runPairs(const std::vector<SimConfig> &configs)
     return results;
 }
 
-std::vector<RunPair>
-Executor::runGrid(const std::vector<std::string> &workloads,
-                  const std::vector<PrefetcherKind> &kinds,
-                  const SimConfig &base)
-{
-    // A default-constructed base means "paper defaults": route through
-    // defaultConfig() so opt-in sampling (HP_SAMPLE / --sample) applies
-    // exactly as it does for single runPair() experiments. A customized
-    // base is the caller pinning an exact configuration — leave it
-    // untouched, sampling included.
-    const bool default_base = base == SimConfig{};
-    std::vector<SimConfig> configs;
-    configs.reserve(workloads.size() * kinds.size());
-    for (const std::string &workload : workloads) {
-        for (PrefetcherKind kind : kinds) {
-            SimConfig config =
-                default_base ? defaultConfig(workload, kind) : base;
-            config.workload = workload;
-            config.prefetcher = kind;
-            if (kind == PrefetcherKind::Hierarchical)
-                config.hier.trackBundleStats = true;
-            configs.push_back(std::move(config));
-        }
-    }
-    return runPairs(configs);
-}
-
 } // namespace hp

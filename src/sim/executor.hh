@@ -82,17 +82,6 @@ class Executor
     /** runAll for pairs: every config plus its FDIP baseline. */
     std::vector<RunPair> runPairs(const std::vector<SimConfig> &configs);
 
-    /**
-     * Convenience full-grid sweep: @p base with workload and
-     * prefetcher kind applied for every (workload, kind) pair, each
-     * paired with its FDIP baseline. Results are workload-major:
-     * result[w * kinds.size() + k].
-     */
-    std::vector<RunPair>
-    runGrid(const std::vector<std::string> &workloads,
-            const std::vector<PrefetcherKind> &kinds,
-            const SimConfig &base = SimConfig{});
-
   private:
     void workerLoop();
 

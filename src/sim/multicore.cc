@@ -53,12 +53,12 @@ MultiCoreSimulator::MultiCoreSimulator(const SimConfig &config)
     const unsigned n = std::min<unsigned>(
         mt.coreCount(), unsigned(mt.tenants.size()));
 
-    shared_ = std::make_shared<SharedLevels>(
+    const auto shared = std::make_shared<SharedLevels>(
         cfg_.mem, mt.metadataReadBytesPerCycle, mt.dramFillGapCycles);
 
     for (unsigned i = 0; i < n; ++i) {
         CoreInit init;
-        init.shared = shared_;
+        init.shared = shared;
         // Round-robin tenant placement: core i hosts tenants
         // i, i+n, i+2n, ...
         for (std::size_t t = i; t < mt.tenants.size(); t += n)
@@ -146,8 +146,10 @@ MultiCoreSimulator::combineResults() const
     }
     // The report snapshot: aggregate first (so every single-core
     // consumer of metrics.stats keeps working on the combined view),
-    // then per-core copies under "core<i>.", then the shared
-    // contention counters under "mt.".
+    // then per-core copies under "core<i>.", then the consolidation's
+    // shape under "mt.". Each core counts its own waits at the shared
+    // ports (mt.dram_*, mt.metadata_arbiter_*), so the aggregate's
+    // mt.* are sums of per-core measurement deltas like any counter.
     StatsSnapshot snap;
     for (const auto &[path, value] : acc)
         snap.add(path, value);
@@ -156,18 +158,12 @@ MultiCoreSimulator::combineResults() const
         const std::string prefix = "core" + std::to_string(i) + ".";
         for (const auto &[path, value] : results_[i].stats.entries())
             snap.add(prefix + path, value);
-        if (results_[i].stats.has("sim.context_switches"))
-            switches += results_[i].stats.value("sim.context_switches");
+        switches += results_[i].stats.value("sim.context_switches");
     }
     snap.add("mt.cores", coreCount());
     snap.add("mt.tenants", cfg_.mt.tenants.size());
     snap.add("mt.context_switches", switches);
     snap.add("mt.partitioned", cfg_.mt.partitionMetadata ? 1 : 0);
-    snap.add("mt.metadata_arbiter_reads", shared_->mdArbiter.reads());
-    snap.add("mt.metadata_arbiter_stall_cycles",
-             shared_->mdArbiter.stallCycles());
-    snap.add("mt.dram_queued_fills", shared_->dramQueuedFills);
-    snap.add("mt.dram_queue_cycles", shared_->dramQueueCycles);
 
     SimMetrics combined = SimMetrics::fromStats(std::move(snap));
     for (const SimMetrics &r : results_) {

@@ -37,8 +37,9 @@ SimConfig normalizeTenants(const SimConfig &config);
  * Runs a consolidated multi-core simulation to completion and returns
  * the combined metrics: unprefixed paths aggregate the cores (sums;
  * sim.cycles is the max — wall-clock, not core-time), per-core copies
- * appear under "core<i>." prefixes, and "mt.*" carries the shared
- * contention counters. Interval sampling is not modeled for
+ * appear under "core<i>." prefixes, and "mt.*" carries the shared-port
+ * contention (summed per-core measurement deltas) and the
+ * consolidation's shape. Interval sampling is not modeled for
  * consolidations; the run is always a full measurement.
  */
 SimMetrics runMultiTenant(const SimConfig &config);
@@ -61,7 +62,6 @@ class MultiCoreSimulator
     SimMetrics combineResults() const;
 
     SimConfig cfg_;
-    std::shared_ptr<SharedLevels> shared_;
     std::vector<std::unique_ptr<Simulator>> cores_;
     std::vector<SimMetrics> results_;
 };

@@ -143,28 +143,16 @@ appendLatency(std::ostringstream &out, const LatencyReport &l)
         << "      },\n";
 }
 
-/** One SpanCounters object on a single line (cause counts +
- *  latencies, then the scalar counters, in struct order). */
+/** One SpanCounters object on a single line, keyed by the span
+ *  table in table order. */
 void
 appendSpanCounters(std::ostringstream &out, const obs::SpanCounters &c)
 {
+    const auto &table = obs::spanCounterTable();
     out << '{';
-    for (unsigned i = 0; i < kNumMissCauses; ++i) {
-        const char *name = missCauseName(static_cast<MissCause>(i));
-        out << '"' << name << "\": " << c.missCount[i] << ", \""
-            << name << "_latency_cycles\": " << c.missLatency[i]
-            << ", ";
-    }
-    out << "\"fdip_useful\": " << c.fdipUseful
-        << ", \"fdip_late\": " << c.fdipLate
-        << ", \"ext_useful\": " << c.extUseful
-        << ", \"ext_late\": " << c.extLate
-        << ", \"itlb_misses\": " << c.itlbMisses
-        << ", \"l1i_demand_misses\": " << c.l1iMisses
-        << ", \"miss_cycles\": " << c.missCycles
-        << ", \"context_switches\": " << c.contextSwitches
-        << ", \"md_arbiter_stall_cycles\": " << c.mdArbiterStallCycles
-        << '}';
+    for (std::size_t i = 0; i < table.size(); ++i)
+        out << (i ? ", " : "") << '"' << table[i].key << "\": " << c[i];
+    out << '}';
 }
 
 /** One cohort (count + cycle sums + its counter deltas). */

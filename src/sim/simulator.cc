@@ -57,16 +57,16 @@ Simulator::makeTenant(const std::string &name)
     if (name == "@scenario") {
         fatalIf(cfg_.scenario.empty(),
                 "tenant '@scenario' without a scenario spec");
-        t.scenario = cachedScenario(cfg_.scenario);
-        t.scenEngine = std::make_unique<ScenarioEngine>(t.scenario);
+        t.scenEngine = std::make_unique<ScenarioEngine>(
+            cachedScenario(cfg_.scenario));
         // The first service is the scenario's primary: its profile
-        // supplies the data-DRAM model, its app the inspection hook.
-        t.profile = &appProfile(scenarioPrimaryProfile(*t.scenario));
-        t.app = t.scenEngine->serviceApp(0);
+        // supplies the data-DRAM model.
+        t.profile =
+            &appProfile(scenarioPrimaryProfile(t.scenEngine->scenario()));
     } else {
         t.profile = &appProfile(name);
-        t.app = ProgramBuilder::cached(*t.profile);
-        t.engine = std::make_unique<RequestEngine>(t.app, *t.profile);
+        t.engine = std::make_unique<RequestEngine>(
+            ProgramBuilder::cached(*t.profile), *t.profile);
     }
     return t;
 }
@@ -139,30 +139,9 @@ Simulator::Simulator(const SimConfig &config, const CoreInit &init)
             chains.emplace_back(chain.name, std::move(walk));
         }
         spanTracker_ = std::make_unique<obs::RequestSpanTracker>(
-            std::move(chains), ocfg.spanReservoir, obs_.get());
+            registry_, std::move(chains), ocfg.spanReservoir,
+            obs_.get());
     }
-}
-
-obs::SpanCounters
-Simulator::spanCountersNow()
-{
-    obs::SpanCounters c;
-    const MissAttribution::Counters &attr =
-        hier_.missAttribution().counters();
-    c.missCount = attr.count;
-    c.missLatency = attr.latencyCycles;
-    const HierarchyStats &hs = hier_.stats();
-    c.fdipUseful = hs.fdip.usefulL1;
-    c.fdipLate = hs.fdip.lateMerges;
-    c.extUseful = hs.ext.usefulL1;
-    c.extLate = hs.ext.lateMerges;
-    c.itlbMisses = hier_.itlb().misses();
-    c.l1iMisses = hs.demandL1Misses;
-    c.missCycles = hs.totalMissCycles();
-    c.contextSwitches = contextSwitches_;
-    c.mdArbiterStallCycles =
-        hier_.sharedLevels()->mdArbiter.stallCycles();
-    return c;
 }
 
 void
@@ -208,23 +187,17 @@ Simulator::contextSwitch()
 
 Simulator::~Simulator()
 {
-    // Fallback for runs torn down before finishRun (or without one):
-    // hand over whatever was captured so the trace is not lost.
-    if ((obs_ && obs_->emitted() > 0) ||
-        (sampler_ && !sampler_->rows().empty())) {
-        flushObs();
-    }
+    // Runs torn down without an endMeasurement (a warmup-only
+    // simulator, a sampling scout) still hand over what they captured.
+    flushObs();
 }
 
 void
 Simulator::flushObs()
 {
-    if (obsFlushed_)
+    if ((!obs_ || obs_->size() == 0) &&
+        (!sampler_ || sampler_->rows().empty()))
         return;
-    const obs::ObsConfig &ocfg = obs::config();
-    if (!ocfg.traceEnabled() && !ocfg.timeseriesEnabled())
-        return;
-    obsFlushed_ = true;
 
     obs::RunCapture cap;
     cap.label = cfg_.workload + "/" + prefetcherName(cfg_.prefetcher);
@@ -256,6 +229,8 @@ Simulator::registerStats()
                   [this] { return longRangeAccesses_; });
     registry_.add("sim.long_range_l2_misses",
                   [this] { return longRangeL2Misses_; });
+    registry_.add("sim.context_switches",
+                  [this] { return contextSwitches_; });
 
     hier_.registerStats(registry_);
     btb_.registerStats(registry_, "btb");
@@ -271,9 +246,7 @@ Simulator::registerStats()
         // Multi-tenant core: engine.* keeps its meaning as the
         // core's emitted stream by summing over the tenants (the
         // per-engine closure-over-fields idiom can't follow the
-        // active tenant across switches). sim.context_switches is
-        // registered only here so single-tenant snapshots — and the
-        // goldens pinned over them — are untouched.
+        // active tenant across switches).
         auto sum = [this](std::uint64_t EngineStats::*field) {
             std::uint64_t total = 0;
             for (const TenantRt &t : tenants_)
@@ -292,8 +265,6 @@ Simulator::registerStats()
                       [sum] { return sum(&EngineStats::condBranches); });
         registry_.add("engine.tagged_insts",
                       [sum] { return sum(&EngineStats::taggedInsts); });
-        registry_.add("sim.context_switches",
-                      [this] { return contextSwitches_; });
     }
     // The Hierarchical Prefetcher claims its paper scope "hier";
     // every other prefetcher registers under the generic "pf".
@@ -623,17 +594,14 @@ Simulator::noteCommitMarker(const DynInst &inst, bool detailed)
     // because the scenario stream interleaves no two requests.
     if (inst.marker == StreamMarker::RequestBegin) {
         scenEngine_->tracker().onBegin(cycle_, detailed);
-        if (spanTracker_) {
-            spanTracker_->onBegin(cycle_, inst.markerArg, detailed,
-                                  spanCountersNow());
-        }
+        if (spanTracker_)
+            spanTracker_->onBegin(cycle_, inst.markerArg, detailed);
     } else if (inst.marker == StreamMarker::RequestEnd) {
         const CompletionInfo done =
             scenEngine_->tracker().onEnd(cycle_, detailed);
         if (spanTracker_) {
             spanTracker_->onEnd(cycle_, done.completed, done.latency,
-                                done.service, done.queueing,
-                                spanCountersNow());
+                                done.service, done.queueing);
         }
     }
 }
@@ -641,14 +609,14 @@ Simulator::noteCommitMarker(const DynInst &inst, bool detailed)
 void
 Simulator::beginMeasurement()
 {
-    mode_ = SimMode::DetailedMeasure;
+    measuring_ = true;
     if (scenEngine_)
         scenEngine_->tracker().beginRecording();
     // Anchor the span telescoping at the same instant the registry
     // snapshot below pins, so inSpan + outside partitions the
     // measurement delta exactly.
     if (spanTracker_)
-        spanTracker_->beginRecording(spanCountersNow());
+        spanTracker_->beginRecording();
 
     // The warmup boundary: counters are never reset, so the
     // measurement phase is the end-of-run snapshot minus this one.
@@ -767,7 +735,7 @@ Simulator::endMeasurement(bool pay_advance)
         // ran in between, so the partition invariant is exact.
         m.tailAttribution =
             std::make_shared<const obs::TailAttribution>(
-                spanTracker_->report(spanCountersNow()));
+                spanTracker_->report());
     }
 
     flushObs();
@@ -885,11 +853,8 @@ void
 Simulator::fastForward(std::uint64_t insts)
 {
     panicIf(measuring(), "fastForward() after measurement began");
-    mode_ = SimMode::FastForward;
-    if (insts == 0) {
-        mode_ = SimMode::DetailedWarmup;
+    if (insts == 0)
         return;
-    }
 
     // Timing state cannot advance without the cycle loop: complete
     // every outstanding fill now so the caches reflect all issued
@@ -918,7 +883,6 @@ Simulator::fastForward(std::uint64_t insts)
     }
 
     resyncFrontEnd();
-    mode_ = SimMode::DetailedWarmup;
 }
 
 void
@@ -999,12 +963,15 @@ Simulator::serializeState(Ar &ar)
     // measurement, whatever this instance was doing previously — that
     // is what lets one Simulator replay checkpoint after checkpoint
     // (sim/sampling.cc) instead of paying construction per interval.
-    // The mode and the boundary's owed clock advance are control
+    // The phase and the boundary's owed clock advance are control
     // state, not checkpoint state, so they are reset rather than
-    // serialized.
+    // serialized; the time-series sampler re-anchors at the restored
+    // position, so its next row does not span the jump.
     if constexpr (Ar::loading) {
-        mode_ = SimMode::DetailedWarmup;
+        measuring_ = false;
         owesAdvance_ = true;
+        if (sampler_)
+            sampler_->anchor(committed_);
     }
 }
 

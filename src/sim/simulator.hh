@@ -43,20 +43,6 @@ std::unique_ptr<Prefetcher> makePrefetcher(const SimConfig &config,
                                            MetadataMemory &memory);
 
 /**
- * Execution mode of the simulation engine (see DESIGN.md §10).
- * FastForward updates architectural warm state (caches, predictors,
- * prefetcher metadata) without any per-cycle timing; the two detailed
- * modes run the full cycle loop and differ only in whether the
- * measurement counters accumulate.
- */
-enum class SimMode : std::uint8_t
-{
-    FastForward,
-    DetailedWarmup,
-    DetailedMeasure,
-};
-
-/**
  * Per-core construction parameters for consolidated multi-core runs
  * (DESIGN.md §12). Default-constructed it describes the classic
  * single-core simulation.
@@ -94,7 +80,7 @@ class Simulator
     /** Multi-tenant core inside a consolidated run (DESIGN.md §12). */
     Simulator(const SimConfig &config, const CoreInit &init);
 
-    /** Flushes any pending observability capture (see flushObs). */
+    /** Hands over any pending observability capture (see flushObs). */
     ~Simulator();
 
     /**
@@ -181,17 +167,15 @@ class Simulator
     static constexpr Cycle kNotFetched = ~Cycle(0);
 
     /**
-     * One co-scheduled tenant's runtime: its profile, built app, and
-     * instruction engine. Exactly one of engine/scenEngine is set.
-     * The single-core run is the degenerate one-tenant case, so the
-     * classic path stays bit-identical by construction.
+     * One co-scheduled tenant's runtime: its profile and instruction
+     * engine. Exactly one of engine/scenEngine is set. The single-core
+     * run is the degenerate one-tenant case, so the classic path stays
+     * bit-identical by construction.
      */
     struct TenantRt
     {
         const AppProfile *profile = nullptr;
-        std::shared_ptr<const BuiltApp> app;
         std::unique_ptr<RequestEngine> engine;
-        std::shared_ptr<const Scenario> scenario;
         std::unique_ptr<ScenarioEngine> scenEngine;
     };
 
@@ -253,10 +237,6 @@ class Simulator
      *  when the commit happened under the fast-forward clock). */
     void noteCommitMarker(const DynInst &inst, bool detailed);
 
-    /** Snapshot of the cause-level counters the request-span tracker
-     *  deltas at every span edge (obs/request_span.hh). */
-    obs::SpanCounters spanCountersNow();
-
     /** The per-cycle pipeline: every stage of one cycle, in order. */
     void stepCycle();
 
@@ -292,7 +272,7 @@ class Simulator
     void contextSwitch();
 
     /** True while the measurement counters accumulate. */
-    bool measuring() const { return mode_ == SimMode::DetailedMeasure; }
+    bool measuring() const { return measuring_; }
 
     /**
      * Fast-forwards a run of @p n instructions from @p inst (see
@@ -316,10 +296,11 @@ class Simulator
     void registerStats();
 
     /**
-     * Hands the collected trace events and time-series rows to the
-     * process-global obs::Collector (once; no-op when observability
-     * is off). Called from finishRun and, as a fallback for runs torn
-     * down early, from the destructor.
+     * Hands the trace events and time-series rows collected since the
+     * last hand-over to the process-global obs::Collector (no-op when
+     * nothing accumulated). Called at every endMeasurement, so each
+     * window of a reused sampling simulator is its own capture, and
+     * from the destructor for runs torn down without one.
      */
     void flushObs();
 
@@ -379,7 +360,9 @@ class Simulator
     Cycle commitBlockedUntil_ = 0;
 
     std::uint64_t committed_ = 0;
-    SimMode mode_ = SimMode::DetailedWarmup;
+    /** The measurement phase began (DESIGN.md §10): fast-forward and
+     *  detailed warmup both run with it false. */
+    bool measuring_ = false;
 
     /** The last detailed cycle's clock advance is still unpaid (the
      *  engine stopped at a segment boundary). A fresh simulator owes
@@ -410,7 +393,6 @@ class Simulator
     /** Request spans + tail attribution; created only for scenario
      *  runs with HP_SPANS on. */
     std::unique_ptr<obs::RequestSpanTracker> spanTracker_;
-    bool obsFlushed_ = false;
 };
 
 } // namespace hp

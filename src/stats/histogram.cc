@@ -7,29 +7,6 @@
 namespace hp
 {
 
-void
-Accumulator::sample(double value)
-{
-    if (count_ == 0) {
-        min_ = value;
-        max_ = value;
-    } else {
-        min_ = std::min(min_, value);
-        max_ = std::max(max_, value);
-    }
-    ++count_;
-    sum_ += value;
-}
-
-void
-Accumulator::reset()
-{
-    count_ = 0;
-    sum_ = 0.0;
-    min_ = 0.0;
-    max_ = 0.0;
-}
-
 Histogram::Histogram(double bucket_width, std::size_t num_buckets)
     : bucketWidth_(bucket_width), buckets_(num_buckets + 1, 0)
 {

@@ -12,19 +12,27 @@
 namespace hp
 {
 
-/** Running mean/min/max accumulator for a scalar sample stream. */
+/** Running count/sum/mean accumulator for a scalar sample stream. */
 class Accumulator
 {
   public:
-    void sample(double value);
+    void
+    sample(double value)
+    {
+        ++count_;
+        sum_ += value;
+    }
 
     std::uint64_t count() const { return count_; }
     double sum() const { return sum_; }
     double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
 
-    void reset();
+    void
+    reset()
+    {
+        count_ = 0;
+        sum_ = 0.0;
+    }
 
     /** Serializes/restores the accumulated samples. */
     template <class Ar>
@@ -33,15 +41,11 @@ class Accumulator
     {
         ar.value(count_);
         ar.value(sum_);
-        ar.value(min_);
-        ar.value(max_);
     }
 
   private:
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
 };
 
 /**

@@ -196,9 +196,15 @@ StatsRegistry::paths() const
 std::uint64_t
 StatsRegistry::value(const std::string &path) const
 {
+    return reader(path)();
+}
+
+const StatsRegistry::Reader &
+StatsRegistry::reader(const std::string &path) const
+{
     for (const auto &stat : stats_) {
         if (stat.first == path)
-            return stat.second();
+            return stat.second;
     }
     panic("StatsRegistry: unknown stat path '" + path + "'");
 }

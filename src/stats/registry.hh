@@ -99,6 +99,13 @@ class StatsRegistry
     /** Reads @p path right now; fatal if unregistered. */
     std::uint64_t value(const std::string &path) const;
 
+    /**
+     * The reader of @p path, for a consumer that reads the counter
+     * repeatedly without a path lookup each time (copy it: the
+     * reference lives until the next add); a panic if unregistered.
+     */
+    const Reader &reader(const std::string &path) const;
+
     /** Reads every counter into a snapshot. */
     StatsSnapshot snapshot() const;
 

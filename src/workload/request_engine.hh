@@ -74,9 +74,6 @@ class RequestEngine : public InstStream
                 [&s] { return s.taggedInsts; });
     }
 
-    /** Request type of the request currently executing. */
-    unsigned currentType() const { return requestType_; }
-
     /** True between requests: the last emitted instruction was the
      *  final return and the next call to next() starts a request. */
     bool idle() const { return frames_.empty(); }

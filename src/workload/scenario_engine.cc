@@ -60,12 +60,6 @@ ScenarioEngine::ScenarioEngine(std::shared_ptr<const Scenario> scen)
     }
 }
 
-std::shared_ptr<const BuiltApp>
-ScenarioEngine::serviceApp(std::size_t i) const
-{
-    return services_[i].app;
-}
-
 void
 ScenarioEngine::scheduleNext()
 {

@@ -55,9 +55,6 @@ class ScenarioEngine : public InstStream
 
     const Scenario &scenario() const { return *scen_; }
 
-    /** The built app of service @p i (profile lookups, tests). */
-    std::shared_ptr<const BuiltApp> serviceApp(std::size_t i) const;
-
     /** Serializes/restores every sub-engine, the arrival process,
      *  the mix RNG, the tracker, and the chain cursor. */
     template <class Ar> void serializeState(Ar &ar);

@@ -9,6 +9,7 @@
  * a golden breakdown pinned for one seeded workload.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -22,6 +23,7 @@
 #include "obs/miss_attribution.hh"
 #include "obs/obs.hh"
 #include "obs/perfetto_export.hh"
+#include "sim/sampling.hh"
 #include "sim/simulator.hh"
 #include "util/rng.hh"
 
@@ -459,6 +461,56 @@ TEST_F(ObsSimTest, TimeseriesRowsSumToLiveCounters)
                       reg.value("dram.fdip_bytes") +
                       reg.value("dram.ext_bytes"));
     }
+    obs::Collector::clear();
+    std::remove(path.c_str());
+}
+
+TEST_F(ObsSimTest, SampledRunCollectsRowsFromEveryWindow)
+{
+    // A sampled run measures every interval on one reused window
+    // simulator. Each window must hand over its own rows, and no row
+    // may span the fast-forward jump a restore makes.
+    const std::string path = "obs_pipeline_test.windows.csv";
+    const std::uint64_t kInterval = 5'000;
+    obs::config().timeseriesPath = path;
+    obs::config().intervalInsts = kInterval;
+    SimConfig config;
+    config.workload = "caddy";
+    config.prefetcher = PrefetcherKind::Hierarchical;
+    config.warmupInsts = 100'000;
+    config.measureInsts = 400'000;
+    config.sample = {4, 20'000, 10'000, 3};
+
+    obs::Collector::clear();
+    const SimMetrics m = runSampled(config);
+    obs::Collector::writeOutputs();
+    ASSERT_TRUE(m.sampling);
+    ASSERT_EQ(m.sampling->intervals.size(), 4u);
+
+    std::ifstream in(path);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    const std::vector<std::string> header = csvFields(line);
+    auto column = [&header](const std::string &name) {
+        return std::size_t(std::find(header.begin(), header.end(), name) -
+                           header.begin());
+    };
+    const std::size_t run = column("run"), phase = column("phase"),
+                      d_insts = column("d_insts");
+    ASSERT_LT(d_insts, header.size());
+    std::map<std::string, unsigned> measure_rows; // per capture
+    while (std::getline(in, line)) {
+        const std::vector<std::string> fields = csvFields(line);
+        ASSERT_EQ(fields.size(), header.size()) << line;
+        if (fields[phase] == "measure")
+            ++measure_rows[fields[run]];
+        // A row covers at most one interval plus a commit group.
+        EXPECT_LE(std::stoull(fields[d_insts]), kInterval + 64) << line;
+    }
+    EXPECT_EQ(measure_rows.size(), m.sampling->intervals.size());
+    for (const auto &[capture, rows] : measure_rows)
+        EXPECT_GE(rows, 4u) << "capture " << capture;
+
     obs::Collector::clear();
     std::remove(path.c_str());
 }

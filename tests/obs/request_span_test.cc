@@ -1,22 +1,26 @@
 /**
  * @file
  * Unit and property tests for request-span tail attribution
- * (obs/request_span.hh): the bounded top-K reservoir against a
- * sort-everything reference, the telescoping in-span/outside
- * partition, the cohort arithmetic, the sampled-mode window merge,
- * and an end-to-end sampled scenario run.
+ * (obs/request_span.hh): the span table, the bounded top-K reservoir
+ * against a sort-everything reference, the telescoping in-span/outside
+ * partition of every table entry read through a registry, the cohort
+ * arithmetic, the sampled-mode window merge, and an end-to-end
+ * sampled scenario run.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "obs/obs.hh"
 #include "obs/request_span.hh"
 #include "sim/sampling.hh"
 #include "sim/simulator.hh"
+#include "stats/registry.hh"
 #include "util/rng.hh"
 
 namespace
@@ -29,25 +33,72 @@ using obs::SpanCohort;
 using obs::SpanCounters;
 using obs::TailAttribution;
 using obs::TailGroup;
+using obs::kNumSpanCounters;
+using obs::spanCounterIndex;
+using obs::spanCounterTable;
 
-/** Advances every monotone counter by a distinct amount so partition
- *  bugs in any single field cannot cancel out. */
-void
-bump(SpanCounters &c, std::uint64_t k)
+/** A registry serving every span-table path from a plain counter, so
+ *  a test moves the counters the tracker reads by hand. */
+struct FakeCounters
 {
-    for (unsigned i = 0; i < kNumMissCauses; ++i) {
-        c.missCount[i] += k + i;
-        c.missLatency[i] += 3 * k + 7 * i;
+    std::map<std::string, std::uint64_t> raw;
+    StatsRegistry registry; ///< Its readers refer into raw.
+
+    FakeCounters()
+    {
+        for (const obs::SpanCounterSpec &spec : spanCounterTable()) {
+            for (const std::string &path : spec.paths) {
+                std::uint64_t &value = raw[path];
+                registry.add(path, [&value] { return value; });
+            }
+        }
     }
-    c.fdipUseful += k;
-    c.fdipLate += k / 2;
-    c.extUseful += k + 1;
-    c.extLate += k / 3;
-    c.itlbMisses += k / 4;
-    c.l1iMisses += 2 * k;
-    c.missCycles += 11 * k;
-    c.contextSwitches += k % 3;
-    c.mdArbiterStallCycles += 5 * k;
+    FakeCounters(const FakeCounters &) = delete;
+    FakeCounters &operator=(const FakeCounters &) = delete;
+
+    /** Advances every path by a distinct amount, so a partition bug in
+     *  any one path, the paths of a summed entry included, cannot
+     *  cancel out. */
+    void
+    bump(std::uint64_t k)
+    {
+        std::uint64_t salt = 0;
+        for (auto &[path, value] : raw) {
+            value += k * (1 + salt % 5) + salt;
+            ++salt;
+        }
+    }
+
+    /** The table's values now, summed here independently of the
+     *  tracker. */
+    SpanCounters
+    now() const
+    {
+        SpanCounters c{};
+        for (std::size_t i = 0; i < kNumSpanCounters; ++i) {
+            for (const std::string &path : spanCounterTable()[i].paths)
+                c[i] += raw.at(path);
+        }
+        return c;
+    }
+};
+
+SpanCounters
+sum(const SpanCounters &a, const SpanCounters &b)
+{
+    SpanCounters c{};
+    for (std::size_t i = 0; i < kNumSpanCounters; ++i)
+        c[i] = a[i] + b[i];
+    return c;
+}
+
+SpanCounters
+diff(const SpanCounters &a, const SpanCounters &b)
+{
+    SpanCounters c{};
+    for (std::size_t i = 0; i < kNumSpanCounters; ++i)
+        c[i] = a[i] - b[i];
+    return c;
 }
 
 RequestSpan
@@ -58,7 +109,7 @@ mkSpan(std::uint64_t id, std::uint64_t latency)
     s.latency = latency;
     s.service = latency / 2;
     s.queueing = latency - s.service;
-    s.deltas.l1iMisses = id + 1;
+    s.deltas[spanCounterIndex("l1i_demand_misses")] = id + 1;
     return s;
 }
 
@@ -72,32 +123,70 @@ worseRef(const RequestSpan &a, const RequestSpan &b)
     return a.id < b.id;
 }
 
+TEST(RequestSpanTracker, TableKeepsTheReportKeysAndOrder)
+{
+    // The tailAttribution JSON keys, in the order the report renders
+    // them: the per-cause pairs, then the scalar counters.
+    std::vector<std::string> want;
+    for (unsigned c = 0; c < kNumMissCauses; ++c) {
+        const std::string name =
+            missCauseName(static_cast<MissCause>(c));
+        want.push_back(name);
+        want.push_back(name + "_latency_cycles");
+    }
+    for (const char *key :
+         {"fdip_useful", "fdip_late", "ext_useful", "ext_late",
+          "itlb_misses", "l1i_demand_misses", "miss_cycles",
+          "context_switches", "md_arbiter_stall_cycles"})
+        want.push_back(key);
+    ASSERT_EQ(want.size(), kNumSpanCounters);
+    for (std::size_t i = 0; i < kNumSpanCounters; ++i) {
+        EXPECT_EQ(spanCounterTable()[i].key, want[i]);
+        EXPECT_EQ(spanCounterIndex(want[i]), i);
+    }
+    EXPECT_EQ(spanCounterTable()[spanCounterIndex("miss_cycles")]
+                  .paths.size(),
+              4u);
+}
+
+TEST(RequestSpanTrackerDeathTest, UnregisteredTablePathIsFatal)
+{
+    StatsRegistry empty;
+    EXPECT_DEATH((void)RequestSpanTracker(empty, {{"chain", "svc"}}, 4,
+                                          nullptr),
+                 "unknown stat path");
+}
+
 TEST(RequestSpanTracker, TopKMatchesSortEverythingReference)
 {
     const std::size_t kTopK = 8;
     const std::uint64_t kSpans = 500;
-    RequestSpanTracker tracker({{"chain", "svc"}}, kTopK, nullptr);
+    FakeCounters counters;
+    RequestSpanTracker tracker(counters.registry, {{"chain", "svc"}},
+                               kTopK, nullptr);
 
-    SpanCounters now;
-    tracker.beginRecording(now);
+    tracker.beginRecording();
 
     // Duplicate latencies on purpose: the tie-break on completion
     // order must make the kept set unambiguous.
     Rng rng(1234);
     std::vector<std::uint64_t> latencies;
+    std::vector<SpanCounters> deltas;
     std::uint64_t cycle = 0;
     for (std::uint64_t i = 0; i < kSpans; ++i) {
         const std::uint64_t latency = 100 + rng.nextUint(64);
         latencies.push_back(latency);
-        tracker.onBegin(cycle, 0, /*detailed=*/true, now);
-        bump(now, latency);
+        tracker.onBegin(cycle, 0, /*detailed=*/true);
+        const SpanCounters before = counters.now();
+        counters.bump(latency);
+        deltas.push_back(diff(counters.now(), before));
         cycle += latency;
         tracker.onEnd(cycle, /*completed=*/true, latency, latency / 2,
-                      latency - latency / 2, now);
+                      latency - latency / 2);
         ++cycle;
     }
 
-    const TailAttribution report = tracker.report(now);
+    const TailAttribution report = tracker.report();
     ASSERT_EQ(report.groups.size(), 1u);
     const TailGroup &g = report.groups[0];
     EXPECT_EQ(g.completed, kSpans);
@@ -112,6 +201,9 @@ TEST(RequestSpanTracker, TopKMatchesSortEverythingReference)
     for (std::size_t i = 0; i < kTopK; ++i) {
         EXPECT_EQ(g.worst[i].id, all[i].id) << "rank " << i;
         EXPECT_EQ(g.worst[i].latency, all[i].latency) << "rank " << i;
+        // Each kept span carries its own edge-to-edge delta.
+        EXPECT_EQ(g.worst[i].deltas, deltas[g.worst[i].id])
+            << "rank " << i;
     }
 
     // The uniform sample stays bounded and holds real observations.
@@ -124,52 +216,58 @@ TEST(RequestSpanTracker, TopKMatchesSortEverythingReference)
 
 TEST(RequestSpanTracker, TelescopingPartitionIsExact)
 {
-    RequestSpanTracker tracker({{"chain", "svc"}}, 4, nullptr);
-    SpanCounters now;
-    bump(now, 17); // Nonzero anchor: partition is of the delta.
-    const SpanCounters anchor = now;
-    tracker.beginRecording(now);
+    FakeCounters counters;
+    RequestSpanTracker tracker(counters.registry, {{"chain", "svc"}}, 4,
+                               nullptr);
+    counters.bump(17); // Nonzero anchor: partition is of the delta.
+    const SpanCounters anchor = counters.now();
+    tracker.beginRecording();
 
     // A completed span, a dropped span, idle gaps, and a span still
     // open at report time: every edge case the partition must cover.
-    bump(now, 5);
-    tracker.onBegin(100, 0, true, now);
-    bump(now, 9);
-    tracker.onEnd(200, true, 100, 60, 40, now);
-    bump(now, 3);
-    tracker.onBegin(300, 0, true, now);
-    bump(now, 21);
-    tracker.onEnd(400, /*completed=*/false, 0, 0, 0, now);
-    bump(now, 2);
-    tracker.onBegin(500, 0, true, now);
-    bump(now, 13); // Open span at report time.
+    counters.bump(5);
+    tracker.onBegin(100, 0, true);
+    counters.bump(9);
+    tracker.onEnd(200, true, 100, 60, 40);
+    counters.bump(3);
+    tracker.onBegin(300, 0, true);
+    counters.bump(21);
+    tracker.onEnd(400, /*completed=*/false, 0, 0, 0);
+    counters.bump(2);
+    tracker.onBegin(500, 0, true);
+    counters.bump(13); // Open span at report time.
 
-    const TailAttribution report = tracker.report(now);
+    const TailAttribution report = tracker.report();
     EXPECT_EQ(report.spansRecorded, 1u);
     EXPECT_EQ(report.spansDropped, 1u);
 
-    SpanCounters total = report.inSpan;
-    total.add(report.outside);
-    EXPECT_EQ(total, SpanCounters::delta(now, anchor));
+    // Every table entry partitions, summed entries included.
+    EXPECT_EQ(sum(report.inSpan, report.outside),
+              diff(counters.now(), anchor));
+    for (std::size_t i = 0; i < kNumSpanCounters; ++i) {
+        EXPECT_GT(report.inSpan[i], 0u) << spanCounterTable()[i].key;
+        EXPECT_GT(report.outside[i], 0u) << spanCounterTable()[i].key;
+    }
 }
 
 TEST(RequestSpanTracker, DroppedAndPreRecordingSpansStayOut)
 {
-    RequestSpanTracker tracker({{"chain", "svc"}}, 4, nullptr);
-    SpanCounters now;
+    FakeCounters counters;
+    RequestSpanTracker tracker(counters.registry, {{"chain", "svc"}}, 4,
+                               nullptr);
 
     // Edges before beginRecording are ignored entirely.
-    tracker.onBegin(10, 0, true, now);
-    tracker.onEnd(20, true, 10, 10, 0, now);
+    tracker.onBegin(10, 0, true);
+    tracker.onEnd(20, true, 10, 10, 0);
 
-    tracker.beginRecording(now);
+    tracker.beginRecording();
     // A request already in flight: its end arrives without a begin.
-    tracker.onEnd(30, true, 10, 10, 0, now);
+    tracker.onEnd(30, true, 10, 10, 0);
     // A fast-forward begin gets dropped at its end.
-    tracker.onBegin(40, 0, /*detailed=*/false, now);
-    tracker.onEnd(50, true, 10, 10, 0, now);
+    tracker.onBegin(40, 0, /*detailed=*/false);
+    tracker.onEnd(50, true, 10, 10, 0);
 
-    const TailAttribution report = tracker.report(now);
+    const TailAttribution report = tracker.report();
     EXPECT_EQ(report.spansRecorded, 0u);
     EXPECT_EQ(report.spansDropped, 1u);
     EXPECT_EQ(report.groups[0].completed, 0u);
@@ -190,7 +288,8 @@ TEST(TailGroup, CohortSizesFollowTheP999Rule)
     EXPECT_EQ(tail.latencySum, 1000u + 900u);
     EXPECT_EQ(tail.serviceSum, 500u + 450u);
     EXPECT_EQ(tail.queueingSum, 500u + 450u);
-    EXPECT_EQ(tail.deltas.l1iMisses, 1u + 2u);
+    EXPECT_EQ(tail.deltas[spanCounterIndex("l1i_demand_misses")],
+              1u + 2u);
 
     // Median cohort: same size, centered in the sorted sample
     // (10,20,30,40,50 -> the middle two of an even split: 20,30).
@@ -208,11 +307,12 @@ TEST(TailGroup, CohortSizesFollowTheP999Rule)
 
 TEST(MergeTailAttribution, ExactTopKOverTheUnion)
 {
+    const std::size_t cycles = spanCounterIndex("miss_cycles");
     TailAttribution a;
     a.topK = 4;
     a.spansRecorded = 4;
-    a.inSpan.missCycles = 100;
-    a.outside.missCycles = 10;
+    a.inSpan[cycles] = 100;
+    a.outside[cycles] = 10;
     TailGroup &ga = a.groups.emplace_back();
     ga.name = "chain";
     ga.completed = 4;
@@ -223,8 +323,8 @@ TEST(MergeTailAttribution, ExactTopKOverTheUnion)
     TailAttribution b;
     b.topK = 4;
     b.spansRecorded = 3;
-    b.inSpan.missCycles = 40;
-    b.outside.missCycles = 4;
+    b.inSpan[cycles] = 40;
+    b.outside[cycles] = 4;
     TailGroup &gb = b.groups.emplace_back();
     gb.name = "chain";
     gb.completed = 3;
@@ -237,8 +337,8 @@ TEST(MergeTailAttribution, ExactTopKOverTheUnion)
 
     EXPECT_EQ(merged.topK, 4u);
     EXPECT_EQ(merged.spansRecorded, 7u);
-    EXPECT_EQ(merged.inSpan.missCycles, 140u);
-    EXPECT_EQ(merged.outside.missCycles, 14u);
+    EXPECT_EQ(merged.inSpan[cycles], 140u);
+    EXPECT_EQ(merged.outside[cycles], 14u);
     ASSERT_EQ(merged.groups.size(), 1u);
     const TailGroup &g = merged.groups[0];
     EXPECT_EQ(g.completed, 7u);

@@ -106,24 +106,27 @@ TEST(ExecutorTest, ParallelGridMatchesSerialRun)
     SimConfig base = tinyConfig("echo", PrefetcherKind::None, 107'000,
                                 207'000);
 
-    // Serial reference: fresh Simulator per grid point, bypassing the
-    // cache entirely.
-    std::vector<RunPair> serial;
+    std::vector<SimConfig> grid;
     for (const std::string &workload : workloads) {
         for (PrefetcherKind kind : kinds) {
             SimConfig config = base;
             config.workload = workload;
             config.prefetcher = kind;
-            Simulator run_sim(config);
-            Simulator base_sim(fdipBaseline(config));
-            serial.push_back(
-                makeRunPair(run_sim.run(), base_sim.run()));
+            grid.push_back(config);
         }
     }
 
+    // Serial reference: fresh Simulator per grid point, bypassing the
+    // cache entirely.
+    std::vector<RunPair> serial;
+    for (const SimConfig &config : grid) {
+        Simulator run_sim(config);
+        Simulator base_sim(fdipBaseline(config));
+        serial.push_back(makeRunPair(run_sim.run(), base_sim.run()));
+    }
+
     Executor executor(4);
-    std::vector<RunPair> parallel =
-        executor.runGrid(workloads, kinds, base);
+    std::vector<RunPair> parallel = executor.runPairs(grid);
 
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {

@@ -119,15 +119,49 @@ TEST(MultiCoreTest, ContextSwitchesFireOnSharedCore)
     EXPECT_EQ(m.stats.value("mt.cores"), 1u);
 }
 
-TEST(MultiCoreTest, SingleTenantRegistryOmitsSwitchCounter)
+/** Each core's waits at the shared ports (DESIGN.md §12). */
+const char *const kPortCounters[] = {
+    "mt.dram_queued_fills",
+    "mt.dram_queue_cycles",
+    "mt.metadata_arbiter_reads",
+    "mt.metadata_arbiter_stall_cycles",
+};
+
+TEST(MultiCoreTest, SharedPortCountersSumPerCoreMeasurementDeltas)
 {
-    // The single-core registry must not grow new paths: goldens pin
-    // its snapshot shape.
+    SimMetrics m = runMultiTenant(consolidationConfig());
+    for (const char *path : kPortCounters) {
+        EXPECT_EQ(m.stats.value(path),
+                  m.stats.value(std::string("core0.") + path) +
+                      m.stats.value(std::string("core1.") + path))
+            << path;
+    }
+    // The cores contend for the DRAM fill port.
+    EXPECT_GT(m.stats.value("mt.dram_queue_cycles"), 0u);
+
+    // Warmup only: the measurement window is empty, and so are the
+    // waits counted in it.
+    SimConfig warm = consolidationConfig();
+    warm.measureInsts = 0;
+    SimMetrics w = runMultiTenant(warm);
+    for (const char *path : kPortCounters)
+        EXPECT_EQ(w.stats.value(path), 0u) << path;
+}
+
+TEST(MultiCoreTest, SingleCoreRegistersZeroSwitchAndPortCounters)
+{
+    // Every core registers the same paths: a single-core run has the
+    // switch and shared-port counters too, and they stay zero.
     SimConfig cfg;
-    cfg.warmupInsts = 0;
-    cfg.measureInsts = 0;
+    cfg.workload = "caddy";
+    cfg.prefetcher = PrefetcherKind::Hierarchical;
+    cfg.warmupInsts = 50'000;
+    cfg.measureInsts = 50'000;
     Simulator sim(cfg);
-    EXPECT_FALSE(sim.stats().snapshot().has("sim.context_switches"));
+    const SimMetrics m = sim.run();
+    EXPECT_EQ(m.stats.value("sim.context_switches"), 0u);
+    for (const char *path : kPortCounters)
+        EXPECT_EQ(m.stats.value(path), 0u) << path;
 }
 
 TEST(MultiCoreTest, UnpartitionedSwitchFlushesMat)

@@ -11,21 +11,19 @@ TEST(AccumulatorTest, EmptyIsZero)
 {
     Accumulator acc;
     EXPECT_EQ(acc.count(), 0u);
+    EXPECT_DOUBLE_EQ(acc.sum(), 0.0);
     EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(acc.min(), 0.0);
-    EXPECT_DOUBLE_EQ(acc.max(), 0.0);
 }
 
-TEST(AccumulatorTest, TracksMeanMinMax)
+TEST(AccumulatorTest, TracksCountSumAndMean)
 {
     Accumulator acc;
     acc.sample(2.0);
     acc.sample(4.0);
     acc.sample(9.0);
     EXPECT_EQ(acc.count(), 3u);
+    EXPECT_DOUBLE_EQ(acc.sum(), 15.0);
     EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-    EXPECT_DOUBLE_EQ(acc.max(), 9.0);
 }
 
 TEST(AccumulatorTest, NegativeValues)
@@ -34,7 +32,7 @@ TEST(AccumulatorTest, NegativeValues)
     acc.sample(-5.0);
     acc.sample(5.0);
     EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(acc.min(), -5.0);
+    EXPECT_DOUBLE_EQ(acc.sum(), 0.0);
 }
 
 TEST(AccumulatorTest, ResetClears)
@@ -44,7 +42,7 @@ TEST(AccumulatorTest, ResetClears)
     acc.reset();
     EXPECT_EQ(acc.count(), 0u);
     acc.sample(7.0);
-    EXPECT_DOUBLE_EQ(acc.min(), 7.0);
+    EXPECT_DOUBLE_EQ(acc.mean(), 7.0);
 }
 
 TEST(HistogramTest, BucketsPopulateCorrectly)

@@ -133,12 +133,12 @@ TEST_F(EngineFixture, DifferentSeedsProduceDifferentTypeMixes)
     while (types_a.size() < 10) {
         a.next(inst);
         if (inst.marker == StreamMarker::RequestBegin)
-            types_a.push_back(a.currentType());
+            types_a.push_back(inst.markerArg);
     }
     while (types_b.size() < 10) {
         b.next(inst);
         if (inst.marker == StreamMarker::RequestBegin)
-            types_b.push_back(b.currentType());
+            types_b.push_back(inst.markerArg);
     }
     EXPECT_NE(types_a, types_b);
 }
@@ -169,7 +169,9 @@ TEST_F(EngineFixture, StableFootprintPerRoutine)
             current_stage =
                 inst.marker == StreamMarker::StageBegin
                     ? inst.markerArg : -1;
-            current_type = engine->currentType();
+            // A RequestBegin marker carries the request's type.
+            if (inst.marker == StreamMarker::RequestBegin)
+                current_type = inst.markerArg;
         }
         if (current_stage >= 0)
             current.insert(blockAlign(inst.pc));
