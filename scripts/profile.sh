@@ -32,12 +32,20 @@
 # few hundred samples; profile runs of 10 s or more for stage splits
 # to a percent.
 #
-# Usage: scripts/profile.sh [--top N] <binary> [args...]
+# With --lines, a fourth table counts the innermost file:line of the
+# samples whose innermost source file contains the given substring:
+# where inside a function the time goes (a hash, a loop's bookkeeping
+# or its prologue), which the function tables cannot say.
+#
+# Usage: scripts/profile.sh [--top N] [--lines SUBSTR] <binary> [args...]
 #        scripts/profile.sh --self-test
-#   --top N      rows per table (default 25)
-#   --self-test  profiles build/examples/quickstart and fails unless
-#                the report names hp:: functions (scripts/tier1.sh
-#                runs it after stage 1 so the script cannot rot)
+#   --top N         rows per table (default 25)
+#   --lines SUBSTR  add the file:line table for innermost files whose
+#                   path contains SUBSTR (e.g. sim/simulator.cc)
+#   --self-test     profiles build/examples/quickstart and fails unless
+#                   the report names hp:: functions and has a
+#                   src/ file:line table (scripts/tier1.sh runs it
+#                   after stage 1 so the script cannot rot)
 
 set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -46,19 +54,27 @@ top=25
 if [[ "${1:-}" == "--self-test" ]]; then
     bin="$repo/build/examples/quickstart"
     [[ -x "$bin" ]] || { echo "profile.sh: build $bin first" >&2; exit 1; }
-    report="$("$0" --top 10 "$bin" 2>&1 >/dev/null)"
+    report="$("$0" --top 10 --lines src/ "$bin" 2>&1 >/dev/null)"
     if ! grep -q 'hp::' <<<"$report"; then
         printf '%s\n' "$report" >&2
         echo "profile.sh: self-test FAILED (no hp:: frames)" >&2
         exit 1
     fi
+    if ! grep -Eq '^ +[0-9]+ +[0-9.]+%  \S*src/\S+:[0-9]+$' <<<"$report"
+    then
+        printf '%s\n' "$report" >&2
+        echo "profile.sh: self-test FAILED (no src/ file:line rows)" >&2
+        exit 1
+    fi
     echo "profile.sh: self-test OK ($(grep -m1 '^samples' <<<"$report"))"
     exit 0
 fi
-if [[ "${1:-}" == "--top" ]]; then
-    top="$2"
+lines=""
+while [[ "${1:-}" == "--top" || "${1:-}" == "--lines" ]]; do
+    [[ $# -ge 2 ]] || { echo "profile.sh: $1 needs a value" >&2; exit 2; }
+    if [[ "$1" == "--top" ]]; then top="$2"; else lines="$2"; fi
     shift 2
-fi
+done
 if [[ $# -lt 1 ]]; then
     sed -n '/^# Usage:/,/^$/p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
@@ -192,10 +208,10 @@ status=0
 PCPROF_OUT="$raw" LD_PRELOAD="$so${LD_PRELOAD:+:$LD_PRELOAD}" "$@" || status=$?
 
 # ---- Symbolize and report. ----
-python3 - "$raw" "$top" >&2 <<'EOF'
+python3 - "$raw" "$top" "$lines" >&2 <<'EOF'
 import collections, glob, os, subprocess, sys
 
-raw, top = sys.argv[1], int(sys.argv[2])
+raw, top, line_filter = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 samples = []          # (module path, offset) per sample
 cpu_s = 0.0
 procs = 0
@@ -220,8 +236,10 @@ for path in sorted(glob.glob(os.path.join(raw, '*.pcprof'))):
                     samples.append(('[unknown]', 0))
 
 # One addr2line pass per module over its distinct offsets; -a prints
-# each address before its inline chain (innermost first).
+# each address before its inline chain (innermost first), each
+# function followed by its file:line.
 chains = {}
+where = {}            # (module, offset) -> innermost file:line
 by_module = collections.defaultdict(set)
 for mod, off in samples:
     by_module[mod].add(off)
@@ -237,7 +255,7 @@ for mod, offs in by_module.items():
         input='\n'.join('%x' % o for o in offs) + '\n',
         capture_output=True, text=True).stdout.splitlines()
     cur, funcs, i = None, [], 0
-    results = {}
+    results, places = {}, {}
     while i < len(out):
         line = out[i]
         if line.startswith('0x'):
@@ -247,12 +265,15 @@ for mod, offs in by_module.items():
             i += 1
             continue
         funcs.append(line)
+        if cur not in places and i + 1 < len(out):
+            places[cur] = out[i + 1].split(' (discriminator')[0]
         i += 2        # function line, then its file:line
     if cur is not None:
         results[cur] = funcs
     for off in offs:
         fs = [f for f in results.get(off, []) if f != '??']
         chains[(mod, off)] = fs or [label]
+        where[(mod, off)] = places.get(off, '??:0')
 
 n = len(samples)
 rate = n / cpu_s if cpu_s > 0 else 0.0
@@ -267,8 +288,13 @@ for key in samples:
     outer[chain[-1]] += 1
     for fn in set(chain):
         incl[fn] += 1
-for title, table in (('innermost', inner), ('outermost', outer),
-                     ('inclusive', incl)):
+tables = [('innermost', inner), ('outermost', outer), ('inclusive', incl)]
+if line_filter:
+    at = collections.Counter(
+        where.get(key, '??:0') for key in samples
+        if line_filter in where.get(key, '??:0').rsplit(':', 1)[0])
+    tables.append(("innermost file:line in '%s'" % line_filter, at))
+for title, table in tables:
     print('\n%s (top %d)' % (title, top))
     for fn, c in table.most_common(top):
         name = fn if len(fn) <= 110 else fn[:107] + '...'

@@ -119,7 +119,7 @@ CacheHierarchy::completeEarliestFill()
     const Mshr done = mshrs_[first];
     mshrs_[first] = mshrs_.back();
     mshrs_.pop_back();
-    nextFillAt_ = kNoFill;
+    nextFillAt_ = kNever;
     for (const Mshr &m : mshrs_)
         nextFillAt_ = std::min(nextFillAt_, m.readyAt);
     completeFill(done);
@@ -634,7 +634,7 @@ CacheHierarchy::serializeMshrs(Ar &ar)
             return;
         }
         // Position is completion order, so it becomes the sequence.
-        nextFillAt_ = kNoFill;
+        nextFillAt_ = kNever;
         for (std::size_t i = 0; i < mshrs_.size(); ++i) {
             for (std::size_t j = 0; j < i; ++j) {
                 if (mshrs_[j].block == mshrs_[i].block) {

@@ -353,6 +353,10 @@ class CacheHierarchy : public MetadataMemory
     /** Free MSHR slots (fetch uses this to pace itself). */
     unsigned freeMshrs() const;
 
+    /** The cycle the earliest outstanding fill lands, when tick()
+     *  next has work; kNever with no fill in flight. */
+    Cycle nextFillAt() const { return nextFillAt_; }
+
     /**
      * Advances the fetched-block sequence counter; called by the
      * simulator whenever fetch moves to a new cache block. Prefetch
@@ -472,10 +476,9 @@ class CacheHierarchy : public MetadataMemory
     /** Live MSHRs in no particular order; l1iMshrs slots are
      *  reserved up front, so allocating one never touches the heap. */
     std::vector<Mshr> mshrs_;
-    /** Earliest readyAt in mshrs_ (kNoFill when empty): tick() costs
+    /** Earliest readyAt in mshrs_ (kNever when empty): tick() costs
      *  one compare on the cycles no fill completes. */
-    static constexpr Cycle kNoFill = ~Cycle(0);
-    Cycle nextFillAt_ = kNoFill;
+    Cycle nextFillAt_ = kNever;
     std::uint64_t mshrSeq_ = 0;
 
     /** Issue sequence (fetch-block units) of in-cache Ext prefetches. */

@@ -457,6 +457,27 @@ HierarchicalPrefetcher::beginReplay(SegIdx head, Cycle now)
     }
 }
 
+bool
+HierarchicalPrefetcher::gateOpen(const ReplaySegment &rs) const
+{
+    return recordInsts_ >= rs.gateInsts;
+}
+
+bool
+HierarchicalPrefetcher::regionIssuable(const ReplaySegment &rs) const
+{
+    if (config_.subSegmentPacing && !rs.immediate) {
+        // Stream regions across the previous segment's execution
+        // window.
+        std::uint64_t span = rs.paceEnd - rs.paceStart;
+        std::uint64_t sub_gate = rs.paceStart +
+            span * rs.cursor / rs.regions.size();
+        if (recordInsts_ < sub_gate)
+            return false;
+    }
+    return queueDepth() + kRegionBlocks <= maxQueue();
+}
+
 void
 HierarchicalPrefetcher::tick(Cycle now)
 {
@@ -465,23 +486,11 @@ HierarchicalPrefetcher::tick(Cycle now)
     // reached; leave queue room for a region's worth of blocks.
     while (replayPos_ < replay_.size()) {
         ReplaySegment &rs = replay_[replayPos_];
-        if (now < rs.readyAt)
-            return;
-        if (recordInsts_ < rs.gateInsts)
+        if (now < rs.readyAt || !gateOpen(rs))
             return;
 
         while (rs.cursor < rs.regions.size()) {
-            if (config_.subSegmentPacing && !rs.immediate &&
-                !rs.regions.empty()) {
-                // Stream regions across the previous segment's
-                // execution window.
-                std::uint64_t span = rs.paceEnd - rs.paceStart;
-                std::uint64_t sub_gate = rs.paceStart +
-                    span * rs.cursor / rs.regions.size();
-                if (recordInsts_ < sub_gate)
-                    return;
-            }
-            if (queueDepth() + kRegionBlocks > maxQueue())
+            if (!regionIssuable(rs))
                 return;
 
             const SpatialRegion &region = rs.regions[rs.cursor];
@@ -501,6 +510,22 @@ HierarchicalPrefetcher::tick(Cycle now)
         }
         ++replayPos_;
     }
+}
+
+Cycle
+HierarchicalPrefetcher::nextTickAt(Cycle now) const
+{
+    // tick() acts on the current segment once its metadata arrives,
+    // if the gate, the pacing point and the queue room already allow
+    // it. Those move only with commits and queue pops, after which
+    // the loop asks again.
+    if (replayPos_ >= replay_.size())
+        return kNever;
+    const ReplaySegment &rs = replay_[replayPos_];
+    if (!gateOpen(rs) ||
+        (rs.cursor < rs.regions.size() && !regionIssuable(rs)))
+        return kNever;
+    return std::max(now, rs.readyAt);
 }
 
 template <class Ar>

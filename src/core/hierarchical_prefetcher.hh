@@ -178,6 +178,8 @@ class HierarchicalPrefetcher final : public Prefetcher
 
     void tick(Cycle now) override;
 
+    Cycle nextTickAt(Cycle now) const override;
+
     void registerStats(StatsRegistry &reg,
                        const std::string &prefix) const override;
 
@@ -237,6 +239,12 @@ class HierarchicalPrefetcher final : public Prefetcher
             ar.value(readyAt);
         }
     };
+
+    /** The segment's num-insts gate has opened. */
+    bool gateOpen(const ReplaySegment &rs) const;
+    /** The segment's next region may issue now: its sub-segment
+     *  pacing point is reached and the queue has room for it. */
+    bool regionIssuable(const ReplaySegment &rs) const;
 
     template <class Ar> void serializeState(Ar &ar);
     void saveOwnState(StateWriter &ar) override { serializeState(ar); }

@@ -101,6 +101,8 @@ struct DynInst
         ar.value(marker);
     }
 
+    bool operator==(const DynInst &) const = default;
+
     /** Address of the next sequential instruction. */
     Addr nextPc() const { return pc + kInstBytes; }
 
@@ -131,7 +133,8 @@ class InstStream
      * the returned count, exactly as if each instruction had been
      * pulled alone, so pulling with @p max = 1 and with any larger
      * @p max yields the same instruction sequence and the same state
-     * at every cut.
+     * at every cut. The stream is contiguous: each instruction
+     * starts at its predecessor's nextFetchPc().
      * @param max Upper bound on the run length (at least 1).
      * @return the run length, in [1, max]; 0 when the stream is
      *         exhausted.

@@ -3,7 +3,8 @@
  * Common interface for instruction prefetchers that run alongside FDIP.
  *
  * The simulator drives prefetchers with three event streams — retired
- * instructions, L1-I demand-block accesses, and cycle ticks — and
+ * instructions, L1-I demand-block accesses, and cycle ticks (each
+ * paired with a next-event query, nextTickAt) — and
  * drains their request queue into the cache hierarchy at a configurable
  * bandwidth. Prefetchers that keep bulk metadata in main memory (the
  * Hierarchical Prefetcher) access it through the MetadataMemory service
@@ -105,6 +106,21 @@ class Prefetcher
 
     /** Called once per cycle before the queue is drained. */
     virtual void tick(Cycle now) { (void)now; }
+
+    /**
+     * tick()'s next-event query: the first cycle >= @p now at which
+     * tick() would change this prefetcher's state if no other hook
+     * ran first (kNever when it never would). The detailed loop skips
+     * the cycles before it. An override of tick() whose state changes
+     * with time alone must override this too; the base tick() never
+     * acts.
+     */
+    virtual Cycle
+    nextTickAt(Cycle now) const
+    {
+        (void)now;
+        return kNever;
+    }
 
     /**
      * Registers this prefetcher's counters under @p prefix. The base

@@ -113,8 +113,12 @@ Checkpoint::restoreInto(Simulator &sim, std::string *error) const
     StateLoader loader(payload_.data(), payload_.size());
     sim.serializeState(loader);
     if (loader.failed()) {
-        if (error)
-            *error = "checkpoint payload truncated";
+        if (error) {
+            *error = loader.failReason()
+                ? std::string("checkpoint state rejected: ") +
+                      loader.failReason()
+                : std::string("checkpoint payload truncated");
+        }
         return false;
     }
     if (loader.remaining() != 0) {
@@ -338,6 +342,16 @@ runCheckpointed(const SimConfig &config)
     std::string error;
     if (ckpt->restoreInto(sim, &error))
         return sim.finishRun();
+    // A blob that decodes but does not restore never will: evict it,
+    // as loadCheckpointFile does one that fails to decode, so the next
+    // process warms the class and spills a fresh blob.
+    if (const std::string dir = checkpointDir(); !dir.empty()) {
+        evictStaleCheckpoint(
+            (std::filesystem::path(dir) /
+             blobFileName(warmupConfig(config).workload, ckpt->warmupKey()))
+                .string(),
+            &error);
+    }
     HP_WARN_LIMIT(8, "checkpoint restore failed (" + error +
                          "); running cold");
     return Simulator(config).run();

@@ -85,9 +85,7 @@ MultiCoreSimulator::MultiCoreSimulator(const SimConfig &config)
 SimMetrics
 MultiCoreSimulator::run()
 {
-    const std::uint64_t warmup = cfg_.warmupInsts;
-    const std::uint64_t total = warmup + cfg_.measureInsts;
-    if (total == 0) {
+    if (cfg_.warmupInsts + cfg_.measureInsts == 0) {
         // Degenerate zero-instruction run: same shape as finishRun's.
         for (unsigned i = 0; i < coreCount(); ++i) {
             cores_[i]->beginMeasurement();
@@ -96,8 +94,29 @@ MultiCoreSimulator::run()
         return combineResults();
     }
 
-    std::vector<bool> done(cores_.size(), false);
-    unsigned live = coreCount();
+    done_.assign(cores_.size(), false);
+    live_ = coreCount();
+    // The live cores share one clock. Skip the cycles every one of
+    // them idles: a core's next event depends only on its own state,
+    // and the shared levels change only inside a core's active step.
+    while (live_ > 0) {
+        Cycle next = kNever;
+        for (unsigned i = 0; i < cores_.size(); ++i) {
+            if (!done_[i])
+                next = std::min(next, cores_[i]->nextActiveCycle());
+        }
+        for (unsigned i = 0; i < cores_.size(); ++i) {
+            if (!done_[i])
+                cores_[i]->skipTo(next);
+        }
+        stepLiveCores();
+    }
+    return combineResults();
+}
+
+void
+MultiCoreSimulator::stepLiveCores()
+{
     // Cycle-interleaved lockstep, fixed core order: each pass gives
     // every live core exactly one Simulator::step, so contention on
     // the shared levels resolves deterministically. Each core's phase
@@ -105,22 +124,21 @@ MultiCoreSimulator::run()
     // boundary of the cycle that crossed warmup, endMeasurement at the
     // one that crossed the total — so a one-core consolidation is
     // cycle-for-cycle the single-core run.
-    while (live > 0) {
-        for (unsigned i = 0; i < cores_.size(); ++i) {
-            if (done[i])
-                continue;
-            Simulator &s = *cores_[i];
-            s.step();
-            if (!s.measuring() && s.committedInsts() >= warmup)
-                s.beginMeasurement();
-            if (s.measuring() && s.committedInsts() >= total) {
-                results_[i] = s.endMeasurement(/*pay_advance=*/true);
-                done[i] = true;
-                --live;
-            }
+    const std::uint64_t warmup = cfg_.warmupInsts;
+    const std::uint64_t total = warmup + cfg_.measureInsts;
+    for (unsigned i = 0; i < cores_.size(); ++i) {
+        if (done_[i])
+            continue;
+        Simulator &s = *cores_[i];
+        s.step();
+        if (!s.measuring() && s.committedInsts() >= warmup)
+            s.beginMeasurement();
+        if (s.measuring() && s.committedInsts() >= total) {
+            results_[i] = s.endMeasurement(/*pay_advance=*/true);
+            done_[i] = true;
+            --live_;
         }
     }
-    return combineResults();
 }
 
 SimMetrics

@@ -58,12 +58,22 @@ class MultiCoreSimulator
     unsigned coreCount() const { return unsigned(cores_.size()); }
 
   private:
+    /** Test-only access to the lockstep (tests/sim/sim_probe.hh). */
+    friend class SimulatorProbe;
+
+    /** One lockstep pass: one step() of every live core, with each
+     *  core's phase transitions; a finished core leaves the set. */
+    void stepLiveCores();
+
     /** Builds the combined SimMetrics out of results_ (run() tail). */
     SimMetrics combineResults() const;
 
     SimConfig cfg_;
     std::vector<std::unique_ptr<Simulator>> cores_;
     std::vector<SimMetrics> results_;
+    /** The cores still running, and their count (run() state). */
+    std::vector<bool> done_;
+    unsigned live_ = 0;
 };
 
 } // namespace hp

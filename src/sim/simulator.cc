@@ -9,6 +9,22 @@
 namespace hp
 {
 
+namespace
+{
+
+/** Instruction @p i of the window run that starts with @p first
+ *  (i > 0): plain, with first's func and no marker. */
+DynInst
+follower(const DynInst &first, std::uint64_t i)
+{
+    DynInst inst;
+    inst.pc = first.pc + i * kInstBytes;
+    inst.func = first.func;
+    return inst;
+}
+
+} // namespace
+
 const char *
 prefetcherName(PrefetcherKind kind)
 {
@@ -79,6 +95,22 @@ Simulator::Simulator(const SimConfig &config, const CoreInit &init)
       btb_(config.btbEntries, config.btbWays),
       ras_(config.rasDepth)
 {
+    // Front-end and back-end widths and depths the detailed loop
+    // needs to make progress: each of these at 0 (or a fetch width
+    // below one instruction) stops the pipeline for good.
+    fatalIf(cfg_.commitWidth == 0, "commitWidth must be positive");
+    fatalIf(cfg_.fetchBytesPerCycle < kInstBytes,
+            "fetchBytesPerCycle must fetch at least one instruction (" +
+                std::to_string(kInstBytes) + " bytes)");
+    fatalIf(cfg_.bpBlocksPerCycle == 0, "bpBlocksPerCycle must be positive");
+    fatalIf(cfg_.ftqEntries == 0, "ftqEntries must be positive");
+    fatalIf(cfg_.robEntries == 0, "robEntries must be positive");
+    // A BTB-missed branch must resume prediction before it can commit.
+    fatalIf(cfg_.btbMissPenalty > cfg_.pipelineDepth,
+            "btbMissPenalty (" + std::to_string(cfg_.btbMissPenalty) +
+                ") must not exceed pipelineDepth (" +
+                std::to_string(cfg_.pipelineDepth) + ")");
+
     if (init.tenants.empty()) {
         // Classic single-core run: one implicit tenant from the
         // config's own workload (or scenario spec).
@@ -273,15 +305,30 @@ Simulator::registerStats()
 }
 
 void
-Simulator::ensureWindow(std::uint64_t up_to_seq)
+Simulator::appendRun(const DynInst &first, std::uint64_t n)
 {
-    while (windowBase_ + window_.size() <= up_to_seq) {
-        // One instruction per pull: prediction consumes the window
-        // instruction by instruction, and pull-ahead is observable.
-        const bool ok = stream_->next(window_.emplace_back(), 1) == 1;
-        panicIf(!ok, "workload stream ended unexpectedly");
-        windowFetch_.push_back(kNotFetched);
+    pullSeq_ += n;
+    if (!window_.empty()) {
+        Run &back = window_.back();
+        if (back.first.kind == InstKind::Plain &&
+            blockAlign(first.pc) == blockAlign(back.first.pc) &&
+            first == follower(back.first, back.n)) {
+            back.n += n;
+            return;
+        }
     }
+    window_.push_back({first, n});
+}
+
+void
+Simulator::pull(std::uint64_t max, Addr pc)
+{
+    DynInst first;
+    const std::uint64_t n = stream_->next(first, max);
+    panicIf(n == 0, "workload stream ended unexpectedly");
+    panicIf(pc != kNever && first.pc != pc,
+            "workload stream is not contiguous");
+    appendRun(first, n);
 }
 
 void
@@ -294,71 +341,94 @@ Simulator::stepPredict()
             return;
 
         // Build one fetch block: consecutive instructions in the same
-        // cache block, ending at a taken control transfer. at() is
-        // inline — the materialized-already fast path is one compare,
-        // and instructions are pulled from the engine exactly on
-        // first touch (pull-ahead is an observable engine stat, so it
-        // must not change).
-        std::uint64_t seq = bpSeq_;
-        Addr block = blockAlign(at(seq).pc);
+        // cache block, ending at a taken control transfer. The walk
+        // goes run by run and pulls exactly what the instruction-by-
+        // instruction walk would (pull-ahead is an observable engine
+        // stat): the rest of the block, and one instruction into the
+        // next block when the walk reaches it. bpSeq_ is the back
+        // run's last instruction (that look-ahead), or the next pull.
+        if (bpSeq_ == pullSeq_) {
+            if (window_.empty()) {
+                pull(1, kNever);
+            } else {
+                const Run &back = window_.back();
+                const Addr pc = isControl(back.first.kind)
+                    ? back.first.nextFetchPc()
+                    : back.first.pc + back.n * kInstBytes;
+                pull((blockAlign(pc) + kBlockBytes - pc) / kInstBytes, pc);
+            }
+        }
+        const std::uint64_t seq = bpSeq_;
+        const Addr block = blockAlign(window_.back().first.pc);
         std::uint64_t end = seq;
         FeBlock blocker = FeBlock::None;
 
         while (true) {
-            const DynInst &inst = at(end);
-            if (blockAlign(inst.pc) != block)
-                break;
-            ++end;
-
-            if (!isControl(inst.kind))
-                continue;
-
-            switch (inst.kind) {
-              case InstKind::CondBranch: {
-                bool predicted = condPred_.predict(inst.pc);
-                condPred_.update(inst.pc, inst.taken);
-                if (predicted != inst.taken) {
-                    blocker = FeBlock::Mispredict;
-                } else if (inst.taken) {
+            const DynInst &inst = window_.back().first;
+            Addr next_pc;
+            if (!isControl(inst.kind)) {
+                // Plain instructions need no prediction: take the rest
+                // of the run.
+                end = pullSeq_;
+                next_pc = inst.pc + window_.back().n * kInstBytes;
+            } else {
+                ++end;
+                switch (inst.kind) {
+                  case InstKind::CondBranch: {
+                    bool predicted = condPred_.predict(inst.pc);
+                    condPred_.update(inst.pc, inst.taken);
+                    if (predicted != inst.taken) {
+                        blocker = FeBlock::Mispredict;
+                    } else if (inst.taken) {
+                        if (!btb_.lookup(inst.pc))
+                            blocker = FeBlock::BtbMiss;
+                    }
+                    break;
+                  }
+                  case InstKind::Jump:
+                  case InstKind::Call: {
+                    if (inst.kind == InstKind::Call)
+                        ras_.push(inst.nextPc());
                     if (!btb_.lookup(inst.pc))
                         blocker = FeBlock::BtbMiss;
+                    break;
+                  }
+                  case InstKind::IndirectJump:
+                  case InstKind::IndirectCall: {
+                    if (inst.kind == InstKind::IndirectCall)
+                        ras_.push(inst.nextPc());
+                    Addr predicted = indirectPred_.predict(inst.pc);
+                    indirectPred_.update(inst.pc, inst.target);
+                    if (predicted != inst.target)
+                        blocker = FeBlock::Mispredict;
+                    break;
+                  }
+                  case InstKind::Return: {
+                    Addr predicted = ras_.pop();
+                    if (predicted != inst.target) {
+                        blocker = FeBlock::Mispredict;
+                        ++rasMispredicts_;
+                    }
+                    break;
+                  }
+                  default:
+                    break;
                 }
-                break;
-              }
-              case InstKind::Jump:
-              case InstKind::Call: {
-                if (inst.kind == InstKind::Call)
-                    ras_.push(inst.nextPc());
-                if (!btb_.lookup(inst.pc))
-                    blocker = FeBlock::BtbMiss;
-                break;
-              }
-              case InstKind::IndirectJump:
-              case InstKind::IndirectCall: {
-                if (inst.kind == InstKind::IndirectCall)
-                    ras_.push(inst.nextPc());
-                Addr predicted = indirectPred_.predict(inst.pc);
-                indirectPred_.update(inst.pc, inst.target);
-                if (predicted != inst.target)
-                    blocker = FeBlock::Mispredict;
-                break;
-              }
-              case InstKind::Return: {
-                Addr predicted = ras_.pop();
-                if (predicted != inst.target) {
-                    blocker = FeBlock::Mispredict;
-                    ++rasMispredicts_;
-                }
-                break;
-              }
-              default:
-                break;
+
+                // Any taken transfer ends the fetch block; a blocker
+                // stalls the prediction unit at this instruction.
+                if (blocker != FeBlock::None || inst.taken)
+                    break;
+                next_pc = inst.nextPc();
             }
 
-            // Any taken transfer ends the fetch block; a blocker stalls
-            // the prediction unit at this instruction.
-            if (blocker != FeBlock::None || (inst.taken))
+            if (blockAlign(next_pc) != block) {
+                // The walk reached the next block: pull its first
+                // instruction, which the next push starts from.
+                pull(1, next_pc);
                 break;
+            }
+            pull((block + kBlockBytes - next_pc) / kInstBytes, next_pc);
         }
 
         FtqEntry entry;
@@ -485,16 +555,18 @@ Simulator::stepFetch()
             }
         }
 
-        // Consume instructions from this entry as one span: the
-        // prediction unit materialized [startSeq, endSeq) when it
-        // built the entry, so no per-instruction bounds check needed.
-        if (budget > 0 && fetchSeq_ < entry.endSeq) {
+        // Consume instructions from this entry as one span, into this
+        // cycle's fetch group.
+        if (fetchSeq_ < entry.endSeq) {
             const std::uint64_t n = std::min<std::uint64_t>(
                 budget, entry.endSeq - fetchSeq_);
-            for (std::uint64_t i = 0; i < n; ++i)
-                fetchCycleAt(fetchSeq_ + i) = cycle_;
             fetchSeq_ += n;
             budget -= unsigned(n);
+            if (!fetchGroups_.empty() &&
+                fetchGroups_.back().cycle == cycle_)
+                fetchGroups_.back().endSeq = fetchSeq_;
+            else
+                fetchGroups_.push_back({fetchSeq_, cycle_});
         }
         if (fetchSeq_ >= entry.endSeq) {
             // Entry exhausted: a BTB-missed branch at its end resumes
@@ -509,82 +581,131 @@ Simulator::stepFetch()
     }
 }
 
+bool
+Simulator::stallsAt(Addr pc) const
+{
+    // Idealized back end: a deterministic slice of instructions
+    // behaves as long-latency (off-core data) and stalls commit.
+    return (mix64(pc * 0x2545f4914f6cdd1dULL) % 1000) <
+        cfg_.backendStallPermille;
+}
+
+void
+Simulator::backendStall(Addr pc)
+{
+    commitBlockedUntil_ = cycle_ + cfg_.backendStallCycles;
+    HP_EMIT(obs_.get(),
+            emitSpan(EventKind::BackendStall, cycle_, commitBlockedUntil_,
+                     blockAlign(pc)));
+    if (measuring())
+        backendStallCycles_ += cfg_.backendStallCycles;
+}
+
+bool
+Simulator::commitSpan(std::uint64_t limit)
+{
+    Run &run = window_.front();
+    const DynInst first = run.first;
+
+    if (scenEngine_ && first.marker != StreamMarker::None)
+        noteCommitMarker(first, /*detailed=*/true);
+    // Chain hand-off detection: a span lies in one cache block, so in
+    // one service window.
+    if (spanTracker_)
+        spanTracker_->onCommitPc(first.pc, cycle_);
+
+    // The span ends after the first instruction that blocks commit.
+    std::uint64_t k = limit;
+    std::uint64_t stall = limit;
+    if (cfg_.backendStallPermille > 0) {
+        for (std::uint64_t i = 0; i < limit; ++i) {
+            if (stallsAt(first.pc + i * kInstBytes)) {
+                stall = i;
+                break;
+            }
+        }
+        if (stall < limit && cfg_.backendStallCycles > 0)
+            k = stall + 1;
+    }
+
+    // Hooks in instruction order: the first instruction's stall, the
+    // counted commit (only its first instruction can emit), then the
+    // stalls of the rest.
+    if (stall == 0)
+        backendStall(first.pc);
+    // Through the concrete final type when it is the Hierarchical
+    // Prefetcher, so the per-span call devirtualizes (the same
+    // treatment stepExtPrefetch gives tick()).
+    if (hierPf_)
+        hierPf_->onCommit(first, k, cycle_);
+    else if (pf_)
+        pf_->onCommit(first, k, cycle_);
+    for (std::uint64_t i = std::max<std::uint64_t>(stall, 1); i < k; ++i) {
+        if (stallsAt(first.pc + i * kInstBytes))
+            backendStall(first.pc + i * kInstBytes);
+    }
+
+    // A mispredicted control instruction is a run of one.
+    const bool was_blocking_mispredict =
+        feBlock_ == FeBlock::Mispredict && feBlockSeq_ == windowBase_;
+
+    if (k == run.n) {
+        window_.pop_front();
+    } else {
+        run.first = follower(first, k);
+        run.n -= k;
+    }
+    windowBase_ += k;
+    committed_ += k;
+    if (measuring())
+        measuredInsts_ += k;
+
+    if (was_blocking_mispredict) {
+        // Flush and resteer: the prediction unit resumes after the
+        // branch; fetch pays the refill penalty.
+        HP_EMIT(obs_.get(),
+                emitSpan(EventKind::FtqStallMispredict, feBlockStart_,
+                         cycle_, blockAlign(first.pc)));
+        ftq_.clear();
+        fetchGroups_.clear();
+        bpSeq_ = windowBase_;
+        fetchSeq_ = windowBase_;
+        feBlock_ = FeBlock::None;
+        if (isControl(first.kind))
+            btb_.update(first.pc, first.target);
+        fetchStalledUntil_ = std::max<Cycle>(
+            fetchStalledUntil_, cycle_ + cfg_.mispredictPenalty);
+        return false; // commit stops at a flush boundary
+    }
+    return commitBlockedUntil_ <= cycle_;
+}
+
 void
 Simulator::stepCommit()
 {
     if (cycle_ < commitBlockedUntil_)
         return;
 
-    for (unsigned n = 0; n < cfg_.commitWidth; ++n) {
-        if (window_.empty() || windowBase_ >= fetchSeq_)
-            return;
-        const Cycle fetch_cycle = windowFetch_.front();
-        if (fetch_cycle == kNotFetched ||
-            cycle_ < fetch_cycle + cfg_.pipelineDepth) {
-            return;
-        }
-
-        const DynInst inst = window_.front();
-
-        if (scenEngine_ && inst.marker != StreamMarker::None)
-            noteCommitMarker(inst, /*detailed=*/true);
-        // Chain hand-off detection: one null check when spans are off,
-        // one window compare while a span is open.
-        if (spanTracker_)
-            spanTracker_->onCommitPc(inst.pc, cycle_);
-
-        // Idealized back end: a deterministic slice of instructions
-        // behaves as long-latency (off-core data) and stalls commit.
-        if (cfg_.backendStallPermille > 0 &&
-            (mix64(inst.pc * 0x2545f4914f6cdd1dULL) % 1000) <
-                cfg_.backendStallPermille) {
-            commitBlockedUntil_ = cycle_ + cfg_.backendStallCycles;
-            HP_EMIT(obs_.get(),
-                    emitSpan(EventKind::BackendStall, cycle_,
-                             commitBlockedUntil_, blockAlign(inst.pc)));
-            if (measuring())
-                backendStallCycles_ += cfg_.backendStallCycles;
-        }
-
-        // Through the concrete final type when it is the Hierarchical
-        // Prefetcher, so the per-commit call devirtualizes (the same
-        // treatment stepExtPrefetch gives tick()).
-        if (hierPf_)
-            hierPf_->onCommit(inst, 1, cycle_);
-        else if (pf_)
-            pf_->onCommit(inst, 1, cycle_);
-
-        bool was_blocking_mispredict =
-            feBlock_ == FeBlock::Mispredict && feBlockSeq_ == windowBase_;
-
-        window_.pop_front();
-        windowFetch_.pop_front();
-        ++windowBase_;
-        ++committed_;
-        if (measuring())
-            ++measuredInsts_;
-
-        if (was_blocking_mispredict) {
-            // Flush and resteer: the prediction unit resumes after the
-            // branch; fetch pays the refill penalty.
-            HP_EMIT(obs_.get(),
-                    emitSpan(EventKind::FtqStallMispredict,
-                             feBlockStart_, cycle_,
-                             blockAlign(inst.pc)));
-            ftq_.clear();
-            bpSeq_ = windowBase_;
-            fetchSeq_ = windowBase_;
-            feBlock_ = FeBlock::None;
-            if (isControl(inst.kind))
-                btb_.update(inst.pc, inst.target);
-            fetchStalledUntil_ = std::max<Cycle>(
-                fetchStalledUntil_, cycle_ + cfg_.mispredictPenalty);
-            return; // commit stops at a flush boundary
-        }
-
-        if (commitBlockedUntil_ > cycle_)
-            return;
+    // The ready prefix: the fetch groups at least pipelineDepth cycles
+    // old, scanned only as far as this cycle's width reaches.
+    const std::uint64_t width_end = windowBase_ + cfg_.commitWidth;
+    std::uint64_t ready = windowBase_;
+    for (std::size_t g = 0; g < fetchGroups_.size() && ready < width_end;
+         ++g) {
+        if (cycle_ < fetchGroups_[g].cycle + cfg_.pipelineDepth)
+            break;
+        ready = fetchGroups_[g].endSeq;
     }
+    ready = std::min(ready, width_end);
+
+    // One span per run, each cut short where commit must stop.
+    while (windowBase_ < ready &&
+           commitSpan(std::min<std::uint64_t>(window_.front().n,
+                                              ready - windowBase_))) {
+    }
+    while (!fetchGroups_.empty() &&
+           fetchGroups_.front().endSeq <= windowBase_)
+        fetchGroups_.pop_front();
 }
 
 void
@@ -643,10 +764,13 @@ Simulator::stepCycle()
     if (pf_)
         stepExtPrefetch();
     stepFetch();
-    // BTB-miss resume.
+    // BTB-miss resume. The prediction unit stopped at the branch, so
+    // it is the window's last instruction (a run of one); it commits
+    // no earlier than pipelineDepth >= btbMissPenalty cycles after its
+    // fetch scheduled this resume.
     if (feBlock_ == FeBlock::BtbMiss && feResumeScheduled_ &&
         cycle_ >= feResumeAt_) {
-        const DynInst &inst = at(feBlockSeq_);
+        const DynInst &inst = window_.back().first;
         btb_.update(inst.pc, inst.target);
         feBlock_ = FeBlock::None;
         HP_EMIT(obs_.get(), emitSpan(EventKind::FtqStallBtbMiss,
@@ -659,6 +783,7 @@ Simulator::stepCycle()
 void
 Simulator::step()
 {
+    ++steps_;
     cycle_ += owesAdvance_;
     stepCycle();
     if (sampler_)
@@ -666,11 +791,52 @@ Simulator::step()
     owesAdvance_ = true;
 }
 
+Cycle
+Simulator::nextActiveCycle() const
+{
+    const Cycle now = cycle_ + owesAdvance_;
+    // Work that is ready now: a due context switch, a prediction
+    // push, or a prefetch request the MSHRs can take.
+    if (nextSwitchAt_ != 0 && committed_ >= nextSwitchAt_)
+        return now;
+    if (feBlock_ == FeBlock::None && ftq_.size() < cfg_.ftqEntries)
+        return now;
+    if (pf_ && cfg_.extPrefetchesPerCycle > 0 && pf_->queueDepth() > 0 &&
+        hier_.freeMshrs() > cfg_.mem.mshrsReservedForDemand)
+        return now;
+
+    // Deadlines: everything else waits for one of these.
+    Cycle next = hier_.nextFillAt();
+    if (pf_) {
+        next = std::min(next, hierPf_ ? hierPf_->nextTickAt(now)
+                                      : pf_->nextTickAt(now));
+    }
+    if (!ftq_.empty() && fetchSeq_ - windowBase_ < cfg_.robEntries)
+        next = std::min(next, fetchStalledUntil_);
+    if (feBlock_ == FeBlock::BtbMiss && feResumeScheduled_)
+        next = std::min(next, feResumeAt_);
+    if (!fetchGroups_.empty()) {
+        next = std::min(next, std::max<Cycle>(
+            commitBlockedUntil_,
+            fetchGroups_.front().cycle + cfg_.pipelineDepth));
+    }
+    return std::max(next, now);
+}
+
+void
+Simulator::skipTo(Cycle at)
+{
+    panicIf(at == kNever, "detailed loop has no pending event");
+    cycle_ = at - owesAdvance_;
+}
+
 void
 Simulator::runTo(std::uint64_t target)
 {
-    while (committed_ < target)
+    while (committed_ < target) {
+        skipTo(nextActiveCycle());
         step();
+    }
 }
 
 void
@@ -864,15 +1030,16 @@ Simulator::fastForward(std::uint64_t insts)
     const std::uint64_t target = committed_ + insts;
     Addr cur_block = ~Addr(0);
 
-    // First consume what the decoupled front end already materialized
-    // past the commit point, then pull runs straight from the engine.
+    // First consume what the decoupled front end already pulled past
+    // the commit point, then pull runs straight from the engine. What
+    // the target leaves of the window, resyncFrontEnd drops.
     while (committed_ < target) {
         DynInst inst;
-        std::uint64_t n = 1;
+        std::uint64_t n;
         if (!window_.empty()) {
-            inst = window_.front();
+            inst = window_.front().first;
+            n = std::min(window_.front().n, target - committed_);
             window_.pop_front();
-            windowFetch_.pop_front();
         } else {
             n = stream_->next(inst, target - committed_);
             panicIf(n == 0, "workload stream ended unexpectedly");
@@ -892,8 +1059,9 @@ Simulator::resyncFrontEnd()
     // restart the decoupled front end from the commit point — the
     // same state it has right after a mispredict flush.
     window_.clear();
-    windowFetch_.clear();
+    fetchGroups_.clear();
     windowBase_ = committed_;
+    pullSeq_ = committed_;
     bpSeq_ = committed_;
     fetchSeq_ = committed_;
     ftq_.clear();
@@ -906,19 +1074,81 @@ Simulator::resyncFrontEnd()
     commitBlockedUntil_ = 0;
 }
 
+const char *
+Simulator::checkWindow(const std::vector<DynInst> &slots,
+                       const std::vector<Cycle> &fetched) const
+{
+    if (slots.size() != fetched.size())
+        return "window and fetch-cycle slot counts differ";
+    if (windowBase_ != committed_)
+        return "window base is not the commit point";
+    if (fetchSeq_ < windowBase_ || bpSeq_ < fetchSeq_)
+        return "fetch cursor outside [window base, prediction cursor]";
+    const std::uint64_t pulled = windowBase_ + slots.size();
+    if (pulled < bpSeq_ || pulled > bpSeq_ + 1)
+        return "not at most one pulled instruction past the prediction "
+               "cursor";
+    if (ftq_.empty()) {
+        if (fetchSeq_ != bpSeq_)
+            return "empty FTQ behind unfetched predicted instructions";
+    } else {
+        if (ftq_.front().startSeq > fetchSeq_ ||
+            fetchSeq_ >= ftq_.front().endSeq)
+            return "FTQ front entry does not hold the fetch cursor";
+        for (std::size_t i = 0; i < ftq_.size(); ++i) {
+            if (ftq_[i].startSeq >= ftq_[i].endSeq ||
+                (i > 0 && ftq_[i - 1].endSeq != ftq_[i].startSeq))
+                return "FTQ entries are not contiguous";
+        }
+        if (ftq_.back().endSeq != bpSeq_)
+            return "last FTQ entry does not end at the prediction cursor";
+    }
+    for (std::uint64_t i = 0; i < slots.size(); ++i) {
+        if (windowBase_ + i >= fetchSeq_) {
+            if (fetched[i] != kNotFetched)
+                return "a slot past the fetch cursor has a fetch cycle";
+        } else if (fetched[i] == kNotFetched ||
+                   (i > 0 && fetched[i] < fetched[i - 1])) {
+            return "fetch cycles decrease over the fetched slots";
+        }
+    }
+    if (feBlock_ > FeBlock::Mispredict)
+        return "unknown front-end block kind";
+    // The prediction unit stops at its blocking control instruction:
+    // the BTB resume and the flush find it at the window's back.
+    if (feBlock_ != FeBlock::None &&
+        (feBlockSeq_ < windowBase_ || feBlockSeq_ + 1 != pulled ||
+         pulled != bpSeq_ ||
+         !isControl(slots[feBlockSeq_ - windowBase_].kind)))
+        return "front-end block is not the last pulled instruction";
+    return nullptr;
+}
+
 template <class Ar>
 void
 Simulator::serializeState(Ar &ar)
 {
-    io(ar, cycle_);
-    io(ar, window_);
-    io(ar, windowFetch_);
-    if constexpr (Ar::loading) {
-        if (window_.size() != windowFetch_.size()) {
-            ar.markFailed();
-            return;
+    // The blob holds the window per slot: one DynInst and one fetch
+    // cycle each, kNotFetched from fetchSeq_ on. A restore rebuilds the
+    // runs and fetch groups from them.
+    std::vector<DynInst> slots;
+    std::vector<Cycle> fetched;
+    if constexpr (!Ar::loading) {
+        for (std::size_t r = 0; r < window_.size(); ++r) {
+            slots.push_back(window_[r].first);
+            for (std::uint64_t i = 1; i < window_[r].n; ++i)
+                slots.push_back(follower(window_[r].first, i));
         }
+        std::uint64_t seq = windowBase_;
+        for (std::size_t g = 0; g < fetchGroups_.size(); ++g) {
+            for (; seq < fetchGroups_[g].endSeq; ++seq)
+                fetched.push_back(fetchGroups_[g].cycle);
+        }
+        fetched.resize(slots.size(), kNotFetched);
     }
+    io(ar, cycle_);
+    io(ar, slots);
+    io(ar, fetched);
     io(ar, windowBase_);
     io(ar, bpSeq_);
     io(ar, fetchSeq_);
@@ -930,6 +1160,26 @@ Simulator::serializeState(Ar &ar)
     io(ar, fetchStalledUntil_);
     io(ar, commitBlockedUntil_);
     io(ar, committed_);
+    if constexpr (Ar::loading) {
+        if (ar.failed())
+            return;
+        if (const char *bad = checkWindow(slots, fetched)) {
+            ar.markFailed(bad);
+            return;
+        }
+        window_.clear();
+        fetchGroups_.clear();
+        pullSeq_ = windowBase_;
+        for (const DynInst &inst : slots)
+            appendRun(inst, 1);
+        for (std::uint64_t seq = windowBase_; seq < fetchSeq_; ++seq) {
+            const Cycle c = fetched[seq - windowBase_];
+            if (!fetchGroups_.empty() && fetchGroups_.back().cycle == c)
+                fetchGroups_.back().endSeq = seq + 1;
+            else
+                fetchGroups_.push_back({seq + 1, c});
+        }
+    }
     io(ar, rasMispredicts_);
     hier_.serializeState(ar);
     btb_.serializeState(ar);

@@ -18,6 +18,7 @@
 #define HP_SIM_SIMULATOR_HH
 
 #include <memory>
+#include <vector>
 
 #include "cache/reuse_distance.hh"
 #include "frontend/btb.hh"
@@ -162,8 +163,11 @@ class Simulator
 
   private:
     friend class MultiCoreSimulator;
+    /** Test-only access to the cycle driver (tests/sim/sim_probe.hh). */
+    friend class SimulatorProbe;
 
-    /** Sentinel fetch cycle for window slots fetch has not reached. */
+    /** Sentinel fetch cycle, in a checkpoint's per-slot window, for
+     *  the slots fetch has not reached. */
     static constexpr Cycle kNotFetched = ~Cycle(0);
 
     /**
@@ -206,25 +210,51 @@ class Simulator
         Mispredict, ///< Resolved at commit of the branch.
     };
 
-    /** Pulls instructions from the engine until @p up_to_seq exists. */
-    void ensureWindow(std::uint64_t up_to_seq);
-
-    /** Window instruction access with an inline bounds check; the
-     *  common case (already materialized) costs one compare. */
-    DynInst &
-    at(std::uint64_t seq)
+    /**
+     * One run of the in-flight window (InstStream::next): @p first and
+     * the n - 1 plain instructions after it at consecutive addresses
+     * in first's cache block, with first's func and no marker. A
+     * control instruction is a run of one.
+     */
+    struct Run
     {
-        if (seq - windowBase_ >= window_.size())
-            ensureWindow(seq);
-        return window_[seq - windowBase_];
-    }
+        DynInst first;
+        std::uint64_t n = 0;
+    };
 
-    /** Unchecked fetch-cycle slot access for spans covered by a prior
-     *  ensureWindow. */
-    Cycle &fetchCycleAt(std::uint64_t seq)
+    /** The instructions fetch consumed in one cycle: those below
+     *  @p endSeq that no earlier group holds. */
+    struct FetchGroup
     {
-        return windowFetch_[seq - windowBase_];
-    }
+        std::uint64_t endSeq = 0;
+        Cycle cycle = 0;
+    };
+
+    /**
+     * Pulls the next run, at most @p max instructions, and appends it
+     * to the window, merging a plain continuation into the back run.
+     * @p pc is where the stream must continue (each instruction starts
+     * at its predecessor's nextFetchPc()), or kNever when unknown.
+     */
+    void pull(std::uint64_t max, Addr pc);
+
+    /** Appends @p n instructions starting with @p first to the window. */
+    void appendRun(const DynInst &first, std::uint64_t n);
+
+    /** The front-end invariants the run window relies on, checked on
+     *  a restored per-slot window; the violated one, or nullptr. */
+    const char *checkWindow(const std::vector<DynInst> &slots,
+                            const std::vector<Cycle> &fetched) const;
+
+    /** True when the back end stalls on the instruction at @p pc. */
+    bool stallsAt(Addr pc) const;
+
+    /** Blocks commit behind the long-latency instruction at @p pc. */
+    void backendStall(Addr pc);
+
+    /** Commits up to @p limit instructions of the front run as one
+     *  span; returns false when commit must stop for this cycle. */
+    bool commitSpan(std::uint64_t limit);
 
     void stepPredict();
     void stepExtPrefetch();
@@ -245,11 +275,27 @@ class Simulator
      * the previous cycle owes, runs stepCycle, ticks the time-series
      * sampler, and leaves this cycle's advance owed. Every run loop —
      * runWarmup, finishRun, advanceDetailed, measureWindow and the
-     * multi-core lockstep — is built on it.
+     * multi-core lockstep — is built on it, stepping only the active
+     * cycles; stepping every cycle is the reference they reproduce.
      */
     void step();
 
-    /** Steps until the commit that crosses @p target. */
+    /**
+     * The first cycle, from the one the next step() runs, at which
+     * stepCycle would change anything: a due context switch, a
+     * prediction push, an MSHR fill, a drainable prefetch queue, the
+     * prefetcher's next tick event, fetch's stall end, the BTB resume
+     * or commit readiness. Every cycle before it is idle: stepping it
+     * only advances the clock.
+     */
+    Cycle nextActiveCycle() const;
+
+    /** Advances the clock over the idle cycles, so the next step()
+     *  runs at @p at (>= the cycle it would have run). */
+    void skipTo(Cycle at);
+
+    /** Steps the active cycles until the commit that crosses
+     *  @p target, skipping the idle ones between them. */
     void runTo(std::uint64_t target);
 
     /** Ends a measurement: pays the owed clock advance if
@@ -334,15 +380,16 @@ class Simulator
     bool perfect_ = false;
 
     Cycle cycle_ = 0;
+    /** step() calls so far: the idle-skipping gate's measure. Neither
+     *  registered nor serialized. */
+    std::uint64_t steps_ = 0;
 
-    // SoA in-flight window: the instruction stream and the per-slot
-    // fetch cycles live in two parallel rings. The hot loops touch
-    // them asymmetrically — prediction reads only instructions, fetch
-    // writes only fetch cycles, commit reads one of each at the front
-    // — so splitting them keeps each loop's working set dense.
-    RingBuffer<DynInst> window_{512};
-    RingBuffer<Cycle> windowFetch_{512};
-    std::uint64_t windowBase_ = 0; ///< Seq of window_.front().
+    // The in-flight window: the pulled, uncommitted instructions as
+    // runs, and the fetched ones as one group per fetch cycle.
+    RingBuffer<Run> window_{128};
+    RingBuffer<FetchGroup> fetchGroups_{128};
+    std::uint64_t windowBase_ = 0; ///< Seq of the front run's first.
+    std::uint64_t pullSeq_ = 0;    ///< Seq the next pull starts at.
     std::uint64_t bpSeq_ = 0;      ///< Next inst for the BP unit.
     std::uint64_t fetchSeq_ = 0;   ///< Next inst for fetch.
 

@@ -177,6 +177,18 @@ class StateLoader
         pos_ = size_;
     }
 
+    /** markFailed with a diagnostic; the first failure's one sticks. */
+    void
+    markFailed(const char *why)
+    {
+        if (!failed_)
+            reason_ = why;
+        markFailed();
+    }
+
+    /** Why a restore rejected the stream's state, or nullptr. */
+    const char *failReason() const { return reason_; }
+
   private:
     std::uint64_t
     readUint(unsigned width)
@@ -190,6 +202,7 @@ class StateLoader
     std::size_t size_;
     std::size_t pos_ = 0;
     bool failed_ = false;
+    const char *reason_ = nullptr;
 };
 
 /**

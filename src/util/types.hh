@@ -21,6 +21,9 @@ using Addr = std::uint64_t;
 /** Simulation time in core clock cycles. */
 using Cycle = std::uint64_t;
 
+/** "No event": the answer of a next-event query with nothing pending. */
+constexpr Cycle kNever = ~Cycle(0);
+
 /** Size of a cache block in bytes. */
 constexpr unsigned kBlockBytes = 64;
 

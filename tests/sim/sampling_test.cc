@@ -420,10 +420,10 @@ TEST(SimModeTest, FastForwardBeatsDetailedThroughput)
 {
     // The block-granular fast-forward must be measurably faster than
     // the detailed cycle loop — that margin is the entire point of
-    // sampled simulation. The 1.2x bar is far under the ~4.5x
-    // measured on a 4-core x86-64 host (~3.6x when fast-forward still
-    // stepped one instruction at a time), so scheduler noise cannot
-    // trip it.
+    // sampled simulation. The 1.2x bar is far under the ~3.4x
+    // measured on a 4-core x86-64 host (~5.2x before the detailed
+    // loop went run-granular and skipped idle cycles), so scheduler
+    // noise cannot trip it.
     SimConfig config = quickConfig(PrefetcherKind::Hierarchical);
     constexpr std::uint64_t kInsts = 600'000;
 

@@ -138,6 +138,68 @@ TEST(SimulatorTest, StreamIdenticalAcrossPrefetchers)
         EXPECT_EQ(a.stats.value(path), b.stats.value(path)) << path;
 }
 
+// Core configs the detailed loop cannot run are rejected at
+// construction. Without the check, a 2k-instruction run() under each
+// of the first five never returned, and btbMissPenalty above
+// pipelineDepth let a BTB-missed branch commit before its resume,
+// which then installed a committed window slot into the BTB.
+void
+expectRejected(void (*set)(SimConfig &), const char *diagnostic)
+{
+    SimConfig config = quickConfig();
+    config.warmupInsts = 1'000;
+    config.measureInsts = 1'000;
+    set(config);
+    EXPECT_DEATH(Simulator(config).run(), diagnostic);
+}
+
+TEST(SimulatorConfigDeathTest, RejectsZeroCommitWidth)
+{
+    expectRejected([](SimConfig &c) { c.commitWidth = 0; },
+                   "commitWidth must be positive");
+}
+
+TEST(SimulatorConfigDeathTest, RejectsFetchWidthBelowOneInstruction)
+{
+    expectRejected([](SimConfig &c) { c.fetchBytesPerCycle = 3; },
+                   "fetchBytesPerCycle must fetch at least one instruction");
+}
+
+TEST(SimulatorConfigDeathTest, RejectsZeroPredictionWidth)
+{
+    expectRejected([](SimConfig &c) { c.bpBlocksPerCycle = 0; },
+                   "bpBlocksPerCycle must be positive");
+}
+
+TEST(SimulatorConfigDeathTest, RejectsEmptyFtq)
+{
+    expectRejected([](SimConfig &c) { c.ftqEntries = 0; },
+                   "ftqEntries must be positive");
+}
+
+TEST(SimulatorConfigDeathTest, RejectsEmptyRob)
+{
+    expectRejected([](SimConfig &c) { c.robEntries = 0; },
+                   "robEntries must be positive");
+}
+
+TEST(SimulatorConfigDeathTest, RejectsBtbResumeAfterCommit)
+{
+    expectRejected([](SimConfig &c) { c.btbMissPenalty = 12; },
+                   "btbMissPenalty \\(12\\) must not exceed "
+                   "pipelineDepth \\(10\\)");
+}
+
+TEST(SimulatorTest, BtbResumeAtPipelineDepthRuns)
+{
+    // The largest accepted penalty: the resume lands in the cycle the
+    // branch can first commit, ahead of commit.
+    SimConfig config = quickConfig();
+    config.btbMissPenalty = config.pipelineDepth;
+    SimMetrics m = Simulator(config).run();
+    EXPECT_GE(m.instructions, 300'000u);
+}
+
 TEST(SimulatorStatsTest, RegistryCoversEveryComponent)
 {
     Simulator sim(quickConfig(PrefetcherKind::Hierarchical));
