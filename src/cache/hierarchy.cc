@@ -395,7 +395,7 @@ CacheHierarchy::prefetch(Addr block, Origin origin, Cycle now, bool to_l2)
     return true;
 }
 
-bool
+Cycle
 CacheHierarchy::functionalTouch(Addr block)
 {
     ++stats_.demandAccesses;
@@ -406,7 +406,7 @@ CacheHierarchy::functionalTouch(Addr block)
             if (hit->origin == Origin::Ext)
                 recordExtOutcome(block, /*useful=*/true);
         }
-        return true;
+        return 0;
     }
 
     ++stats_.demandL1Misses;
@@ -415,6 +415,7 @@ CacheHierarchy::functionalTouch(Addr block)
     // tracking move exactly as the detailed demand path would move
     // them, fills land immediately instead of via an MSHR. Miss
     // attribution hooks are timing observability and stay off here.
+    Cycle latency = params_.l2Latency;
     if (auto hit = l2_.access(block)) {
         if (hit->firstUse) {
             if (hit->origin == Origin::Ext) {
@@ -429,8 +430,10 @@ CacheHierarchy::functionalTouch(Addr block)
         ++stats_.demandL2Misses;
         if (llc_.access(block)) {
             ++stats_.servedByLlc;
+            latency = params_.llcLatency;
         } else {
             ++stats_.demandLlcMisses;
+            latency = params_.memLatency;
             ++stats_.servedByMem;
             stats_.dramDemandBytes += kBlockBytes;
             llc_.insert(block, Origin::Demand);
@@ -445,7 +448,7 @@ CacheHierarchy::functionalTouch(Addr block)
         if (evicted.origin == Origin::Ext)
             recordExtOutcome(evicted.block, /*useful=*/false);
     }
-    return false;
+    return latency;
 }
 
 void

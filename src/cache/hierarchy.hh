@@ -335,9 +335,11 @@ class CacheHierarchy : public MetadataMemory
     /**
      * Functional demand access: on an L1-I miss the block is pulled
      * through L2/LLC (updating their recency) and inserted everywhere
-     * it would eventually fill. @return true on an L1-I hit.
+     * it would eventually fill. @return 0 on an L1-I hit, else the
+     * latency of the level that served the block (l2Latency,
+     * llcLatency or memLatency), for the prefetchers' miss training.
      */
-    bool functionalTouch(Addr block);
+    Cycle functionalTouch(Addr block);
 
     /** Functional prefetch fill (@see prefetch, minus MSHRs/timing). */
     void functionalPrefetch(Addr block, Origin origin,

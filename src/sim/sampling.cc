@@ -273,8 +273,8 @@ runSampled(const SimConfig &config)
     for (std::uint64_t start : starts) {
         // Detailed warmup re-establishes the timing state (FTQ,
         // MSHRs, in-flight fills) the fast-forward cannot model; it
-        // is clipped at the measurement boundary, where the restored
-        // checkpoint itself is perfectly warm detailed state. The
+        // is clipped at the measurement boundary, before which the
+        // run warmed functionally too (Simulator::runWarmup). The
         // scout forks warm instructions before the window so the
         // replayed interval covers exactly [start, start + win).
         const std::uint64_t warm =

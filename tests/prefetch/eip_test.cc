@@ -3,6 +3,7 @@
 #include <set>
 
 #include "prefetch/eip.hh"
+#include "sim/simulator.hh"
 
 namespace hp
 {
@@ -122,6 +123,19 @@ TEST(EipTest, TargetCapRespected)
     // At most maxTargets * targetRunBlocks prefetches per trigger.
     EXPECT_LE(blocks.size(),
               std::size_t(config.maxTargets) * config.targetRunBlocks);
+}
+
+TEST(EipTest, EntanglesDuringAColdFastForward)
+{
+    // Fast-forward passes each functional miss's fill latency, so EIP
+    // trains outside the detailed loop too: a trigger fetched again
+    // issues the targets entangled with it.
+    SimConfig config;
+    config.workload = "caddy";
+    config.prefetcher = PrefetcherKind::Eip;
+    Simulator sim(config);
+    sim.fastForward(300'000);
+    EXPECT_GT(sim.stats().value("ext.issued"), 0u);
 }
 
 TEST(EipTest, StorageMatchesPaperClass)
