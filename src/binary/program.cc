@@ -81,6 +81,22 @@ Program::funcAt(Addr addr) const
     return kNoFunc;
 }
 
+namespace
+{
+
+/** True when op @p idx of @p fn exists and holds slot @p slot. */
+bool
+opHolds(const Function &fn, std::uint32_t idx, std::uint32_t slot)
+{
+    if (idx >= fn.body.size())
+        return false;
+    const BodyOp &op = fn.body[idx];
+    const std::uint32_t len = op.kind == OpKind::Run ? op.length : 1;
+    return op.offset <= slot && slot < op.offset + len;
+}
+
+} // namespace
+
 void
 Program::validate() const
 {
@@ -98,11 +114,15 @@ Program::validate() const
               case OpKind::Branch:
                 panicIf(op.offset + 1 + op.span > fn.numInsts(),
                         "Branch skips past end of " + fn.name);
+                panicIf(!opHolds(fn, op.targetIdx, op.offset + 1 + op.span),
+                        "Branch target op mismatch in " + fn.name);
                 cursor += 1;
                 break;
               case OpKind::Loop:
                 panicIf(op.span > op.offset,
                         "Loop jumps before entry of " + fn.name);
+                panicIf(!opHolds(fn, op.targetIdx, op.offset - op.span),
+                        "Loop target op mismatch in " + fn.name);
                 cursor += 1;
                 break;
               case OpKind::CallSite:

@@ -71,7 +71,11 @@ struct BodyOp
     /** Loop: mean extra iterations beyond the first. */
     std::uint16_t meanIter = 0;
 
-    /** CallSite: index into Function::targets. */
+    /**
+     * CallSite: index into Function::targets.
+     * Branch/Loop: index of the body op holding the taken target slot,
+     * resolved when the body is built.
+     */
     std::uint32_t targetIdx = 0;
 
     /** CallSite: probability (percent) the call executes at all. */
@@ -152,8 +156,10 @@ class Program
 
     /**
      * Checks structural invariants of every function body (monotonic
-     * offsets, spans inside the body, valid callee ids, trailing Ret).
-     * Calls panic() on violation; intended for tests and builders.
+     * offsets, spans inside the body, branch and loop targets that
+     * name the op holding their target slot, valid callee ids,
+     * trailing Ret). Calls panic() on violation; intended for tests
+     * and builders.
      */
     void validate() const;
 

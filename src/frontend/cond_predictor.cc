@@ -24,29 +24,30 @@ CondPredictor::CondPredictor(unsigned log_base, unsigned log_tagged,
         if (len > 64)
             len = 64;
     }
+    refold();
 }
 
-std::uint64_t
-CondPredictor::foldedHistory(unsigned bits) const
+void
+CondPredictor::refold()
 {
-    std::uint64_t masked =
-        bits >= 64 ? history_ : (history_ & ((1ull << bits) - 1));
-    return mix64(masked);
+    for (unsigned t = 0; t < numTables_; ++t) {
+        const unsigned bits = historyLens_[t];
+        folds_[t] = mix64(bits >= 64 ? history_
+                                     : history_ & ((1ull << bits) - 1));
+    }
 }
 
 unsigned
 CondPredictor::taggedIndex(unsigned table, Addr pc) const
 {
-    std::uint64_t h = hashCombine(foldedHistory(historyLens_[table]),
-                                  pc >> 2);
+    std::uint64_t h = hashCombine(folds_[table], pc >> 2);
     return static_cast<unsigned>(h & ((1u << logTagged_) - 1));
 }
 
 std::uint16_t
 CondPredictor::taggedTag(unsigned table, Addr pc) const
 {
-    std::uint64_t h = hashCombine(foldedHistory(historyLens_[table]) * 3,
-                                  (pc >> 2) * 7);
+    std::uint64_t h = hashCombine(folds_[table] * 3, (pc >> 2) * 7);
     return static_cast<std::uint16_t>((h >> 13) & 0x3fff);
 }
 
@@ -117,6 +118,7 @@ CondPredictor::update(Addr pc, bool taken)
     }
 
     history_ = (history_ << 1) | (taken ? 1 : 0);
+    refold();
 }
 
 template <class Ar>
@@ -132,6 +134,8 @@ CondPredictor::serializeState(Ar &ar)
     io(ar, lastPc_);
     io(ar, predictions_);
     io(ar, mispredicts_);
+    if constexpr (Ar::loading)
+        refold();
 }
 
 template void CondPredictor::serializeState(StateWriter &);

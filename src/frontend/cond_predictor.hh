@@ -11,6 +11,7 @@
 #ifndef HP_FRONTEND_COND_PREDICTOR_HH
 #define HP_FRONTEND_COND_PREDICTOR_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -82,7 +83,10 @@ class CondPredictor
 
     unsigned taggedIndex(unsigned table, Addr pc) const;
     std::uint16_t taggedTag(unsigned table, Addr pc) const;
-    std::uint64_t foldedHistory(unsigned bits) const;
+
+    /** Recomputes folds_ from history_: at construction, after each
+     *  history shift and after a restore. */
+    void refold();
 
     unsigned logBase_;
     unsigned logTagged_;
@@ -91,6 +95,9 @@ class CondPredictor
     std::vector<std::vector<TaggedEntry>> tagged_;
     std::vector<unsigned> historyLens_;
     std::uint64_t history_ = 0;
+    /** Per table, its history length of history_ folded by mix64:
+     *  derived state, not serialized. */
+    std::array<std::uint64_t, 8> folds_{};
 
     // Prediction bookkeeping between predict() and update().
     int providerTable_ = -1;

@@ -70,21 +70,13 @@ RequestEngine::decide(Addr pc, unsigned bias, unsigned jitter)
 }
 
 void
-RequestEngine::seek(Frame &frame, std::uint32_t slot)
+RequestEngine::seek(Frame &frame, const BodyOp &op, std::uint32_t slot)
 {
-    const auto &body = app_->program.func(frame.func).body;
-    // Binary search for the op containing `slot`.
-    std::size_t lo = 0, hi = body.size();
-    while (lo + 1 < hi) {
-        std::size_t mid = (lo + hi) / 2;
-        if (body[mid].offset <= slot)
-            lo = mid;
-        else
-            hi = mid;
-    }
-    frame.opIdx = static_cast<std::uint32_t>(lo);
-    frame.intraRun = (body[lo].kind == OpKind::Run)
-        ? slot - body[lo].offset : 0;
+    // The builder resolved the op holding the target (BodyOp::targetIdx).
+    const BodyOp &target = app_->program.func(frame.func).body[op.targetIdx];
+    frame.opIdx = op.targetIdx;
+    frame.intraRun =
+        target.kind == OpKind::Run ? slot - target.offset : 0;
 }
 
 std::uint64_t
@@ -131,7 +123,7 @@ RequestEngine::next(DynInst &inst, std::uint64_t max)
         inst.target = fn.instAddr(op.offset + 1 + op.span);
         ++stats_.condBranches;
         if (taken)
-            seek(frame, op.offset + 1 + op.span);
+            seek(frame, op, op.offset + 1 + op.span);
         else
             ++frame.opIdx;
         break;
@@ -172,7 +164,7 @@ RequestEngine::next(DynInst &inst, std::uint64_t max)
         if (it->remaining > 0) {
             --it->remaining;
             inst.taken = true;
-            seek(frame, op.offset - op.span);
+            seek(frame, op, op.offset - op.span);
         } else {
             inst.taken = false;
             frame.loops.erase(it);

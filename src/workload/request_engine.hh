@@ -123,8 +123,9 @@ class RequestEngine : public InstStream
     /** Stable per-(site, type) decision with per-evaluation jitter. */
     bool decide(Addr pc, unsigned bias, unsigned jitter);
 
-    /** Jumps the top frame's cursor to instruction slot @p slot. */
-    void seek(Frame &frame, std::uint32_t slot);
+    /** Jumps @p frame's cursor to the taken target of @p op, the
+     *  branch or loop at its cursor, whose slot is @p slot. */
+    void seek(Frame &frame, const BodyOp &op, std::uint32_t slot);
 
     std::shared_ptr<const BuiltApp> app_;
     const AppProfile &profile_;

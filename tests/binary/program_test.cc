@@ -149,5 +149,63 @@ TEST(ProgramDeathTest, ValidateCatchesBadCallee)
     EXPECT_DEATH(program.validate(), "callee out of range");
 }
 
+/** A function "skip": a branch over a run of 4, then a loop back to
+ *  that run's start, then Ret. Both targets name op 1. */
+Function &
+addSkipAndLoop(Program &program)
+{
+    Function &fn = program.func(program.addFunction("skip"));
+    BodyOp branch;
+    branch.kind = OpKind::Branch;
+    branch.offset = 0;
+    branch.span = 2;
+    branch.targetIdx = 1;
+    fn.body.push_back(branch);
+    BodyOp run;
+    run.kind = OpKind::Run;
+    run.offset = 1;
+    run.length = 4;
+    fn.body.push_back(run);
+    BodyOp loop;
+    loop.kind = OpKind::Loop;
+    loop.offset = 5;
+    loop.span = 4;
+    loop.targetIdx = 1;
+    fn.body.push_back(loop);
+    BodyOp ret;
+    ret.kind = OpKind::Ret;
+    ret.offset = 6;
+    fn.body.push_back(ret);
+    return fn;
+}
+
+TEST(ProgramTest, ValidatePassesOnResolvedTargets)
+{
+    Program program;
+    addSkipAndLoop(program);
+    program.validate(); // must not panic
+}
+
+TEST(ProgramDeathTest, ValidateCatchesWrongBranchTarget)
+{
+    Program program;
+    addSkipAndLoop(program).body[0].targetIdx = 2;
+    EXPECT_DEATH(program.validate(), "Branch target op mismatch");
+}
+
+TEST(ProgramDeathTest, ValidateCatchesWrongLoopTarget)
+{
+    Program program;
+    addSkipAndLoop(program).body[2].targetIdx = 0;
+    EXPECT_DEATH(program.validate(), "Loop target op mismatch");
+}
+
+TEST(ProgramDeathTest, ValidateCatchesTargetPastTheBody)
+{
+    Program program;
+    addSkipAndLoop(program).body[2].targetIdx = 9;
+    EXPECT_DEATH(program.validate(), "Loop target op mismatch");
+}
+
 } // namespace
 } // namespace hp

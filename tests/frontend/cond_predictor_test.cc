@@ -3,6 +3,7 @@
 #include "frontend/cond_predictor.hh"
 #include "util/hash.hh"
 #include "util/rng.hh"
+#include "util/serialize.hh"
 
 namespace hp
 {
@@ -91,6 +92,57 @@ TEST(CondPredictorTest, StatsAreConsistent)
     EXPECT_LE(pred.mispredicts(), pred.predictions());
     EXPECT_NEAR(pred.mispredictRate(),
                 double(pred.mispredicts()) / 100.0, 1e-12);
+}
+
+std::vector<std::uint8_t>
+stateOf(CondPredictor &pred)
+{
+    StateWriter w;
+    pred.serializeState(w);
+    return w.take();
+}
+
+TEST(CondPredictorTest, RestoreContinuesTheSequenceExactly)
+{
+    // 64 branch sites with mixed biases; the outcome of branch i is a
+    // fixed function of i, so both runs see the same sequence.
+    auto branch = [](unsigned i, Addr &pc) {
+        const std::uint64_t h = mix64(i);
+        pc = 0x40000 + (h % 64) * 4;
+        return mix64(pc ^ (i / 7)) % 100 < (pc % 3 == 0 ? 90 : 35);
+    };
+    constexpr unsigned kSplit = 20'000;
+    constexpr unsigned kTotal = 40'000;
+
+    CondPredictor whole;
+    std::vector<bool> expected;
+    for (unsigned i = 0; i < kTotal; ++i) {
+        Addr pc = 0;
+        const bool taken = branch(i, pc);
+        expected.push_back(whole.predict(pc));
+        whole.update(pc, taken);
+    }
+
+    CondPredictor first;
+    for (unsigned i = 0; i < kSplit; ++i) {
+        Addr pc = 0;
+        const bool taken = branch(i, pc);
+        ASSERT_EQ(first.predict(pc), expected[i]) << i;
+        first.update(pc, taken);
+    }
+    const std::vector<std::uint8_t> bytes = stateOf(first);
+    CondPredictor second;
+    StateLoader loader(bytes.data(), bytes.size());
+    second.serializeState(loader);
+    ASSERT_FALSE(loader.failed());
+    EXPECT_EQ(stateOf(second), bytes);
+    for (unsigned i = kSplit; i < kTotal; ++i) {
+        Addr pc = 0;
+        const bool taken = branch(i, pc);
+        ASSERT_EQ(second.predict(pc), expected[i]) << i;
+        second.update(pc, taken);
+    }
+    EXPECT_EQ(stateOf(second), stateOf(whole));
 }
 
 } // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "core/bundle_analysis.hh"
 #include "workload/program_builder.hh"
 
@@ -30,6 +33,52 @@ TEST(ProgramBuilderTest, DeterministicForSameSeed)
         EXPECT_EQ(a->program.func(f).body.size(),
                   b->program.func(f).body.size());
     }
+}
+
+/** The op of @p fn holding @p slot, found by binary search over the
+ *  op offsets: the engine's lookup before the builder resolved the
+ *  targets. */
+std::uint32_t
+searchOp(const Function &fn, std::uint32_t slot)
+{
+    std::size_t lo = 0, hi = fn.body.size();
+    while (lo + 1 < hi) {
+        const std::size_t mid = (lo + hi) / 2;
+        if (fn.body[mid].offset <= slot)
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return static_cast<std::uint32_t>(lo);
+}
+
+TEST(ProgramBuilderTest, BranchAndLoopTargetsMatchASearch)
+{
+    std::set<std::string> binaries;
+    std::uint64_t checked = 0;
+    for (const std::string &workload : allWorkloads()) {
+        const AppProfile &profile = appProfile(workload);
+        if (!binaries.insert(profile.binary).second)
+            continue;
+        auto app = ProgramBuilder::cached(profile);
+        for (const Function &fn : app->program.functions()) {
+            for (const BodyOp &op : fn.body) {
+                std::uint32_t slot;
+                if (op.kind == OpKind::Branch)
+                    slot = op.offset + 1 + op.span;
+                else if (op.kind == OpKind::Loop)
+                    slot = op.offset - op.span;
+                else
+                    continue;
+                ASSERT_EQ(op.targetIdx, searchOp(fn, slot))
+                    << profile.binary << " " << fn.name << " @"
+                    << op.offset;
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(binaries.size(), 8u);
+    EXPECT_GT(checked, 100'000u);
 }
 
 TEST(ProgramBuilderTest, CachedSharesBinaryAcrossWorkloads)
