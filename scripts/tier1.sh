@@ -49,9 +49,13 @@ fi
 # `make -j`, and a bare `ctest -j` runs serially on CMake 3.25.
 jobs="$(nproc)"
 
+# Every stage builds with warnings as errors, so a new warning fails
+# CI instead of scrolling past in the build log.
+werror=-DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+
 run_stage() {
     local dir="$1"; shift
-    cmake -B "$dir" -S . "$@"
+    cmake -B "$dir" -S . "$werror" "$@"
     cmake --build "$dir" -j "$jobs"
     (cd "$dir" && ctest --output-on-failure -j "$jobs")
 }
@@ -88,7 +92,7 @@ fi
 if [[ "$stage" != "--no-sanitizers" && "$stage" != "--asan-only" &&
       "$stage" != "--ubsan-only" ]]; then
     # TSan over the concurrency surface only (see header comment).
-    cmake -B build-tsan -S . -DHP_SANITIZE=thread
+    cmake -B build-tsan -S . "$werror" -DHP_SANITIZE=thread
     cmake --build build-tsan -j "$jobs"
     (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ctest \
         --output-on-failure -j "$jobs" \

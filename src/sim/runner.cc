@@ -39,8 +39,11 @@ fieldText(const T &field)
                                     "0123456789-_.@") == std::string::npos)
             return field;
         const std::uint64_t hash = hashBytes(field.data(), field.size());
-        return "#" +
-               std::string(buf, std::to_chars(buf, buf + 32, hash, 16).ptr);
+        // Appended, not `"#" + std::string(...)`: GCC 12 at -O3
+        // reports a false -Wrestrict inside that operator+.
+        std::string text = "#";
+        text.append(buf, std::to_chars(buf, buf + 32, hash, 16).ptr);
+        return text;
     } else if constexpr (std::is_enum_v<T>) {
         return std::to_string(+static_cast<std::underlying_type_t<T>>(field));
     } else if constexpr (std::is_arithmetic_v<T>) {

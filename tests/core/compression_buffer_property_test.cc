@@ -104,8 +104,9 @@ TEST_P(CompressionBufferPropertyTest, MatchesNaiveReference)
             const std::optional<SpatialRegion> want = ref.touch(block);
             ASSERT_EQ(got.has_value(), want.has_value())
                 << "op " << op << " capacity " << capacity;
-            if (got)
+            if (got) {
                 ASSERT_EQ(*got, *want) << "op " << op;
+            }
             ASSERT_EQ(buffer.size(), ref.regions().size());
         }
 

@@ -144,7 +144,7 @@ TEST(ExecutorTest, ParallelGridMatchesSerialRun)
 TEST(ExecutorTest, RunAllPreservesSubmissionOrder)
 {
     std::vector<SimConfig> configs;
-    for (const std::string &workload : {"beego", "caddy", "echo"}) {
+    for (const char *workload : {"beego", "caddy", "echo"}) {
         configs.push_back(tinyConfig(workload, PrefetcherKind::None,
                                      109'000, 209'000));
     }

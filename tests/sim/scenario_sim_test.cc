@@ -129,8 +129,9 @@ TEST(ScenarioEngineTest, StreamStaysInsideServiceWindows)
         if (inst.pc >= stride)
             saw_second_window = true;
         // A taken transfer's target stays inside the two windows.
-        if (inst.target != 0)
+        if (inst.target != 0) {
             ASSERT_LT(inst.target, 2 * stride);
+        }
     }
     // The chain reached its second hop: gin code in window 1.
     EXPECT_TRUE(saw_second_window);
