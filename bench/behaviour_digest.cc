@@ -3,11 +3,12 @@
  * Behaviour pin for the whole simulator: every workload under every
  * prefetcher kind at a reduced budget, plus sampled runs of one app
  * under every prefetcher kind, one scenario run and one sampled
- * scenario run, a 2-tenant/1-core and a 3-tenant/2-core consolidation
- * and a warmup-only run. Each prints its label and a 64-bit digest of
- * the full stats snapshot, the latency samples and the sampling
- * intervals; the text is diffed against a checked-in golden, so a
- * change to any simulated counter of any of these runs fails.
+ * scenario run, a 2-tenant/1-core, a 3-tenant/2-core and a
+ * 3-tenant/3-core consolidation and a warmup-only run. Each prints its
+ * label and a 64-bit digest of the full stats snapshot, the latency
+ * samples and the sampling intervals; the text is diffed against a
+ * checked-in golden, so a change to any simulated counter of any of
+ * these runs fails.
  *
  * Configs are built field by field (never through defaultConfig), so
  * an inherited HP_SAMPLE or HP_SCENARIO cannot change the work.
@@ -158,6 +159,20 @@ main(int argc, char **argv)
     mt2.mt.dramFillGapCycles = 4;
     mt2.mt.metadataReadBytesPerCycle = 32;
     add("mt:caddy+@scenario+gin/2cores/Hierarchical", mt2);
+
+    // Three requesters on the shared ports, and a narrower core 2, so
+    // the cores cross their phase boundaries at different cycles.
+    SimConfig mt3 = baseConfig("gin", PrefetcherKind::Hierarchical);
+    mt3.scenario = kScenario;
+    mt3.mt.tenants = {"gin", "@scenario", "echo"};
+    mt3.mt.cores = 3;
+    mt3.mt.dramFillGapCycles = 6;
+    mt3.mt.metadataReadBytesPerCycle = 16;
+    CoreConfig narrow = mt3.core();
+    narrow.fetchBytesPerCycle = 8;
+    narrow.commitWidth = 3;
+    mt3.mt.coreOverrides = {mt3.core(), mt3.core(), narrow};
+    add("mt:gin+@scenario+echo/3cores/Hierarchical", mt3);
 
     SimConfig warm_only = baseConfig("gin", PrefetcherKind::EFetch);
     warm_only.measureInsts = 0;
