@@ -1,6 +1,7 @@
 #include "sim/multicore.hh"
 
 #include <algorithm>
+#include <cstddef>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -94,51 +95,67 @@ MultiCoreSimulator::run()
         return combineResults();
     }
 
-    done_.assign(cores_.size(), false);
-    live_ = coreCount();
-    // The live cores share one clock. Skip the cycles every one of
-    // them idles: a core's next event depends only on its own state,
-    // and the shared levels change only inside a core's active step.
-    while (live_ > 0) {
-        Cycle next = kNever;
-        for (unsigned i = 0; i < cores_.size(); ++i) {
-            if (!done_[i])
-                next = std::min(next, cores_[i]->nextActiveCycle());
+    // Event order: the steps run by cycle, then by core index, as in a
+    // lockstep that steps every live core each cycle, but each core
+    // steps only its own active cycles. A core's next event depends
+    // only on its own state, and the shared levels change only inside
+    // a step, so the core whose step comes first may run on until
+    // another core's next step would come before its own: the shared
+    // ports see the lockstep's order. Only the core that stepped asks
+    // for its next active cycle again.
+    const std::uint64_t warmup = cfg_.warmupInsts;
+    const std::uint64_t total = warmup + cfg_.measureInsts;
+    std::vector<unsigned> live;
+    std::vector<Cycle> next;
+    for (unsigned i = 0; i < coreCount(); ++i) {
+        live.push_back(i);
+        next.push_back(cores_[i]->nextActiveCycle());
+    }
+    while (!live.empty()) {
+        // live is in index order, so a tie goes to the lower index.
+        std::size_t k = 0;
+        for (std::size_t j = 1; j < live.size(); ++j) {
+            if (next[live[j]] < next[live[k]])
+                k = j;
         }
-        for (unsigned i = 0; i < cores_.size(); ++i) {
-            if (!done_[i])
-                cores_[i]->skipTo(next);
+        const unsigned i = live[k];
+        // At one cycle, core j's step comes before core i's when j < i.
+        Cycle limit = kNever;
+        for (unsigned j : live) {
+            if (j != i && next[j] != kNever)
+                limit = std::min(limit, next[j] + (j > i));
         }
-        stepLiveCores();
+        // The due step comes before the phase check, as in runWarmup:
+        // with warmupInsts == 0 a core's first step runs, and its
+        // measurement begins at that cycle's boundary.
+        Simulator &s = *cores_[i];
+        s.skipTo(next[i]);
+        s.step();
+        const std::uint64_t target = s.measuring() ? total : warmup;
+        next[i] = s.runTo(target, limit);
+        if (s.committedInsts() < target)
+            continue;
+        if (crossPhases(i))
+            live.erase(live.begin() + std::ptrdiff_t(k));
+        else
+            next[i] = s.nextActiveCycle();
     }
     return combineResults();
 }
 
-void
-MultiCoreSimulator::stepLiveCores()
+bool
+MultiCoreSimulator::crossPhases(unsigned i)
 {
-    // Cycle-interleaved lockstep, fixed core order: each pass gives
-    // every live core exactly one Simulator::step, so contention on
-    // the shared levels resolves deterministically. Each core's phase
-    // transitions are the single-core ones — beginMeasurement at the
-    // boundary of the cycle that crossed warmup, endMeasurement at the
-    // one that crossed the total — so a one-core consolidation is
-    // cycle-for-cycle the single-core run.
+    Simulator &s = *cores_[i];
     const std::uint64_t warmup = cfg_.warmupInsts;
-    const std::uint64_t total = warmup + cfg_.measureInsts;
-    for (unsigned i = 0; i < cores_.size(); ++i) {
-        if (done_[i])
-            continue;
-        Simulator &s = *cores_[i];
-        s.step();
-        if (!s.measuring() && s.committedInsts() >= warmup)
-            s.beginMeasurement();
-        if (s.measuring() && s.committedInsts() >= total) {
-            results_[i] = s.endMeasurement(/*pay_advance=*/true);
-            done_[i] = true;
-            --live_;
-        }
+    if (!s.measuring() && s.committedInsts() >= warmup)
+        s.beginMeasurement();
+    if (s.measuring() &&
+        s.committedInsts() >= warmup + cfg_.measureInsts) {
+        results_[i] = s.endMeasurement(/*pay_advance=*/true);
+        return true;
     }
+    return false;
 }
 
 SimMetrics

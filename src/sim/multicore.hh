@@ -3,9 +3,11 @@
  * Consolidated multi-core simulation (DESIGN.md §12): N front-ends,
  * each a full private Simulator (FTQ, predictors, L1-I, I-TLB, MAT,
  * prefetcher), sharing one L2/LLC plus the DRAM fill port and the
- * Metadata Buffer read port. Cores advance in cycle-interleaved
- * lockstep, so all contention is resolved in deterministic core
- * order and every run is exactly reproducible.
+ * Metadata Buffer read port. An event-ordered scheduler steps each
+ * core on its own active cycles only, in the order of a
+ * cycle-interleaved lockstep: by cycle, then by core index. All
+ * contention is therefore resolved in deterministic core order and
+ * every run is exactly reproducible.
  */
 
 #ifndef HP_SIM_MULTICORE_HH
@@ -58,12 +60,18 @@ class MultiCoreSimulator
     unsigned coreCount() const { return unsigned(cores_.size()); }
 
   private:
-    /** Test-only access to the lockstep (tests/sim/sim_probe.hh). */
+    /** Test-only access to the cores; its per-cycle lockstep is the
+     *  reference the scheduler reproduces (tests/sim/sim_probe.hh). */
     friend class SimulatorProbe;
 
-    /** One lockstep pass: one step() of every live core, with each
-     *  core's phase transitions; a finished core leaves the set. */
-    void stepLiveCores();
+    /**
+     * Core @p i's phase transitions after a step, the ones runWarmup
+     * and finishRun make: beginMeasurement once its commits reach
+     * warmupInsts, endMeasurement (into results_) once they reach the
+     * total. So a one-core consolidation is cycle for cycle the
+     * single-core run. Returns true when the core has finished.
+     */
+    bool crossPhases(unsigned i);
 
     /** Builds the combined SimMetrics out of results_ (run() tail). */
     SimMetrics combineResults() const;
@@ -71,9 +79,6 @@ class MultiCoreSimulator
     SimConfig cfg_;
     std::vector<std::unique_ptr<Simulator>> cores_;
     std::vector<SimMetrics> results_;
-    /** The cores still running, and their count (run() state). */
-    std::vector<bool> done_;
-    unsigned live_ = 0;
 };
 
 } // namespace hp

@@ -830,13 +830,17 @@ Simulator::skipTo(Cycle at)
     cycle_ = at - owesAdvance_;
 }
 
-void
-Simulator::runTo(std::uint64_t target)
+Cycle
+Simulator::runTo(std::uint64_t target, Cycle limit)
 {
-    while (committed_ < target) {
-        skipTo(nextActiveCycle());
+    Cycle at = nextActiveCycle();
+    for (; committed_ < target && at < limit; at = nextActiveCycle()) {
+        skipTo(at);
         step();
     }
+    panicIf(committed_ < target && at == kNever,
+            "detailed loop has no pending event");
+    return at;
 }
 
 void

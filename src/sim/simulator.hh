@@ -283,10 +283,11 @@ class Simulator
     /**
      * The one place a detailed cycle happens: pays the clock advance
      * the previous cycle owes, runs stepCycle, ticks the time-series
-     * sampler, and leaves this cycle's advance owed. Every run loop —
-     * runWarmup, finishRun, advanceDetailed, measureWindow and the
-     * multi-core lockstep — is built on it, stepping only the active
-     * cycles; stepping every cycle is the reference they reproduce.
+     * sampler, and leaves this cycle's advance owed. runTo calls it on
+     * the active cycles only; runWarmup's first cycle and the
+     * consolidation scheduler's due steps call it directly. Stepping
+     * every cycle is the reference both reproduce
+     * (tests/sim/sim_probe.hh).
      */
     void step();
 
@@ -304,9 +305,15 @@ class Simulator
      *  runs at @p at (>= the cycle it would have run). */
     void skipTo(Cycle at);
 
-    /** Steps the active cycles until the commit that crosses
-     *  @p target, skipping the idle ones between them. */
-    void runTo(std::uint64_t target);
+    /**
+     * The one driver loop: steps the active cycles, skipping the idle
+     * ones between them, until the commit that crosses @p target, and
+     * steps none at or past @p limit. Returns nextActiveCycle() where
+     * it stopped. runWarmup, finishRun, advanceDetailed and
+     * measureWindow run unbounded; the consolidation scheduler bounds
+     * each core by the other cores' next steps.
+     */
+    Cycle runTo(std::uint64_t target, Cycle limit = kNever);
 
     /** Ends a measurement: pays the owed clock advance if
      *  @p pay_advance (the budget was nonzero), takes the final

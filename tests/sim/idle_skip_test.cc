@@ -7,19 +7,26 @@
  * SimulatorProbe:
  * - skipping and per-cycle stepping reach the same registry snapshot
  *   and the same serialized state at the same commit targets, under
- *   every prefetcher kind, on a context-switching core, in a 2-core
- *   consolidation and in a sampled window;
+ *   every prefetcher kind, on a context-switching core and in a
+ *   sampled window;
+ * - a consolidation's event-ordered scheduler reaches the combined
+ *   snapshot and every core's serialized state of a per-cycle
+ *   lockstep, across core counts, widths, a zero warmup and tied
+ *   cores;
  * - along a per-cycle run, a cycle reported idle changes nothing but
  *   the clock;
- * - a deterministic step gate: steady-state detailed runs take at
- *   most kMaxStepsPerKinst step() calls per 1,000 committed
- *   instructions (per-cycle stepping takes ~1,200).
+ * - a deterministic step gate: steady-state detailed runs, and each
+ *   core of a consolidation, take at most kMaxStepsPerKinst step()
+ *   calls per 1,000 committed instructions (per-cycle stepping takes
+ *   ~1,200).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <ostream>
+#include <string>
+#include <vector>
 
 #include "sim/multicore.hh"
 #include "sim/simulator.hh"
@@ -139,7 +146,10 @@ TEST(SkipTest, MatchesPerCycleSteppingOnASwitchingCore)
     EXPECT_GT(skip.stats().snapshot().value("sim.context_switches"), 5u);
 }
 
-TEST(SkipTest, MatchesPerCycleSteppingInAConsolidation)
+/** A 2-core consolidation of three tenants: core 0 time-slices caddy
+ *  and echo, core 1 runs gin; both contend on the shared ports. */
+SimConfig
+consolidationConfig()
 {
     SimConfig config = shortConfig(PrefetcherKind::Hierarchical);
     config.mt.tenants = {"caddy", "gin", "echo"};
@@ -147,8 +157,61 @@ TEST(SkipTest, MatchesPerCycleSteppingInAConsolidation)
     config.mt.switchQuantum = 6'000;
     config.mt.metadataReadBytesPerCycle = 8;
     config.mt.dramFillGapCycles = 4;
-    MultiCoreSimulator skip(config);
-    MultiCoreSimulator ref(config);
+    return config;
+}
+
+/** A consolidation the scheduler must step in the lockstep's order. */
+struct ConsolidationCase
+{
+    const char *name;
+    SimConfig config;
+};
+
+void
+PrintTo(const ConsolidationCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+std::vector<ConsolidationCase>
+consolidationCases()
+{
+    std::vector<ConsolidationCase> cases;
+    cases.push_back({"TwoCoresThreeTenants", consolidationConfig()});
+
+    // Three widths, so the cores cross their phase boundaries at
+    // different cycles and the last ones run on alone.
+    SimConfig widths = consolidationConfig();
+    widths.mt.cores = 3;
+    CoreConfig wide = widths.core(), mid = wide, narrow = wide;
+    mid.fetchBytesPerCycle = 8;
+    mid.commitWidth = 3;
+    narrow.fetchBytesPerCycle = 4;
+    narrow.commitWidth = 1;
+    widths.mt.coreOverrides = {wide, mid, narrow};
+    cases.push_back({"ThreeCoresOfDifferentWidths", widths});
+
+    // Each core begins measuring right after its first step.
+    SimConfig no_warmup = consolidationConfig();
+    no_warmup.warmupInsts = 0;
+    cases.push_back({"NoWarmup", no_warmup});
+
+    // Two copies of one tenant want the same cycles, so the cores tie
+    // on a cycle far more often than two different apps do.
+    SimConfig same = consolidationConfig();
+    same.mt.tenants = {"gin", "gin"};
+    cases.push_back({"SameTenantOnTwoCores", same});
+    return cases;
+}
+
+class SchedulerTest : public ::testing::TestWithParam<ConsolidationCase>
+{
+};
+
+TEST_P(SchedulerTest, MatchesPerCycleLockstep)
+{
+    MultiCoreSimulator skip(GetParam().config);
+    MultiCoreSimulator ref(GetParam().config);
     const SimMetrics a = skip.run();
     const SimMetrics b = Probe::stepRun(ref);
     EXPECT_EQ(a.stats.entries(), b.stats.entries());
@@ -160,6 +223,13 @@ TEST(SkipTest, MatchesPerCycleSteppingInAConsolidation)
                   Probe::steps(Probe::core(ref, i)));
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Consolidations, SchedulerTest,
+    ::testing::ValuesIn(consolidationCases()),
+    [](const ::testing::TestParamInfo<ConsolidationCase> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST(SkipTest, MatchesPerCycleSteppingInASampledWindow)
 {
@@ -267,6 +337,24 @@ TEST(StepGateTest, SteadyStateSkipsIdleCycles)
                     prefetcherName(kind), rate);
         EXPECT_LE(rate, kMaxStepsPerKinst) << prefetcherName(kind);
     }
+}
+
+TEST(StepGateTest, ConsolidationStepsOnlyActiveCores)
+{
+    // Summed over the cores. Stepping every live core on each cycle
+    // any of them acts takes ~900 here.
+    MultiCoreSimulator mc(consolidationConfig());
+    mc.run();
+    std::uint64_t steps = 0, insts = 0;
+    for (unsigned i = 0; i < mc.coreCount(); ++i) {
+        steps += Probe::steps(Probe::core(mc, i));
+        insts += Probe::core(mc, i).committedInsts();
+    }
+    const double rate = 1000.0 * double(steps) / double(insts);
+    std::printf("consolidation step gate: %.1f core steps per 1,000 "
+                "instructions\n",
+                rate);
+    EXPECT_LE(rate, kMaxStepsPerKinst);
 }
 
 } // namespace

@@ -4,10 +4,10 @@
  * front-end state.
  *
  * It steps a Simulator, or a consolidation's cores, every cycle: the
- * reference that idle-cycle skipping (Simulator::runTo and
- * MultiCoreSimulator::run) must reproduce exactly. It also reads the
- * state those tests compare and sets the front-end fields the
- * checkpoint-restore tests corrupt.
+ * reference that idle-cycle skipping (Simulator::runTo) and the
+ * consolidation's event-ordered scheduler (MultiCoreSimulator::run)
+ * must reproduce exactly. It also reads the state those tests compare
+ * and sets the front-end fields the checkpoint-restore tests corrupt.
  */
 
 #ifndef HP_TESTS_SIM_SIM_PROBE_HH
@@ -64,15 +64,28 @@ class SimulatorProbe
         return sim.endMeasurement(/*pay_advance=*/insts > 0);
     }
 
-    /** MultiCoreSimulator::run, every cycle stepped (a nonzero
-     *  budget). */
+    /**
+     * MultiCoreSimulator::run as a cycle-interleaved lockstep (a
+     * nonzero budget): each pass steps every live core once, in index
+     * order, idle or not, with each core's phase transitions after its
+     * step; a finished core leaves the set.
+     */
     static SimMetrics
     stepRun(MultiCoreSimulator &mc)
     {
-        mc.done_.assign(mc.cores_.size(), false);
-        mc.live_ = mc.coreCount();
-        while (mc.live_ > 0)
-            mc.stepLiveCores();
+        std::vector<bool> done(mc.coreCount(), false);
+        unsigned live = mc.coreCount();
+        while (live > 0) {
+            for (unsigned i = 0; i < mc.coreCount(); ++i) {
+                if (done[i])
+                    continue;
+                mc.cores_[i]->step();
+                if (mc.crossPhases(i)) {
+                    done[i] = true;
+                    --live;
+                }
+            }
+        }
         return mc.combineResults();
     }
 
