@@ -1,7 +1,6 @@
 #include "sim/footprint_probe.hh"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "util/hash.hh"
 
@@ -18,19 +17,22 @@ FootprintProbe::finishCollector(Collector &c)
     auto prev_it = previous_.find(c.key);
     if (prev_it != previous_.end()) {
         const std::vector<Addr> &prev = prev_it->second;
+        // The sizes ascend, so each prefix extends the last one.
+        prefix_.clear();
+        std::size_t a_count = 0;
         for (std::size_t s = 0; s < kFootprintSizes.size(); ++s) {
             unsigned k = kFootprintSizes[s];
             if (prev.size() < k / 2 || c.blocks.size() < k / 2)
                 continue; // footprints too short to be meaningful
-            std::unordered_set<Addr> a(
-                prev.begin(),
-                prev.begin() + std::min<std::size_t>(k, prev.size()));
+            for (; a_count < std::min<std::size_t>(k, prev.size());
+                 ++a_count)
+                prefix_.insert(prev[a_count]);
             std::size_t inter = 0;
             std::size_t b_count =
                 std::min<std::size_t>(k, c.blocks.size());
             for (std::size_t i = 0; i < b_count; ++i)
-                inter += a.count(c.blocks[i]);
-            std::size_t uni = a.size() + b_count - inter;
+                inter += prefix_.contains(c.blocks[i]);
+            std::size_t uni = prefix_.size() + b_count - inter;
             if (uni > 0)
                 jaccard_[s].sample(double(inter) / double(uni));
         }

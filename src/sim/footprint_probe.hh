@@ -14,11 +14,11 @@
 #include <cstdint>
 #include <list>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "isa/inst.hh"
 #include "stats/histogram.hh"
+#include "util/flat_map.hh"
 
 namespace hp
 {
@@ -72,7 +72,7 @@ class FootprintProbe
         /** Unique blocks in arrival order. */
         std::vector<Addr> blocks;
         /** Fast membership for the uniqueness check. */
-        std::unordered_set<Addr> seen;
+        FlatSet<Addr> seen;
     };
 
     void trigger(std::uint64_t key);
@@ -84,8 +84,14 @@ class FootprintProbe
 
     std::list<Collector> open_;
 
-    /** Previous full footprint per trigger key (capped). */
+    /** Previous full footprint per trigger key (capped). Its
+     *  iteration order picks the evicted key, so it stays a
+     *  std::unordered_map. */
     std::unordered_map<std::uint64_t, std::vector<Addr>> previous_;
+
+    /** The previous footprint's first K blocks, for the Jaccard
+     *  intersection (reused scratch; membership only). */
+    FlatSet<Addr> prefix_;
 
     /** Per-size Jaccard accumulators. */
     std::array<Accumulator, kFootprintSizes.size()> jaccard_;
