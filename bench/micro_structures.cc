@@ -3,8 +3,9 @@
  * google-benchmark microbenchmarks of the Hierarchical Prefetcher's
  * hardware structures and the link-time analysis: per-operation cost
  * of the Compression Buffer, Metadata Address Table, Metadata Buffer
- * allocator, the conditional predictor, the L1-I model, and the full
- * Bundle identification pass.
+ * allocator, the conditional predictor, the L1-I model, the full
+ * Bundle identification pass, and the request engine's instruction
+ * stream, one instruction and one run at a time.
  */
 
 #include <benchmark/benchmark.h>
@@ -122,6 +123,28 @@ BM_RequestEngine(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RequestEngine);
+
+/** The stream as fast-forward pulls it: each next() returns a whole
+ *  run. Reports instructions per second ("insts"). */
+void
+BM_RequestEngineRuns(benchmark::State &state, const char *workload)
+{
+    const hp::AppProfile &profile = hp::appProfile(workload);
+    auto app = hp::ProgramBuilder::cached(profile);
+    hp::RequestEngine engine(app, profile);
+    hp::DynInst inst;
+    std::uint64_t insts = 0;
+    for (auto _ : state) {
+        insts += engine.next(inst, ~std::uint64_t(0));
+        benchmark::DoNotOptimize(inst.pc);
+    }
+    state.counters["insts"] =
+        benchmark::Counter(double(insts), benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_RequestEngineRuns, tidb_tpcc, "tidb-tpcc");
+BENCHMARK_CAPTURE(BM_RequestEngineRuns, mysql_sysbench, "mysql-sysbench");
+BENCHMARK_CAPTURE(BM_RequestEngineRuns, caddy, "caddy");
+BENCHMARK_CAPTURE(BM_RequestEngineRuns, gin, "gin");
 
 } // namespace
 
