@@ -89,11 +89,13 @@ CacheHierarchy::recordExtOutcome(Addr block, bool useful)
 CacheHierarchy::Mshr *
 CacheHierarchy::findMshr(Addr block)
 {
-    for (Mshr &mshr : mshrs_) {
-        if (mshr.block == block)
-            return &mshr;
-    }
-    return nullptr;
+    // The first match, scanned without an early exit (as the
+    // set-associative table's searches are): from the back, each
+    // match replaces the answer.
+    Mshr *match = nullptr;
+    for (std::size_t i = mshrs_.size(); i-- > 0;)
+        match = mshrs_[i].block == block ? &mshrs_[i] : match;
+    return match;
 }
 
 void

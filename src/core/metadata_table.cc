@@ -1,76 +1,66 @@
 #include "core/metadata_table.hh"
 
-#include "util/serialize.hh"
-
 #include "util/logging.hh"
+#include "util/serialize.hh"
 
 namespace hp
 {
 
-MetadataAddressTable::MetadataAddressTable(unsigned entries, unsigned ways,
-                                           unsigned pointer_bits)
-    : ways_(ways), pointerBits_(pointer_bits)
+namespace
+{
+
+unsigned
+setsFor(unsigned entries, unsigned ways)
 {
     fatalIf(ways == 0 || entries == 0 || entries % ways != 0,
             "Metadata Address Table geometry invalid");
-    numSets_ = entries / ways;
-    fatalIf((numSets_ & (numSets_ - 1)) != 0,
+    const unsigned sets = entries / ways;
+    fatalIf((sets & (sets - 1)) != 0,
             "Metadata Address Table set count must be a power of two");
-    setBits_ = 0;
-    while ((1u << setBits_) < numSets_)
+    return sets;
+}
+
+} // namespace
+
+MetadataAddressTable::MetadataAddressTable(unsigned entries, unsigned ways,
+                                           unsigned pointer_bits)
+    : setBits_(0), pointerBits_(pointer_bits),
+      table_(setsFor(entries, ways), ways), heads_(table_.size(), kNoSeg)
+{
+    while ((1u << setBits_) < table_.sets())
         ++setBits_;
-    ways_storage_.resize(numSets_ * ways_);
 }
 
 std::optional<SegIdx>
 MetadataAddressTable::lookup(BundleId id)
 {
-    Way *set = &ways_storage_[setIndex(id) * ways_];
     const auto [wb, we] = wayRange();
-    for (unsigned w = wb; w < we; ++w) {
-        if (set[w].valid && set[w].tag == tagOf(id)) {
-            set[w].lastUse = ++useClock_;
-            return set[w].head;
-        }
-    }
-    return std::nullopt;
+    const std::size_t slot = table_.find(setIndex(id), tagOf(id), wb, we);
+    if (slot == table_.kNone)
+        return std::nullopt;
+    table_.touch(slot);
+    return heads_[slot];
 }
 
 void
 MetadataAddressTable::insert(BundleId id, SegIdx head)
 {
-    Way *set = &ways_storage_[setIndex(id) * ways_];
+    // An earlier hole wins over a resident copy of the ID, which then
+    // stays resident behind it; lookup finds the new (first) copy.
     const auto [wb, we] = wayRange();
-    Way *victim = &set[wb];
-    for (unsigned w = wb; w < we; ++w) {
-        if (set[w].valid && set[w].tag == tagOf(id)) {
-            victim = &set[w];
-            break;
-        }
-        if (!set[w].valid) {
-            victim = &set[w];
-            break;
-        }
-        if (set[w].lastUse < victim->lastUse)
-            victim = &set[w];
-    }
-    victim->valid = true;
-    victim->tag = tagOf(id);
-    victim->head = head;
-    victim->lastUse = ++useClock_;
+    const std::size_t slot =
+        table_.victim(setIndex(id), tagOf(id), wb, we);
+    table_.fill(slot, tagOf(id));
+    heads_[slot] = head;
 }
 
 void
 MetadataAddressTable::invalidate(BundleId id)
 {
-    Way *set = &ways_storage_[setIndex(id) * ways_];
     const auto [wb, we] = wayRange();
-    for (unsigned w = wb; w < we; ++w) {
-        if (set[w].valid && set[w].tag == tagOf(id)) {
-            set[w].valid = false;
-            return;
-        }
-    }
+    const std::size_t slot = table_.find(setIndex(id), tagOf(id), wb, we);
+    if (slot != table_.kNone)
+        table_.invalidate(slot);
 }
 
 std::size_t
@@ -80,23 +70,13 @@ MetadataAddressTable::invalidateAll()
     // partitioned flush (not used by the switch model, which keeps
     // partitioned metadata warm) stays confined to its slice.
     const auto [wb, we] = wayRange();
-    std::size_t flushed = 0;
-    for (unsigned s = 0; s < numSets_; ++s) {
-        Way *set = &ways_storage_[s * ways_];
-        for (unsigned w = wb; w < we; ++w) {
-            if (set[w].valid) {
-                set[w].valid = false;
-                ++flushed;
-            }
-        }
-    }
-    return flushed;
+    return table_.invalidateWays(wb, we);
 }
 
 void
 MetadataAddressTable::setWayPartitions(unsigned count)
 {
-    fatalIf(count == 0 || count > ways_,
+    fatalIf(count == 0 || count > table_.ways(),
             "Metadata Address Table: need at least one way per tenant");
     partCount_ = count;
     activePart_ = 0;
@@ -123,20 +103,21 @@ MetadataAddressTable::storageBits() const
 std::size_t
 MetadataAddressTable::occupancy() const
 {
-    std::size_t live = 0;
-    for (const Way &way : ways_storage_)
-        live += way.valid ? 1 : 0;
-    return live;
+    return table_.occupancy();
 }
 
 template <class Ar>
 void
 MetadataAddressTable::serializeState(Ar &ar)
 {
-    if (!checkShape(ar, ways_storage_))
+    if (!table_.ioShape(ar))
         return;
-    io(ar, useClock_);
-    io(ar, ways_storage_);
+    table_.ioClock(ar);
+    table_.ioSlots(ar, [&](std::size_t slot) {
+        table_.ioKey(ar, slot);
+        ar.value(heads_[slot]);
+        table_.ioStamp(ar, slot);
+    });
 }
 
 template void MetadataAddressTable::serializeState(StateWriter &);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "stats/registry.hh"
+#include "util/set_assoc_table.hh"
 #include "util/types.hh"
 
 namespace hp
@@ -55,31 +56,13 @@ class Btb
     }
 
   private:
-    struct Way
-    {
-        bool valid = false;
-        Addr pc = 0;
-        Addr target = 0;
-        std::uint64_t lastUse = 0;
-
-        template <class Ar>
-        void
-        serializeState(Ar &ar)
-        {
-            ar.value(valid);
-            ar.value(pc);
-            ar.value(target);
-            ar.value(lastUse);
-        }
-    };
-
     unsigned setIndex(Addr pc) const;
 
     bool infinite_;
-    unsigned numSets_ = 0;
-    unsigned ways_ = 0;
-    std::uint64_t useClock_ = 0;
-    std::vector<Way> table_;
+    /** The finite table (empty when infinite), and each way's target,
+     *  indexed by slot. */
+    SetAssocTable<Addr> table_;
+    std::vector<Addr> targets_;
     std::unordered_map<Addr, Addr> infTable_;
 
     std::uint64_t lookups_ = 0;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "prefetch/prefetcher.hh"
+#include "util/set_assoc_table.hh"
 
 namespace hp
 {
@@ -89,37 +90,24 @@ class Eip final : public Prefetcher
         }
     };
 
-    struct Entry
-    {
-        bool valid = false;
-        Addr source = 0;
-        std::uint64_t lastUse = 0;
-        std::vector<Target> targets;
-
-        template <class Ar>
-        void
-        serializeState(Ar &ar)
-        {
-            ar.value(valid);
-            ar.value(source);
-            ar.value(lastUse);
-            io(ar, targets);
-        }
-    };
-
     template <class Ar> void serializeState(Ar &ar);
     void saveOwnState(StateWriter &ar) override { serializeState(ar); }
     void restoreOwnState(StateLoader &ar) override { serializeState(ar); }
 
     void observeFetch(Addr block, Cycle now);
     void entangle(Addr source, Addr target);
-    Entry *find(Addr source);
-    Entry &allocate(Addr source);
+    /** The slot holding @p source (refreshed to MRU), or kNone. */
+    std::size_t find(Addr source);
+    /** Replaces the set's LRU entry with an empty one for @p source. */
+    std::size_t allocate(Addr source);
+    unsigned setIndex(Addr source) const;
 
     EipConfig config_;
-    unsigned numSets_;
-    std::vector<Entry> table_;
-    std::uint64_t useClock_ = 0;
+    /** Sources by slot; a slot's targets are the first
+     *  targetCount_[slot] of targets_[slot * maxTargets, +maxTargets). */
+    SetAssocTable<Addr> table_;
+    std::vector<Target> targets_;
+    std::vector<unsigned> targetCount_;
 
     /** Recently fetched blocks with their fetch cycles (newest last). */
     std::deque<std::pair<Addr, Cycle>> history_;

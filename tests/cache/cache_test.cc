@@ -92,14 +92,6 @@ TEST(CacheTest, ReinsertResidentBlockNoEviction)
     EXPECT_FALSE(evicted.valid);
 }
 
-TEST(CacheTest, Invalidate)
-{
-    SetAssocCache cache("t", 4 * 1024, 4);
-    cache.insert(blk(3), Origin::Demand);
-    cache.invalidate(blk(3));
-    EXPECT_FALSE(cache.contains(blk(3)));
-}
-
 TEST(CacheTest, MarkUsedSuppressesFirstUse)
 {
     SetAssocCache cache("t", 4 * 1024, 4);

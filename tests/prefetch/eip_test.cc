@@ -4,6 +4,7 @@
 
 #include "prefetch/eip.hh"
 #include "sim/simulator.hh"
+#include "util/serialize.hh"
 
 namespace hp
 {
@@ -136,6 +137,86 @@ TEST(EipTest, EntanglesDuringAColdFastForward)
     Simulator sim(config);
     sim.fastForward(300'000);
     EXPECT_GT(sim.stats().value("ext.issued"), 0u);
+}
+
+/** Fetches 32 blocks and misses on one, entangling a target. */
+void
+train(Eip &pf)
+{
+    Cycle now = 0;
+    for (unsigned i = 0; i < 32; ++i) {
+        pf.onDemandAccess(blk(i), true, now, 0);
+        now += 10;
+    }
+    pf.onDemandAccess(blk(500), false, now, 40);
+}
+
+std::vector<std::uint8_t>
+saved(Prefetcher &pf)
+{
+    StateWriter writer;
+    pf.serializeState(writer);
+    return writer.take();
+}
+
+/** Restores @p bytes into @p pf; true if the loader accepted them. */
+bool
+restores(Prefetcher &pf, const std::vector<std::uint8_t> &bytes)
+{
+    StateLoader loader(bytes.data(), bytes.size());
+    pf.serializeState(loader);
+    return !loader.failed();
+}
+
+TEST(EipTest, RestoreRoundTrips)
+{
+    Eip from;
+    train(from);
+    const std::vector<std::uint8_t> bytes = saved(from);
+    Eip into;
+    EXPECT_TRUE(restores(into, bytes));
+    EXPECT_EQ(saved(into), bytes);
+}
+
+TEST(EipTest, RestoreRejectsForeignGeometry)
+{
+    // A 16-entry 2-way table's state must not load into the default
+    // 4096 x 8 table, whose lookups index by the configured geometry.
+    EipConfig small;
+    small.tableEntries = 16;
+    small.tableWays = 2;
+    Eip from(small);
+    train(from);
+    Eip into;
+    EXPECT_FALSE(restores(into, saved(from)));
+}
+
+TEST(EipTest, RestoreRejectsTooManyTargets)
+{
+    // Three targets entangled with blk(1), restored where each entry
+    // holds at most two.
+    Eip from;
+    Cycle now = 0;
+    for (unsigned pass = 0; pass < 3; ++pass) {
+        from.onDemandAccess(blk(1), true, now, 0);
+        now += 50;
+        from.onDemandAccess(blk(100 + pass * 10), false, now, 40);
+        now += 50;
+    }
+    EipConfig two;
+    two.maxTargets = 2;
+    Eip into(two);
+    EXPECT_FALSE(restores(into, saved(from)));
+}
+
+TEST(EipTest, RestoreRejectsALongerHistory)
+{
+    Eip from; // 16 history entries, all filled by train()
+    train(from);
+    EipConfig shorter;
+    shorter.historyEntries = 8;
+    Eip into(shorter);
+    EXPECT_FALSE(restores(into, saved(from)));
 }
 
 TEST(EipTest, StorageMatchesPaperClass)
