@@ -2,14 +2,15 @@
 # Tier-1 verification flow, plus the sanitizer passes.
 #
 # Stage 1 is exactly the ROADMAP tier-1 command: configure, build,
-# ctest in build/, then the scenario smoke runs and the profiler's
-# self-test (scripts/profile.sh). Stage 2 rebuilds everything with HP_SANITIZE=address
-# into build-asan/ and reruns the full suite under ASan, so memory
-# errors in the simulator, the checkpoint restore path, and the tests
-# themselves fail CI rather than silently corrupting results. Stage 3
-# does the same with HP_SANITIZE=undefined into build-ubsan/ so
-# undefined behaviour (shift overflows, misaligned loads in the event
-# ring and serializers, enum abuse) is caught too.
+# ctest in build/, then the scenario smoke runs, the profiler's
+# self-test (scripts/profile.sh) and one short run of the cache and
+# BTB probe micro-benchmarks. Stage 2 rebuilds everything with
+# HP_SANITIZE=address into build-asan/ and reruns the full suite under
+# ASan, so memory errors in the simulator, the checkpoint restore path,
+# and the tests themselves fail CI rather than silently corrupting
+# results. Stage 3 does the same with HP_SANITIZE=undefined into
+# build-ubsan/ so undefined behaviour (shift overflows, misaligned
+# loads in the event ring and serializers, enum abuse) is caught too.
 #
 # --fast runs the whole flow in SMARTS sampled mode: HP_SAMPLE turns
 # every default-config simulation the benches and the heavier ctests
@@ -74,6 +75,10 @@ if [[ "$stage" != "--asan-only" && "$stage" != "--ubsan-only" &&
     done
     # The committed profiler must still build, sample and symbolize.
     scripts/profile.sh --self-test
+    # The set-associative probe micro-benchmarks must still run.
+    ./build/bench/micro_structures \
+        --benchmark_filter='BM_CacheProbe|BM_BtbLookup' \
+        --benchmark_min_time=0.05
 fi
 
 if [[ "$stage" != "--no-sanitizers" && "$stage" != "--ubsan-only" &&
