@@ -18,7 +18,7 @@ CallGraph::CallGraph(const Program &program)
         for (const BodyOp &op : fn.body) {
             if (op.kind != OpKind::CallSite)
                 continue;
-            for (FuncId callee : fn.targets[op.targetIdx].candidates)
+            for (FuncId callee : fn.candidates(op))
                 children_[fn.id].push_back(callee);
         }
     }

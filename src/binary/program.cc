@@ -101,6 +101,7 @@ void
 Program::validate() const
 {
     for (const Function &fn : funcs_) {
+        panicIf(fn.body.empty(), "function " + fn.name + " has no body");
         std::uint32_t cursor = 0;
         for (std::size_t i = 0; i < fn.body.size(); ++i) {
             const BodyOp &op = fn.body[i];
@@ -112,28 +113,30 @@ Program::validate() const
                 cursor += op.length;
                 break;
               case OpKind::Branch:
-                panicIf(op.offset + 1 + op.span > fn.numInsts(),
+                panicIf(op.offset + 1 + op.length > fn.numInsts(),
                         "Branch skips past end of " + fn.name);
-                panicIf(!opHolds(fn, op.targetIdx, op.offset + 1 + op.span),
+                panicIf(!opHolds(fn, op.targetIdx, op.offset + 1 + op.length),
                         "Branch target op mismatch in " + fn.name);
                 cursor += 1;
                 break;
               case OpKind::Loop:
-                panicIf(op.span > op.offset,
+                panicIf(op.length > op.offset,
                         "Loop jumps before entry of " + fn.name);
-                panicIf(!opHolds(fn, op.targetIdx, op.offset - op.span),
+                panicIf(!opHolds(fn, op.targetIdx, op.offset - op.length),
                         "Loop target op mismatch in " + fn.name);
                 cursor += 1;
                 break;
               case OpKind::CallSite:
-                panicIf(op.targetIdx >= fn.targets.size(),
-                        "CallSite target index out of range in " + fn.name);
-                for (FuncId callee : fn.targets[op.targetIdx].candidates) {
+                panicIf(op.length == 0,
+                        "CallSite with no candidates in " + fn.name);
+                panicIf(std::uint64_t(op.targetIdx) + op.length >
+                            fn.callees.size(),
+                        "CallSite candidates run past the callees of " +
+                            fn.name);
+                for (FuncId callee : fn.candidates(op)) {
                     panicIf(callee >= funcs_.size(),
                             "CallSite callee out of range in " + fn.name);
                 }
-                panicIf(fn.targets[op.targetIdx].candidates.empty(),
-                        "CallSite with no candidates in " + fn.name);
                 cursor += 1;
                 break;
               case OpKind::Ret:
@@ -143,10 +146,8 @@ Program::validate() const
                 break;
             }
         }
-        if (!fn.body.empty()) {
-            panicIf(fn.body.back().kind != OpKind::Ret,
-                    "function " + fn.name + " does not end in Ret");
-        }
+        panicIf(fn.body.back().kind != OpKind::Ret,
+                "function " + fn.name + " does not end in Ret");
     }
 }
 

@@ -14,6 +14,7 @@
 #define HP_BINARY_PROGRAM_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,23 +42,32 @@ enum class OpKind : std::uint8_t
 /**
  * One element of a function body. Offsets are in instruction slots from
  * the function entry; Run occupies @c length slots, every other op
- * occupies exactly one slot.
+ * occupies exactly one slot. The fields are ordered by size, so an op
+ * packs into 20 bytes without padding; @c length and @c targetIdx mean
+ * what the op's kind says, and every reader switches on @c kind.
  */
 struct BodyOp
 {
-    OpKind kind = OpKind::Run;
-
     /** First instruction slot occupied by this op. */
     std::uint32_t offset = 0;
 
-    /** Run: number of plain instructions. */
+    /**
+     * Run: number of plain instructions.
+     * Branch: instructions skipped when taken.
+     * Loop: instructions jumped back over when taken.
+     * CallSite: number of candidate callees.
+     */
     std::uint32_t length = 0;
 
     /**
-     * Branch: instructions skipped when taken.
-     * Loop: instructions jumped back over when taken.
+     * Branch/Loop: index of the body op holding the taken target slot,
+     * resolved when the body is built.
+     * CallSite: index of the first candidate in Function::callees.
      */
-    std::uint32_t span = 0;
+    std::uint32_t targetIdx = 0;
+
+    /** Loop: mean extra iterations beyond the first. */
+    std::uint16_t meanIter = 0;
 
     /** Branch/Loop: probability (percent) that the branch is taken. */
     std::uint8_t biasTaken = 0;
@@ -68,31 +78,20 @@ struct BodyOp
      */
     std::uint8_t jitter = 0;
 
-    /** Loop: mean extra iterations beyond the first. */
-    std::uint16_t meanIter = 0;
-
-    /**
-     * CallSite: index into Function::targets.
-     * Branch/Loop: index of the body op holding the taken target slot,
-     * resolved when the body is built.
-     */
-    std::uint32_t targetIdx = 0;
-
     /** CallSite: probability (percent) the call executes at all. */
     std::uint8_t execProb = 100;
 
     /** CallSite: jitter (percent) applied to the execute decision. */
     std::uint8_t execJitter = 0;
 
+    OpKind kind = OpKind::Run;
+
     /** CallSite: true for indirect calls (target chosen at run time). */
     bool indirect = false;
 };
 
-/** Candidate callees of one call site (one entry for direct calls). */
-struct CallTarget
-{
-    std::vector<FuncId> candidates;
-};
+// Images hold millions of ops; a new field must not grow the op.
+static_assert(sizeof(BodyOp) == 20, "BodyOp must pack into 20 bytes");
 
 /** A function: identity, layout, and body. */
 class Function
@@ -109,7 +108,20 @@ class Function
     Addr addr = 0;
 
     std::vector<BodyOp> body;
-    std::vector<CallTarget> targets;
+
+    /**
+     * The candidate callees of every call site, in body order: a
+     * CallSite op names callees[targetIdx, targetIdx + length), one
+     * entry for a direct call.
+     */
+    std::vector<FuncId> callees;
+
+    /** The candidate callees of CallSite @p op of this function. */
+    std::span<const FuncId>
+    candidates(const BodyOp &op) const
+    {
+        return {callees.data() + op.targetIdx, op.length};
+    }
 
     /** Number of instruction slots occupied by the body. */
     std::uint32_t numInsts() const;
@@ -157,8 +169,9 @@ class Program
     /**
      * Checks structural invariants of every function body (monotonic
      * offsets, spans inside the body, branch and loop targets that
-     * name the op holding their target slot, valid callee ids,
-     * trailing Ret). Calls panic() on violation; intended for tests
+     * name the op holding their target slot, candidate ranges inside
+     * the callee list, valid callee ids, a non-empty body ending in
+     * Ret). Calls panic() on violation; intended for tests
      * and builders.
      */
     void validate() const;

@@ -19,7 +19,7 @@ buildBundleInfo(const Program &program, const BundleAnalysis &analysis)
                 // run time the hardware derives the Bundle ID from the
                 // actual target, so indirect sites with a mix of entry
                 // and non-entry candidates still behave sensibly.
-                for (FuncId callee : fn.targets[op.targetIdx].candidates) {
+                for (FuncId callee : fn.candidates(op)) {
                     if (analysis.isEntry(callee)) {
                         section.taggedInstructions.push_back(
                             fn.instAddr(op.offset));

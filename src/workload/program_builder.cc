@@ -30,6 +30,17 @@ struct LoopPlan
 };
 
 /**
+ * Buffers a body and its callee list are generated into, reused from
+ * function to function, so each function allocates its own body and
+ * callees once, at their final size.
+ */
+struct BodyScratch
+{
+    std::vector<BodyOp> ops;
+    std::vector<FuncId> callees;
+};
+
+/**
  * Emits a function body of roughly @p target_insts instructions:
  * interleaved instruction runs, biased skip branches, the planned call
  * sites, and optionally a row-processing loop containing the calls
@@ -38,9 +49,14 @@ struct LoopPlan
 class BodyMaker
 {
   public:
-    BodyMaker(Function &fn, Rng &rng, const AppProfile &profile)
-        : fn_(fn), rng_(rng), profile_(profile)
-    {}
+    BodyMaker(Function &fn, BodyScratch &scratch, Rng &rng,
+              const AppProfile &profile)
+        : fn_(fn), ops_(scratch.ops), callees_(scratch.callees), rng_(rng),
+          profile_(profile)
+    {
+        ops_.clear();
+        callees_.clear();
+    }
 
     void
     make(std::uint32_t target_insts, std::vector<PlannedCall> calls,
@@ -63,18 +79,18 @@ class BodyMaker
         emitSection(section, pre);
         if (loop.enabled) {
             std::uint32_t loop_start = cursor_;
-            const std::size_t loop_first = fn_.body.size();
+            const std::size_t loop_first = ops_.size();
             emitSection(section, in);
             std::uint32_t span = cursor_ - loop_start;
             if (span > 0) {
                 BodyOp op;
                 op.kind = OpKind::Loop;
                 op.offset = cursor_;
-                op.span = span;
+                op.length = span;
                 op.targetIdx = static_cast<std::uint32_t>(loop_first);
                 op.biasTaken = 100;
                 op.meanIter = loop.meanIter;
-                fn_.body.push_back(op);
+                ops_.push_back(op);
                 ++cursor_;
             }
         }
@@ -83,8 +99,11 @@ class BodyMaker
         BodyOp ret;
         ret.kind = OpKind::Ret;
         ret.offset = cursor_;
-        fn_.body.push_back(ret);
+        ops_.push_back(ret);
         ++cursor_;
+
+        fn_.body.assign(ops_.begin(), ops_.end());
+        fn_.callees.assign(callees_.begin(), callees_.end());
     }
 
   private:
@@ -129,13 +148,13 @@ class BodyMaker
                 BodyOp loop;
                 loop.kind = OpKind::Loop;
                 loop.offset = cursor_;
-                loop.span = len;
+                loop.length = len;
                 loop.targetIdx =
-                    static_cast<std::uint32_t>(fn_.body.size() - 1);
+                    static_cast<std::uint32_t>(ops_.size() - 1);
                 loop.biasTaken = 100;
                 loop.meanIter = static_cast<std::uint16_t>(
                     rng_.nextRange(2, 5));
-                fn_.body.push_back(loop);
+                ops_.push_back(loop);
                 ++cursor_;
                 ++emitted;
             }
@@ -149,7 +168,7 @@ class BodyMaker
         op.kind = OpKind::Run;
         op.offset = cursor_;
         op.length = len;
-        fn_.body.push_back(op);
+        ops_.push_back(op);
         cursor_ += len;
     }
 
@@ -164,8 +183,8 @@ class BodyMaker
         BodyOp branch;
         branch.kind = OpKind::Branch;
         branch.offset = cursor_;
-        branch.span = span;
-        branch.targetIdx = static_cast<std::uint32_t>(fn_.body.size() + 1);
+        branch.length = span;
+        branch.targetIdx = static_cast<std::uint32_t>(ops_.size() + 1);
         // Mostly strongly biased branches, some moderately biased —
         // the mix real compilers/profiles produce.
         if (rng_.nextBool(0.7)) {
@@ -175,7 +194,7 @@ class BodyMaker
                 rng_.nextRange(45, 75));
         }
         branch.jitter = static_cast<std::uint8_t>(profile_.branchJitter);
-        fn_.body.push_back(branch);
+        ops_.push_back(branch);
         ++cursor_;
 
         emitRun(run_len);
@@ -185,22 +204,23 @@ class BodyMaker
     emitCall(const PlannedCall &call)
     {
         panicIf(call.candidates.empty(), "planned call with no callees");
-        CallTarget target;
-        target.candidates = call.candidates;
-        fn_.targets.push_back(std::move(target));
-
         BodyOp op;
         op.kind = OpKind::CallSite;
         op.offset = cursor_;
-        op.targetIdx = static_cast<std::uint32_t>(fn_.targets.size() - 1);
+        op.length = static_cast<std::uint32_t>(call.candidates.size());
+        op.targetIdx = static_cast<std::uint32_t>(callees_.size());
         op.execProb = call.prob;
         op.execJitter = call.jitter;
         op.indirect = call.indirect;
-        fn_.body.push_back(op);
+        callees_.insert(callees_.end(), call.candidates.begin(),
+                        call.candidates.end());
+        ops_.push_back(op);
         ++cursor_;
     }
 
     Function &fn_;
+    std::vector<BodyOp> &ops_;
+    std::vector<FuncId> &callees_;
     Rng &rng_;
     const AppProfile &profile_;
     std::uint32_t cursor_ = 0;
@@ -258,7 +278,7 @@ class BuilderImpl
              const LoopPlan &loop = {})
     {
         FuncId id = program_.addFunction(name, module);
-        BodyMaker maker(program_.func(id), rng_, profile_);
+        BodyMaker maker(program_.func(id), scratch_, rng_, profile_);
         maker.make(insts, std::move(calls), loop);
         return id;
     }
@@ -560,6 +580,7 @@ class BuilderImpl
     const AppProfile &profile_;
     Rng rng_;
     Program program_;
+    BodyScratch scratch_;
     std::vector<FuncId> utils_;
 };
 

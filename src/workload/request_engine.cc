@@ -120,10 +120,10 @@ RequestEngine::next(DynInst &inst, std::uint64_t max)
         inst.pc = pc;
         inst.kind = InstKind::CondBranch;
         inst.taken = taken;
-        inst.target = fn.instAddr(op.offset + 1 + op.span);
+        inst.target = fn.instAddr(op.offset + 1 + op.length);
         ++stats_.condBranches;
         if (taken)
-            seek(frame, op, op.offset + 1 + op.span);
+            seek(frame, op, op.offset + 1 + op.length);
         else
             ++frame.opIdx;
         break;
@@ -159,12 +159,12 @@ RequestEngine::next(DynInst &inst, std::uint64_t max)
         }
         inst.pc = pc;
         inst.kind = InstKind::CondBranch;
-        inst.target = fn.instAddr(op.offset - op.span);
+        inst.target = fn.instAddr(op.offset - op.length);
         ++stats_.condBranches;
         if (it->remaining > 0) {
             --it->remaining;
             inst.taken = true;
-            seek(frame, op, op.offset - op.span);
+            seek(frame, op, op.offset - op.length);
         } else {
             inst.taken = false;
             frame.loops.erase(it);
@@ -185,7 +185,7 @@ RequestEngine::next(DynInst &inst, std::uint64_t max)
             inst.kind = InstKind::Plain;
             break;
         }
-        const auto &candidates = fn.targets[op.targetIdx].candidates;
+        const std::span<const FuncId> candidates = fn.candidates(op);
         std::size_t pick = 0;
         if (candidates.size() > 1) {
             pick = static_cast<std::size_t>(

@@ -109,15 +109,13 @@ TEST(CallGraphTest, RecursionFormsScc)
     // Add a->b and b->a edges.
     for (auto [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
         Function &fn = program.func(from);
-        CallTarget target;
-        target.candidates = {to};
-        fn.targets.push_back(target);
         // Rewrite body: insert call before Ret.
         BodyOp call;
         call.kind = OpKind::CallSite;
         call.offset = fn.body.back().offset;
-        call.targetIdx =
-            static_cast<std::uint32_t>(fn.targets.size() - 1);
+        call.length = 1;
+        call.targetIdx = static_cast<std::uint32_t>(fn.callees.size());
+        fn.callees.push_back(to);
         BodyOp ret = fn.body.back();
         ret.offset = call.offset + 1;
         fn.body.back() = call;
@@ -144,12 +142,11 @@ TEST(CallGraphTest, SelfRecursionHandled)
     Program program;
     FuncId a = test::addCaller(program, "a", {});
     Function &fn = program.func(a);
-    CallTarget target;
-    target.candidates = {a};
-    fn.targets.push_back(target);
+    fn.callees = {a};
     BodyOp call;
     call.kind = OpKind::CallSite;
     call.offset = fn.body.back().offset;
+    call.length = 1;
     call.targetIdx = 0;
     BodyOp ret = fn.body.back();
     ret.offset = call.offset + 1;

@@ -99,6 +99,17 @@ TEST(ProgramTest, ValidatePassesOnWellFormedBodies)
     program.validate(); // must not panic
 }
 
+TEST(ProgramTest, ValidateRejectsEmptyBody)
+{
+    // A call into a function with no ops: funcAt cannot find it, and
+    // the engine would read its first op past the end of the body.
+    Program program;
+    FuncId empty = program.addFunction("empty");
+    test::addCaller(program, "caller", {empty});
+    program.layout();
+    EXPECT_DEATH(program.validate(), "function empty has no body");
+}
+
 TEST(ProgramDeathTest, ValidateCatchesOffsetGap)
 {
     Program program;
@@ -134,12 +145,11 @@ TEST(ProgramDeathTest, ValidateCatchesBadCallee)
     Program program;
     FuncId id = program.addFunction("badcall");
     Function &fn = program.func(id);
-    CallTarget target;
-    target.candidates = {42}; // no such function
-    fn.targets.push_back(target);
+    fn.callees = {42}; // no such function
     BodyOp call;
     call.kind = OpKind::CallSite;
     call.offset = 0;
+    call.length = 1;
     call.targetIdx = 0;
     fn.body.push_back(call);
     BodyOp ret;
@@ -147,6 +157,38 @@ TEST(ProgramDeathTest, ValidateCatchesBadCallee)
     ret.offset = 1;
     fn.body.push_back(ret);
     EXPECT_DEATH(program.validate(), "callee out of range");
+}
+
+/** A caller of one leaf; its call site is body op 1. */
+Function &
+addCallerOfLeaf(Program &program)
+{
+    FuncId leaf = test::addLeaf(program, "leaf", 4);
+    return program.func(test::addCaller(program, "caller", {leaf}));
+}
+
+TEST(ProgramDeathTest, ValidateCatchesCandidatesPastCallees)
+{
+    {
+        Program program;
+        addCallerOfLeaf(program).body[1].length = 2;
+        EXPECT_DEATH(program.validate(),
+                     "CallSite candidates run past the callees of caller");
+    }
+    {
+        // A start whose 32-bit sum with the count wraps to 0.
+        Program program;
+        addCallerOfLeaf(program).body[1].targetIdx = 0xffffffff;
+        EXPECT_DEATH(program.validate(),
+                     "CallSite candidates run past the callees of caller");
+    }
+}
+
+TEST(ProgramDeathTest, ValidateCatchesCallSiteWithNoCandidates)
+{
+    Program program;
+    addCallerOfLeaf(program).body[1].length = 0;
+    EXPECT_DEATH(program.validate(), "CallSite with no candidates in caller");
 }
 
 /** A function "skip": a branch over a run of 4, then a loop back to
@@ -158,7 +200,7 @@ addSkipAndLoop(Program &program)
     BodyOp branch;
     branch.kind = OpKind::Branch;
     branch.offset = 0;
-    branch.span = 2;
+    branch.length = 2;
     branch.targetIdx = 1;
     fn.body.push_back(branch);
     BodyOp run;
@@ -169,7 +211,7 @@ addSkipAndLoop(Program &program)
     BodyOp loop;
     loop.kind = OpKind::Loop;
     loop.offset = 5;
-    loop.span = 4;
+    loop.length = 4;
     loop.targetIdx = 1;
     fn.body.push_back(loop);
     BodyOp ret;

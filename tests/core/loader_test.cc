@@ -84,27 +84,20 @@ TEST(LoaderTest, IndirectSiteTaggedIfAnyCandidateIsEntry)
     FuncId other = test::addLeaf(program, "other", instsFor(280 * 1024));
     FuncId parent = program.addFunction("parent");
     Function &fn = program.func(parent);
-    {
-        CallTarget target;
-        target.candidates = {small, big};
-        fn.targets.push_back(target);
-        BodyOp indirect_call;
-        indirect_call.kind = OpKind::CallSite;
-        indirect_call.offset = 0;
-        indirect_call.targetIdx = 0;
-        indirect_call.indirect = true;
-        fn.body.push_back(indirect_call);
-    }
-    {
-        CallTarget target;
-        target.candidates = {other};
-        fn.targets.push_back(target);
-        BodyOp direct_call;
-        direct_call.kind = OpKind::CallSite;
-        direct_call.offset = 1;
-        direct_call.targetIdx = 1;
-        fn.body.push_back(direct_call);
-    }
+    fn.callees = {small, big, other};
+    BodyOp indirect_call;
+    indirect_call.kind = OpKind::CallSite;
+    indirect_call.offset = 0;
+    indirect_call.length = 2;
+    indirect_call.targetIdx = 0;
+    indirect_call.indirect = true;
+    fn.body.push_back(indirect_call);
+    BodyOp direct_call;
+    direct_call.kind = OpKind::CallSite;
+    direct_call.offset = 1;
+    direct_call.length = 1;
+    direct_call.targetIdx = 2;
+    fn.body.push_back(direct_call);
     BodyOp ret;
     ret.kind = OpKind::Ret;
     ret.offset = 2;

@@ -55,16 +55,13 @@ addCaller(Program &program, const std::string &name,
         fn.body.push_back(run);
         cursor += run_len;
 
-        CallTarget target;
-        target.candidates = {callee};
-        fn.targets.push_back(target);
-
         BodyOp call;
         call.kind = OpKind::CallSite;
         call.offset = cursor;
-        call.targetIdx =
-            static_cast<std::uint32_t>(fn.targets.size() - 1);
+        call.length = 1;
+        call.targetIdx = static_cast<std::uint32_t>(fn.callees.size());
         call.execProb = 100;
+        fn.callees.push_back(callee);
         fn.body.push_back(call);
         ++cursor;
     }

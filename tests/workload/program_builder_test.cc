@@ -2,6 +2,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/bundle_analysis.hh"
 #include "workload/program_builder.hh"
@@ -65,9 +66,9 @@ TEST(ProgramBuilderTest, BranchAndLoopTargetsMatchASearch)
             for (const BodyOp &op : fn.body) {
                 std::uint32_t slot;
                 if (op.kind == OpKind::Branch)
-                    slot = op.offset + 1 + op.span;
+                    slot = op.offset + 1 + op.length;
                 else if (op.kind == OpKind::Loop)
-                    slot = op.offset - op.span;
+                    slot = op.offset - op.length;
                 else
                     continue;
                 ASSERT_EQ(op.targetIdx, searchOp(fn, slot))
@@ -79,6 +80,22 @@ TEST(ProgramBuilderTest, BranchAndLoopTargetsMatchASearch)
     }
     EXPECT_EQ(binaries.size(), 8u);
     EXPECT_GT(checked, 100'000u);
+}
+
+TEST(ProgramBuilderTest, BodiesAndCalleesAreExactlySized)
+{
+    // The builder allocates each body and callee list once, at its
+    // final size: growth slack would be resident for the whole run.
+    for (const std::string &binary : allBinaries()) {
+        auto app = ProgramBuilder::cached(
+            appProfile(workloadForBinary(binary)));
+        for (const Function &fn : app->program.functions()) {
+            ASSERT_EQ(fn.body.capacity(), fn.body.size())
+                << binary << " " << fn.name;
+            ASSERT_EQ(fn.callees.capacity(), fn.callees.size())
+                << binary << " " << fn.name;
+        }
+    }
 }
 
 TEST(ProgramBuilderTest, CachedSharesBinaryAcrossWorkloads)
@@ -132,7 +149,10 @@ TEST(ProgramBuilderTest, DispatchersDivergeIntoRoutines)
         for (const BodyOp &op : dispatcher.body) {
             if (op.kind != OpKind::CallSite || !op.indirect)
                 continue;
-            EXPECT_EQ(dispatcher.targets[op.targetIdx].candidates,
+            const std::span<const FuncId> candidates =
+                dispatcher.candidates(op);
+            EXPECT_EQ(std::vector<FuncId>(candidates.begin(),
+                                          candidates.end()),
                       app->stageRoutines[s]);
             found = true;
         }
