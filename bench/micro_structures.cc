@@ -215,6 +215,38 @@ BENCHMARK_CAPTURE(BM_RequestEngineRuns, mysql_sysbench, "mysql-sysbench");
 BENCHMARK_CAPTURE(BM_RequestEngineRuns, caddy, "caddy");
 BENCHMARK_CAPTURE(BM_RequestEngineRuns, gin, "gin");
 
+/** ProgramBuilder::build of one binary, as a process pays it once per
+ *  binary. Reports the bytes the image's bodies ("op_bytes") and
+ *  callee lists ("callee_bytes") hold allocated. */
+void
+BM_ProgramBuild(benchmark::State &state, const char *workload)
+{
+    const hp::AppProfile &profile = hp::appProfile(workload);
+    std::shared_ptr<const hp::BuiltApp> app;
+    for (auto _ : state) {
+        state.PauseTiming();
+        app.reset();
+        state.ResumeTiming();
+        app = hp::ProgramBuilder::build(profile);
+        benchmark::DoNotOptimize(app.get());
+    }
+    std::uint64_t op_bytes = 0, callee_bytes = 0;
+    for (const hp::Function &fn : app->program.functions()) {
+        op_bytes += fn.body.capacity() * sizeof(hp::BodyOp);
+        callee_bytes += fn.callees.capacity() * sizeof(hp::FuncId);
+    }
+    state.counters["op_bytes"] = double(op_bytes);
+    state.counters["callee_bytes"] = double(callee_bytes);
+}
+BENCHMARK_CAPTURE(BM_ProgramBuild, tidb_tpcc, "tidb-tpcc")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ProgramBuild, mysql_sysbench, "mysql-sysbench")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ProgramBuild, caddy, "caddy")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ProgramBuild, gin, "gin")
+    ->Unit(benchmark::kMillisecond);
+
 } // namespace
 
 int
