@@ -56,6 +56,8 @@ Program::layout(Addr base)
                                                   kInstBytes), 16);
     }
     totalCode_ = cursor - base;
+    // No function is added after layout: drop push_back's growth slack.
+    funcs_.shrink_to_fit();
 
     byAddr_ = order;
     std::sort(byAddr_.begin(), byAddr_.end(),
@@ -98,13 +100,27 @@ opHolds(const Function &fn, std::uint32_t idx, std::uint32_t slot)
 } // namespace
 
 void
-Program::validate() const
+Program::validate(FuncId entry) const
 {
+    if (entry != kNoFunc) {
+        panicIf(entry >= funcs_.size(), "entry function out of range");
+        panicIf(funcs_[entry].stub,
+                "entry function " + funcs_[entry].name + " is a stub");
+    }
     for (const Function &fn : funcs_) {
         panicIf(fn.body.empty(), "function " + fn.name + " has no body");
         std::uint32_t cursor = 0;
         for (std::size_t i = 0; i < fn.body.size(); ++i) {
             const BodyOp &op = fn.body[i];
+            if (fn.stub) {
+                // The slots between a stub's ops hold no op.
+                panicIf(op.kind != OpKind::CallSite && op.kind != OpKind::Ret,
+                        "stub " + fn.name + " holds an op other than "
+                        "CallSite or Ret");
+                panicIf(op.offset < cursor,
+                        "stub offsets do not increase in " + fn.name);
+                cursor = op.offset;
+            }
             panicIf(op.offset != cursor,
                     "body op offset mismatch in " + fn.name);
             switch (op.kind) {
@@ -136,6 +152,8 @@ Program::validate() const
                 for (FuncId callee : fn.candidates(op)) {
                     panicIf(callee >= funcs_.size(),
                             "CallSite callee out of range in " + fn.name);
+                    panicIf(!fn.stub && funcs_[callee].stub,
+                            fn.name + " calls stub " + funcs_[callee].name);
                 }
                 cursor += 1;
                 break;

@@ -104,6 +104,14 @@ class Function
     /** Module/library index; layout groups functions by module. */
     std::uint16_t module = 0;
 
+    /**
+     * True for a function no execution can enter. Its body keeps only
+     * its CallSite ops and its Ret, at their slot offsets: all the
+     * call graph, the Bundle analysis and the loader read. The other
+     * slots still count in numInsts() and the layout, but hold no op.
+     */
+    bool stub = false;
+
     /** Assigned base address (set by Program::layout). */
     Addr addr = 0;
 
@@ -171,10 +179,14 @@ class Program
      * offsets, spans inside the body, branch and loop targets that
      * name the op holding their target slot, candidate ranges inside
      * the callee list, valid callee ids, a non-empty body ending in
-     * Ret). Calls panic() on violation; intended for tests
-     * and builders.
+     * Ret). A stub holds only CallSite ops and a final Ret at strictly
+     * increasing offsets, and no function but a stub names a stub
+     * among its candidates. When @p entry is given, execution starts
+     * there, and it must not be a stub: so execution never enters a
+     * stub. Calls panic() on violation; intended for tests and
+     * builders.
      */
-    void validate() const;
+    void validate(FuncId entry = kNoFunc) const;
 
   private:
     std::vector<Function> funcs_;

@@ -102,6 +102,14 @@ class BodyMaker
         ops_.push_back(ret);
         ++cursor_;
 
+        // A stub is generated in full, so the RNG draws and every slot
+        // offset stay those of the full body, but keeps only what the
+        // call graph and the loader read.
+        if (fn_.stub) {
+            std::erase_if(ops_, [](const BodyOp &op) {
+                return op.kind != OpKind::CallSite && op.kind != OpKind::Ret;
+            });
+        }
         fn_.body.assign(ops_.begin(), ops_.end());
         fn_.callees.assign(callees_.begin(), callees_.end());
     }
@@ -258,12 +266,24 @@ class BuilderImpl
 
         app.program = std::move(program_);
         app.program.layout();
-        app.program.validate();
+        app.program.validate(app.requestDriver);
         app.image = linkAndTag(app.program);
         return app;
     }
 
   private:
+    /**
+     * The cold libraries' modules follow the stage modules. They are
+     * built last, and a planned call names only functions that exist,
+     * so no request can reach them: their functions are stubs.
+     */
+    std::uint16_t
+    firstColdModule() const
+    {
+        return static_cast<std::uint16_t>(kModStagesBase +
+                                          profile_.numStages);
+    }
+
     /** Draws a function size in instructions from the profile range. */
     std::uint32_t
     drawSize()
@@ -278,7 +298,9 @@ class BuilderImpl
              const LoopPlan &loop = {})
     {
         FuncId id = program_.addFunction(name, module);
-        BodyMaker maker(program_.func(id), scratch_, rng_, profile_);
+        Function &fn = program_.func(id);
+        fn.stub = module >= firstColdModule();
+        BodyMaker maker(fn, scratch_, rng_, profile_);
         maker.make(insts, std::move(calls), loop);
         return id;
     }
@@ -535,7 +557,7 @@ class BuilderImpl
      * Cold library code: static call-graph mass that never executes.
      * Each library is a small tree whose root and large interior nodes
      * become static Bundles, matching the Table 4 function/Bundle
-     * counts.
+     * counts. Every function here is a stub (see firstColdModule).
      */
     void
     buildColdLibraries()
@@ -545,11 +567,9 @@ class BuilderImpl
         // 1 discovers), and a library root. These never execute — they
         // exist so the static call graph has the function/Bundle mass
         // of a real server binary (Table 4).
-        std::uint16_t module = static_cast<std::uint16_t>(
-            kModStagesBase + profile_.numStages);
         for (unsigned lib = 0; lib < profile_.coldLibraries; ++lib) {
             std::uint16_t lib_module =
-                static_cast<std::uint16_t>(module + lib);
+                static_cast<std::uint16_t>(firstColdModule() + lib);
             std::string prefix = "lib" + std::to_string(lib);
 
             auto pool = buildPool(prefix + "_h", lib_module,

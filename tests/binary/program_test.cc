@@ -249,5 +249,78 @@ TEST(ProgramDeathTest, ValidateCatchesTargetPastTheBody)
     EXPECT_DEATH(program.validate(), "Loop target op mismatch");
 }
 
+/** A stub @p name: addCaller's body for @p callees with its runs
+ *  dropped, so its call sites sit at slots 4, 9, ... and its Ret
+ *  after the last. */
+FuncId
+addStub(Program &program, const std::string &name,
+        const std::vector<FuncId> &callees)
+{
+    Function &fn = program.func(test::addCaller(program, name, callees));
+    std::erase_if(fn.body,
+                  [](const BodyOp &op) { return op.kind == OpKind::Run; });
+    fn.stub = true;
+    return fn.id;
+}
+
+TEST(ProgramTest, StubKeepsTheSlotsOfItsFullBody)
+{
+    Program program;
+    FuncId leaf = test::addLeaf(program, "leaf", 4);
+    FuncId inner = addStub(program, "inner", {leaf, leaf});
+    FuncId outer = addStub(program, "outer", {inner});
+    program.layout();
+    program.validate(leaf); // a stub may call a stub or a non-stub
+
+    const Function &fn = program.func(inner);
+    ASSERT_EQ(fn.body.size(), 3u);
+    EXPECT_EQ(fn.numInsts(), 11u); // runs of 4, call, 4, call, Ret
+    EXPECT_EQ(program.funcAt(fn.instAddr(6)), inner); // a dropped slot
+    EXPECT_EQ(program.func(outer).numInsts(), 6u);
+}
+
+TEST(ProgramDeathTest, ValidateCatchesStubHoldingOtherOps)
+{
+    for (OpKind kind : {OpKind::Run, OpKind::Branch, OpKind::Loop}) {
+        Program program;
+        FuncId leaf = test::addLeaf(program, "leaf", 4);
+        program.func(addStub(program, "cold", {leaf})).body[0].kind = kind;
+        EXPECT_DEATH(program.validate(),
+                     "stub cold holds an op other than CallSite or Ret")
+            << static_cast<int>(kind);
+    }
+}
+
+TEST(ProgramDeathTest, ValidateCatchesCallToStub)
+{
+    Program program;
+    FuncId leaf = test::addLeaf(program, "leaf", 4);
+    FuncId cold = addStub(program, "cold", {leaf});
+    test::addCaller(program, "caller", {leaf, cold});
+    EXPECT_DEATH(program.validate(), "caller calls stub cold");
+}
+
+TEST(ProgramDeathTest, ValidateCatchesStubOffsetsNotIncreasing)
+{
+    for (std::uint32_t offset : {4u, 3u}) {
+        // The second call site at the slot of the first, or before it.
+        Program program;
+        FuncId leaf = test::addLeaf(program, "leaf", 4);
+        program.func(addStub(program, "cold", {leaf, leaf})).body[1].offset =
+            offset;
+        EXPECT_DEATH(program.validate(), "stub offsets do not increase in cold")
+            << offset;
+    }
+}
+
+TEST(ProgramDeathTest, ValidateCatchesStubEntry)
+{
+    Program program;
+    FuncId leaf = test::addLeaf(program, "leaf", 4);
+    FuncId cold = addStub(program, "cold", {leaf});
+    program.validate(leaf); // must not panic
+    EXPECT_DEATH(program.validate(cold), "entry function cold is a stub");
+}
+
 } // namespace
 } // namespace hp
