@@ -4,8 +4,9 @@
  * hardware structures and the link-time analysis: per-operation cost
  * of the Compression Buffer, Metadata Address Table, Metadata Buffer
  * allocator, the conditional predictor, the L1-I model, an LLC and
- * BTB probe, the full Bundle identification pass, and the request
- * engine's instruction stream, one instruction and one run at a time.
+ * BTB probe, the full Bundle identification pass, the request
+ * engine's instruction stream, one instruction and one run at a time,
+ * and a checkpoint's capture and restore.
  */
 
 #include <benchmark/benchmark.h>
@@ -20,6 +21,8 @@
 #include "core/metadata_table.hh"
 #include "frontend/btb.hh"
 #include "frontend/cond_predictor.hh"
+#include "sim/checkpoint.hh"
+#include "sim/simulator.hh"
 #include "util/rng.hh"
 #include "workload/program_builder.hh"
 #include "workload/request_engine.hh"
@@ -246,6 +249,75 @@ BENCHMARK_CAPTURE(BM_ProgramBuild, caddy, "caddy")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ProgramBuild, gin, "gin")
     ->Unit(benchmark::kMillisecond);
+
+/** tidb-tpcc under HP with the Table 1 budgets. */
+hp::SimConfig
+checkpointConfig()
+{
+    hp::SimConfig config;
+    config.workload = "tidb-tpcc";
+    config.prefetcher = hp::PrefetcherKind::Hierarchical;
+    config.hier.trackBundleStats = true;
+    return config;
+}
+
+/** The blob of checkpointConfig() at its warmup boundary, and the
+ *  simulator that warmed it; built once per process. */
+struct WarmCheckpoint
+{
+    hp::Simulator sim{checkpointConfig()};
+    hp::Checkpoint blob{"", {}};
+
+    WarmCheckpoint()
+    {
+        sim.runWarmup();
+        blob = hp::Checkpoint::capture(sim, "micro_structures");
+    }
+};
+
+WarmCheckpoint &
+warmCheckpoint()
+{
+    static WarmCheckpoint warm;
+    return warm;
+}
+
+/** Checkpoint::capture of the warm simulator. "blob_bytes" is the
+ *  payload's size. */
+void
+BM_CheckpointCapture(benchmark::State &state)
+{
+    hp::Simulator &sim = warmCheckpoint().sim;
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        const hp::Checkpoint blob =
+            hp::Checkpoint::capture(sim, "micro_structures");
+        bytes = blob.payload().size();
+        benchmark::DoNotOptimize(bytes);
+    }
+    state.counters["blob_bytes"] = double(bytes);
+}
+BENCHMARK(BM_CheckpointCapture)->Unit(benchmark::kMillisecond);
+
+/** Checkpoint::restoreInto one simulator, over and over, as a sampled
+ *  run restores its forks. */
+void
+BM_CheckpointRestore(benchmark::State &state)
+{
+    const hp::Checkpoint &blob = warmCheckpoint().blob;
+    hp::Simulator sim(checkpointConfig());
+    std::string error;
+    for (auto _ : state) {
+        const bool restored = blob.restoreInto(sim, &error);
+        benchmark::DoNotOptimize(restored);
+        if (!restored) {
+            state.SkipWithError(error.c_str());
+            break;
+        }
+    }
+    state.counters["blob_bytes"] = double(blob.payload().size());
+}
+BENCHMARK(BM_CheckpointRestore)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

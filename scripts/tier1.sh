@@ -4,7 +4,8 @@
 # Stage 1 is exactly the ROADMAP tier-1 command: configure, build,
 # ctest in build/, then the scenario smoke runs, the profiler's
 # self-test (scripts/profile.sh) and one short run of the cache and
-# BTB probe and program-build micro-benchmarks. Stage 2 rebuilds everything with
+# BTB probe, program-build and checkpoint capture/restore
+# micro-benchmarks. Stage 2 rebuilds everything with
 # HP_SANITIZE=address into build-asan/ and reruns the full suite under
 # ASan, so memory errors in the simulator, the checkpoint restore path,
 # and the tests themselves fail CI rather than silently corrupting
@@ -75,10 +76,10 @@ if [[ "$stage" != "--asan-only" && "$stage" != "--ubsan-only" &&
     done
     # The committed profiler must still build, sample and symbolize.
     scripts/profile.sh --self-test
-    # The set-associative probe and program-build micro-benchmarks
-    # must still run.
+    # The set-associative probe, program-build and checkpoint
+    # micro-benchmarks must still run.
     ./build/bench/micro_structures \
-        --benchmark_filter='BM_CacheProbe|BM_BtbLookup|BM_ProgramBuild' \
+        --benchmark_filter='BM_CacheProbe|BM_BtbLookup|BM_ProgramBuild|BM_Checkpoint' \
         --benchmark_min_time=0.05
 fi
 

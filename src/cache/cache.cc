@@ -97,16 +97,8 @@ template <class Ar>
 void
 SetAssocCache::serializeState(Ar &ar)
 {
-    if (!table_.ioShape(ar))
-        return;
-    table_.ioClock(ar);
-    table_.ioSlots(ar, [&](std::size_t slot) {
-        // A line records its block address, valid or stale.
-        table_.ioKey(ar, slot, kBlockShift);
-        ar.value(meta_[slot].origin);
-        ar.value(meta_[slot].used);
-        table_.ioStamp(ar, slot);
-    });
+    if (table_.serializeState(ar))
+        ioElements(ar, meta_);
 }
 
 template void SetAssocCache::serializeState(StateWriter &);

@@ -94,6 +94,14 @@ class SetAssocCache
     {
         Origin origin = Origin::Demand;
         bool used = false;
+
+        template <class Ar>
+        void
+        serializeState(Ar &ar)
+        {
+            ar.value(origin);
+            ar.value(used);
+        }
     };
 
     std::string name_;

@@ -79,7 +79,8 @@ CacheHierarchy::recordExtOutcome(Addr block, bool useful)
         ++bin;
     }
     if (useful) {
-        stats_.extUsefulDistance.sample(double(distance));
+        ++stats_.extUsefulDistanceSamples;
+        stats_.extUsefulDistanceSum += distance;
         ++stats_.extDistUseful[bin];
     } else {
         ++stats_.extDistUnused[bin];
@@ -595,11 +596,9 @@ CacheHierarchy::registerStats(StatsRegistry &reg) const
     registerPrefetchStats(reg, "fdip", s.fdip);
     registerPrefetchStats(reg, "ext", s.ext);
     reg.add("ext.useful_distance_samples",
-            [&s] { return s.extUsefulDistance.count(); });
-    // Distances are whole fetch blocks, so the sum is integral.
-    reg.add("ext.useful_distance_sum", [&s] {
-        return static_cast<std::uint64_t>(s.extUsefulDistance.sum());
-    });
+            [&s] { return s.extUsefulDistanceSamples; });
+    reg.add("ext.useful_distance_sum",
+            [&s] { return s.extUsefulDistanceSum; });
     for (unsigned b = 0; b < HierarchyStats::kDistanceBins; ++b) {
         reg.add("ext.useful_distance_bin" + std::to_string(b),
                 [&s, b] { return s.extDistUseful[b]; });
@@ -674,7 +673,6 @@ CacheHierarchy::serializeState(Ar &ar)
     io(ar, extIssueSeq_);
     io(ar, fetchBlockSeq_);
     io(ar, metadataReads_);
-    stats_.serializeState(ar);
     // Present only when attribution runs. Enablement is process-wide
     // obs config, so writer and loader agree.
     if (attr_.enabled())

@@ -26,7 +26,6 @@
 #include "obs/event_sink.hh"
 #include "obs/miss_attribution.hh"
 #include "prefetch/prefetcher.hh"
-#include "stats/histogram.hh"
 #include "stats/registry.hh"
 #include "util/flat_map.hh"
 #include "util/types.hh"
@@ -151,20 +150,6 @@ struct PrefetchStats
         std::uint64_t served = usefulL1 + lateMerges;
         return served ? double(lateMerges) / double(served) : 0.0;
     }
-
-    template <class Ar>
-    void
-    serializeState(Ar &ar)
-    {
-        ar.value(issued);
-        ar.value(redundant);
-        ar.value(dropped);
-        ar.value(inserted);
-        ar.value(usefulL1);
-        ar.value(usefulL2);
-        ar.value(lateMerges);
-        ar.value(uselessEvicted);
-    }
 };
 
 /**
@@ -199,9 +184,11 @@ struct HierarchyStats
 
     /**
      * Prefetch distance (in fetched cache blocks between issue and
-     * demand use) of useful Ext prefetches — Table 2's "Distance" row.
+     * demand use) of useful Ext prefetches — Table 2's "Distance" row:
+     * the sample count and the sum of the distances.
      */
-    Accumulator extUsefulDistance;
+    std::uint64_t extUsefulDistanceSamples = 0;
+    std::uint64_t extUsefulDistanceSum = 0;
 
     /**
      * Distance-binned Ext prefetch outcomes for the Figure 2c study.
@@ -224,40 +211,6 @@ struct HierarchyStats
     std::uint64_t dramQueueCycles = 0;
     std::uint64_t mdArbiterReads = 0;
     std::uint64_t mdArbiterStallCycles = 0;
-
-    template <class Ar>
-    void
-    serializeState(Ar &ar)
-    {
-        ar.value(demandAccesses);
-        ar.value(demandL1Misses);
-        ar.value(demandL2Misses);
-        ar.value(demandLlcMisses);
-        ar.value(servedByL2);
-        ar.value(servedByLlc);
-        ar.value(servedByMem);
-        ar.value(servedByMshr);
-        ar.value(missCyclesL2);
-        ar.value(missCyclesLlc);
-        ar.value(missCyclesMem);
-        ar.value(missCyclesMshr);
-        fdip.serializeState(ar);
-        ext.serializeState(ar);
-        extUsefulDistance.serializeState(ar);
-        for (std::uint64_t &v : extDistUseful)
-            ar.value(v);
-        for (std::uint64_t &v : extDistUnused)
-            ar.value(v);
-        ar.value(dramDemandBytes);
-        ar.value(dramFdipBytes);
-        ar.value(dramExtBytes);
-        ar.value(dramMetadataReadBytes);
-        ar.value(dramMetadataWriteBytes);
-        ar.value(dramQueuedFills);
-        ar.value(dramQueueCycles);
-        ar.value(mdArbiterReads);
-        ar.value(mdArbiterStallCycles);
-    }
 };
 
 /**
@@ -397,7 +350,8 @@ class CacheHierarchy : public MetadataMemory
     SetAssocCache &llc() { return llc_; }
     const HierarchyParams &params() const { return params_; }
 
-    /** Serializes/restores caches, MSHRs, and counters. */
+    /** Serializes/restores the caches, the I-TLB, the MSHRs and the
+     *  sequence state; its counters stay (DESIGN.md §8). */
     template <class Ar> void serializeState(Ar &ar);
 
   private:

@@ -42,8 +42,6 @@ Tlb::serializeState(Ar &ar)
         if (lru_.size() > entries_)
             ar.markFailed();
     }
-    io(ar, accesses_);
-    io(ar, misses_);
 }
 
 template void Tlb::serializeState(StateWriter &);

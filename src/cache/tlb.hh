@@ -52,8 +52,7 @@ class Tlb
      */
     void flush() { lru_.clear(); }
 
-    /** Serializes/restores the LRU contents and counters
-     *  (checkpointing). */
+    /** Serializes/restores the LRU contents (checkpointing). */
     template <class Ar> void serializeState(Ar &ar);
 
   private:

@@ -1,7 +1,6 @@
 #include "core/hierarchical_prefetcher.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.hh"
 
@@ -77,26 +76,19 @@ HierarchicalPrefetcher::registerStats(StatsRegistry &reg,
     reg.add(prefix + ".dynamic_bundles",
             [&s] { return s.dynamicBundles; });
     // Per-Bundle-execution sums (trackBundleStats): a mean over any
-    // interval is a ratio of two deltas. Instructions, cycles and
-    // footprint blocks are whole numbers; the Jaccard sum is read in
-    // millionths.
+    // interval is a ratio of two deltas.
     reg.add(prefix + ".bundle_executions",
-            [&s] { return s.bundleExecCycles.count(); });
-    reg.add(prefix + ".bundle_exec_insts_sum", [&s] {
-        return static_cast<std::uint64_t>(s.bundleExecInsts.sum());
-    });
-    reg.add(prefix + ".bundle_exec_cycles_sum", [&s] {
-        return static_cast<std::uint64_t>(s.bundleExecCycles.sum());
-    });
-    reg.add(prefix + ".bundle_footprint_blocks_sum", [&s] {
-        return static_cast<std::uint64_t>(s.bundleFootprintBlocks.sum());
-    });
+            [&s] { return s.bundleExecutions; });
+    reg.add(prefix + ".bundle_exec_insts_sum",
+            [&s] { return s.bundleExecInstsSum; });
+    reg.add(prefix + ".bundle_exec_cycles_sum",
+            [&s] { return s.bundleExecCyclesSum; });
+    reg.add(prefix + ".bundle_footprint_blocks_sum",
+            [&s] { return s.bundleFootprintBlocksSum; });
     reg.add(prefix + ".bundle_jaccard_samples",
-            [&s] { return s.bundleJaccard.count(); });
-    reg.add(prefix + ".bundle_jaccard_sum_ppm", [&s] {
-        return static_cast<std::uint64_t>(
-            std::llround(s.bundleJaccard.sum() * 1e6));
-    });
+            [&s] { return s.bundleJaccardSamples; });
+    reg.add(prefix + ".bundle_jaccard_sum_ppm",
+            [&s] { return s.bundleJaccardSumPpm; });
 }
 
 void
@@ -235,12 +227,13 @@ HierarchicalPrefetcher::endRecord(Cycle now)
     stats_.metadataWriteBytes += kSegmentHeaderBytes;
 
     if (config_.trackBundleStats) {
-        stats_.bundleExecInsts.sample(double(recordInsts_));
-        stats_.bundleExecCycles.sample(double(now - recordStartCycle_));
+        ++stats_.bundleExecutions;
+        stats_.bundleExecInstsSum += recordInsts_;
+        stats_.bundleExecCyclesSum += now - recordStartCycle_;
 
         std::sort(curBlocks_.begin(), curBlocks_.end());
         const std::vector<Addr> &cur = curBlocks_;
-        stats_.bundleFootprintBlocks.sample(double(cur.size()));
+        stats_.bundleFootprintBlocksSum += cur.size();
 
         auto it = prevFootprint_.find(recordId_);
         if (it != prevFootprint_.end() && !cur.empty()) {
@@ -258,9 +251,14 @@ HierarchicalPrefetcher::endRecord(Cycle now)
                     ++j;
                 }
             }
+            // Each sample adds inter / uni in millionths, rounded half
+            // up, so the sum moves by whole steps.
             std::size_t uni = prev.size() + cur.size() - inter;
-            if (uni > 0)
-                stats_.bundleJaccard.sample(double(inter) / double(uni));
+            if (uni > 0) {
+                ++stats_.bundleJaccardSamples;
+                stats_.bundleJaccardSumPpm +=
+                    (std::uint64_t(inter) * 1'000'000 + uni / 2) / uni;
+            }
         }
         if (it == prevFootprint_.end()) {
             ++stats_.dynamicBundles;
@@ -547,7 +545,6 @@ HierarchicalPrefetcher::serializeState(Ar &ar)
     io(ar, replay_);
     io(ar, replayPos_);
     io(ar, replayIssued_);
-    stats_.serializeState(ar);
     io(ar, prevFootprint_);
     io(ar, curBlocks_);
     if constexpr (Ar::loading) {

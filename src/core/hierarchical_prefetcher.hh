@@ -24,7 +24,6 @@
 #include "core/metadata_buffer.hh"
 #include "core/metadata_table.hh"
 #include "prefetch/prefetcher.hh"
-#include "stats/histogram.hh"
 #include "util/flat_map.hh"
 #include "util/hash.hh"
 
@@ -122,37 +121,19 @@ struct HierarchicalStats
     std::uint64_t metadataReadBytes = 0;
     std::uint64_t metadataWriteBytes = 0;
 
-    /** Per-Bundle-execution analysis (only with trackBundleStats). */
-    Accumulator bundleExecInsts;
-    Accumulator bundleExecCycles;
-    Accumulator bundleFootprintBlocks;
-    Accumulator bundleJaccard;
+    /** Per-Bundle-execution analysis (only with trackBundleStats):
+     *  the executions and their summed instructions, cycles and
+     *  footprint blocks; the Jaccard samples and the sum of each
+     *  sample rounded to millionths. */
+    std::uint64_t bundleExecutions = 0;
+    std::uint64_t bundleExecInstsSum = 0;
+    std::uint64_t bundleExecCyclesSum = 0;
+    std::uint64_t bundleFootprintBlocksSum = 0;
+    std::uint64_t bundleJaccardSamples = 0;
+    std::uint64_t bundleJaccardSumPpm = 0;
 
     /** Distinct Bundle IDs observed at run time. */
     std::uint64_t dynamicBundles = 0;
-
-    template <class Ar>
-    void
-    serializeState(Ar &ar)
-    {
-        ar.value(taggedCommits);
-        ar.value(bundlesStarted);
-        ar.value(matHits);
-        ar.value(matMisses);
-        ar.value(matInvalidations);
-        ar.value(segmentsAllocated);
-        ar.value(regionsRecorded);
-        ar.value(replaysStarted);
-        ar.value(replayPrefetches);
-        ar.value(recordsTruncated);
-        ar.value(metadataReadBytes);
-        ar.value(metadataWriteBytes);
-        bundleExecInsts.serializeState(ar);
-        bundleExecCycles.serializeState(ar);
-        bundleFootprintBlocks.serializeState(ar);
-        bundleJaccard.serializeState(ar);
-        ar.value(dynamicBundles);
-    }
 };
 
 /** Derives the 24-bit Bundle ID from the post-trigger instruction. */

@@ -110,14 +110,8 @@ template <class Ar>
 void
 MetadataAddressTable::serializeState(Ar &ar)
 {
-    if (!table_.ioShape(ar))
-        return;
-    table_.ioClock(ar);
-    table_.ioSlots(ar, [&](std::size_t slot) {
-        table_.ioKey(ar, slot);
-        ar.value(heads_[slot]);
-        table_.ioStamp(ar, slot);
-    });
+    if (table_.serializeState(ar))
+        ioElements(ar, heads_);
 }
 
 template void MetadataAddressTable::serializeState(StateWriter &);

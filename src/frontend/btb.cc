@@ -77,17 +77,10 @@ template <class Ar>
 void
 Btb::serializeState(Ar &ar)
 {
-    if (!table_.ioShape(ar))
+    if (!table_.serializeState(ar))
         return;
-    table_.ioClock(ar);
-    table_.ioSlots(ar, [&](std::size_t slot) {
-        table_.ioKey(ar, slot);
-        ar.value(targets_[slot]);
-        table_.ioStamp(ar, slot);
-    });
+    ioElements(ar, targets_);
     io(ar, infTable_);
-    io(ar, lookups_);
-    io(ar, misses_);
 }
 
 template void Btb::serializeState(StateWriter &);

@@ -44,7 +44,7 @@ class Btb
     std::uint64_t lookups() const { return lookups_; }
     std::uint64_t misses() const { return misses_; }
 
-    /** Serializes/restores table contents and counters. */
+    /** Serializes/restores the table contents (checkpointing). */
     template <class Ar> void serializeState(Ar &ar);
 
     /** Registers this BTB's counters under @p prefix. */

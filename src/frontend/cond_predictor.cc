@@ -132,8 +132,6 @@ CondPredictor::serializeState(Ar &ar)
     io(ar, providerIndex_);
     io(ar, lastPrediction_);
     io(ar, lastPc_);
-    io(ar, predictions_);
-    io(ar, mispredicts_);
     if constexpr (Ar::loading)
         refold();
 }

@@ -51,7 +51,7 @@ class CondPredictor
         return predictions_ ? double(mispredicts_) / predictions_ : 0.0;
     }
 
-    /** Serializes/restores tables, history, and counters. */
+    /** Serializes/restores tables and history. */
     template <class Ar> void serializeState(Ar &ar);
 
     /** Registers this predictor's counters under @p prefix. */

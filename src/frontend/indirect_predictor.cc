@@ -119,8 +119,6 @@ IndirectPredictor::serializeState(Ar &ar)
     io(ar, providerIndex_);
     io(ar, lastPrediction_);
     io(ar, lastPc_);
-    io(ar, predictions_);
-    io(ar, mispredicts_);
 }
 
 template void IndirectPredictor::serializeState(StateWriter &);

@@ -38,7 +38,7 @@ class IndirectPredictor
     std::uint64_t predictions() const { return predictions_; }
     std::uint64_t mispredicts() const { return mispredicts_; }
 
-    /** Serializes/restores tables, path history, and counters. */
+    /** Serializes/restores tables and path history. */
     template <class Ar> void serializeState(Ar &ar);
 
     /** Registers this predictor's counters under @p prefix. */

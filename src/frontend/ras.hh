@@ -41,7 +41,7 @@ class Ras
     std::uint64_t overflows() const { return overflows_; }
     std::uint64_t underflows() const { return underflows_; }
 
-    /** Serializes/restores the stack and counters. */
+    /** Serializes/restores the stack. */
     template <class Ar>
     void
     serializeState(Ar &ar)
@@ -52,8 +52,6 @@ class Ras
             ar.value(a);
         ar.value(topIdx_);
         ar.value(size_);
-        ar.value(overflows_);
-        ar.value(underflows_);
     }
 
     /** Registers this stack's counters under @p prefix. */

@@ -82,16 +82,6 @@ class MissAttribution
                 sum += c;
             return sum;
         }
-
-        template <class Ar>
-        void
-        serializeState(Ar &ar)
-        {
-            for (std::uint64_t &v : count)
-                ar.value(v);
-            for (std::uint64_t &v : latencyCycles)
-                ar.value(v);
-        }
     };
 
     bool enabled() const { return enabled_; }
@@ -133,14 +123,13 @@ class MissAttribution
     /** Tracked-line count (tests/diagnostics). */
     std::size_t trackedLines() const { return lines_.size(); }
 
-    /** Serializes per-line state + counters (checkpointing; only
-     *  called when attribution is enabled — see Simulator). */
+    /** Serializes per-line state (checkpointing; only called when
+     *  attribution is enabled — see Simulator). */
     template <class Ar>
     void
     serializeState(Ar &ar)
     {
         io(ar, lines_);
-        counters_.serializeState(ar);
     }
 
   private:

@@ -150,12 +150,12 @@ template <class Ar>
 void
 Eip::serializeState(Ar &ar)
 {
-    // Each entry: valid, source, stamp, then its target list (count,
-    // targets). A blob of another geometry, an entry over maxTargets
-    // or a history over historyEntries is rejected.
-    const bool shaped = table_.ioSlots(ar, [&](std::size_t slot) {
-        table_.ioKey(ar, slot);
-        table_.ioStamp(ar, slot);
+    // The table, then each slot's target list (count, targets). A
+    // blob of another geometry, an entry over maxTargets or a history
+    // over historyEntries is rejected.
+    if (!table_.serializeState(ar))
+        return;
+    for (std::size_t slot = 0; slot < table_.size(); ++slot) {
         std::uint64_t count = targetCount_[slot];
         ar.value(count);
         if constexpr (Ar::loading) {
@@ -168,10 +168,7 @@ Eip::serializeState(Ar &ar)
         }
         for (std::uint64_t i = 0; i < count; ++i)
             io(ar, targets_[slot * config_.maxTargets + i]);
-    });
-    if (!shaped)
-        return;
-    table_.ioClock(ar);
+    }
     io(ar, history_);
     if constexpr (Ar::loading) {
         if (history_.size() > config_.historyEntries) {

@@ -156,7 +156,6 @@ Mana::serializeState(Ar &ar)
     io(ar, streamPos_);
     io(ar, streaming_);
     io(ar, issuedUpTo_);
-    io(ar, divergences_);
 }
 
 template void Mana::serializeState(StateWriter &);

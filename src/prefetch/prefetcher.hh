@@ -164,17 +164,14 @@ class Prefetcher
 
     /**
      * Serializes/restores prefetcher state for checkpointing: the
-     * shared request queue and its counters, then the subclass's own
-     * state (saveOwnState / restoreOwnState).
+     * shared request queue, then the subclass's own state
+     * (saveOwnState / restoreOwnState).
      */
     template <class Ar>
     void
     serializeState(Ar &ar)
     {
         io(ar, queue_);
-        io(ar, pushed_);
-        io(ar, popped_);
-        io(ar, droppedFull_);
         if constexpr (Ar::loading)
             restoreOwnState(ar);
         else

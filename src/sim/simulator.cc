@@ -1190,7 +1190,6 @@ Simulator::serializeState(Ar &ar)
                 fetchGroups_.push_back({seq + 1, c});
         }
     }
-    io(ar, rasMispredicts_);
     hier_.serializeState(ar);
     btb_.serializeState(ar);
     condPred_.serializeState(ar);
@@ -1204,7 +1203,6 @@ Simulator::serializeState(Ar &ar)
     }
     io(ar, activeTenant_);
     io(ar, nextSwitchAt_);
-    io(ar, contextSwitches_);
     if constexpr (Ar::loading) {
         if (activeTenant_ >= tenants_.size()) {
             ar.markFailed();

@@ -12,7 +12,9 @@
 namespace hp
 {
 
-/** Running count/sum/mean accumulator for a scalar sample stream. */
+/** Running count/sum/mean accumulator for a scalar sample stream.
+ *  Never behind a registered counter: its double sum depends on the
+ *  base it starts from (DESIGN.md §7). */
 class Accumulator
 {
   public:
@@ -32,15 +34,6 @@ class Accumulator
     {
         count_ = 0;
         sum_ = 0.0;
-    }
-
-    /** Serializes/restores the accumulated samples. */
-    template <class Ar>
-    void
-    serializeState(Ar &ar)
-    {
-        ar.value(count_);
-        ar.value(sum_);
     }
 
   private:

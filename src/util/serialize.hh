@@ -394,6 +394,23 @@ io(Ar &ar, FlatMap<K, V> &m)
     }
 }
 
+/**
+ * The elements of @p v with no count: its size is fixed by
+ * configuration, and the caller guards it (checkShape). Arithmetic
+ * elements move in one block copy, which is their value() encoding.
+ */
+template <class Ar, typename T>
+void
+ioElements(Ar &ar, std::vector<T> &v)
+{
+    if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+        ar.bytes(v.data(), v.size() * sizeof(T));
+    } else {
+        for (T &e : v)
+            io(ar, e);
+    }
+}
+
 /** Ring buffers serialize their logical contents front-to-back; the
  *  head position and capacity are representation, not state. */
 template <class Ar, typename T>

@@ -8,7 +8,7 @@
  * (set * ways + way):
  *  - the tags: each way's key, with its valid state in the key's top
  *    bit. Invalidating a way clears only that bit, so the stale key
- *    stays and checkpoints still record it;
+ *    stays, and a checkpoint records the word as it is;
  *  - the LRU stamps, taken from one table-wide use clock.
  * Owners keep their payload (origins, targets, pointers) in their own
  * arrays, indexed by the same slot.
@@ -191,61 +191,24 @@ class SetAssocTable
         return live;
     }
 
-    // ---- Checkpointing. Owners list their fields in their own order;
-    // these move the table's parts of it. ----
-
-    /** The slot count (the one geometry field the encoding records);
-     *  a restore into a table of another size fails. */
+    /**
+     * Checkpointing: the slot count (the one geometry field the
+     * encoding records), the use clock, the tag words as stored, then
+     * the stamps. Every tag word is a legal encoding: its top bit is
+     * the valid state and the rest the (possibly stale) key. Owners
+     * write their payload arrays after it.
+     * @return false when the blob's table has another slot count.
+     */
     template <class Ar>
     bool
-    ioShape(Ar &ar) const
+    serializeState(Ar &ar)
     {
-        return checkShape(ar, tags_);
-    }
-
-    template <class Ar> void ioClock(Ar &ar) { ar.value(clock_); }
-
-    /** The slot count, then @p each(slot) for every slot in order (the
-     *  encoding of a vector of per-way records).
-     *  @return false on a shape mismatch, as ioShape. */
-    template <class Ar, class F>
-    bool
-    ioSlots(Ar &ar, F &&each)
-    {
-        if (!ioShape(ar))
+        if (!checkShape(ar, tags_))
             return false;
-        for (std::size_t s = 0; s < tags_.size(); ++s)
-            each(s);
+        ar.value(clock_);
+        ioElements(ar, tags_);
+        ioElements(ar, stamps_);
         return true;
-    }
-
-    /** The way's valid flag, then its (possibly stale) key, recorded
-     *  as key << @p shift (a cache keyed by block number records the
-     *  block address). */
-    template <class Ar>
-    void
-    ioKey(Ar &ar, std::size_t slot, unsigned shift = 0)
-    {
-        bool is_valid = valid(slot);
-        Tag recorded = key(slot) << shift;
-        ar.value(is_valid);
-        ar.value(recorded);
-        if constexpr (Ar::loading) {
-            const Tag k = recorded >> shift;
-            if (Tag(k << shift) != recorded || (k & kValid)) {
-                ar.markFailed("set-associative table: a recorded key "
-                              "is out of range");
-                return;
-            }
-            tags_[slot] = is_valid ? k | kValid : k;
-        }
-    }
-
-    template <class Ar>
-    void
-    ioStamp(Ar &ar, std::size_t slot)
-    {
-        ar.value(stamps_[slot]);
     }
 
   private:

@@ -134,8 +134,8 @@ class LatencyTracker
      */
     LatencyReport report(const StatsSnapshot &delta) const;
 
-    /** Serializes/restores queue state and counters (checkpointing).
-     *  Recorded samples are pre-measurement empty by construction. */
+    /** Serializes/restores the queue state (checkpointing). Recorded
+     *  samples are pre-measurement empty by construction. */
     template <class Ar>
     void
     serializeState(Ar &ar)
@@ -147,12 +147,6 @@ class LatencyTracker
         io(ar, curBegin_);
         io(ar, serverFree_);
         io(ar, finishes_);
-        io(ar, generated_);
-        io(ar, completed_);
-        io(ar, dropped_);
-        io(ar, latencyCycles_);
-        io(ar, serviceCycles_);
-        io(ar, queueDepthSum_);
     }
 
   private:

@@ -231,21 +231,49 @@ RequestEngine::next(DynInst &inst, std::uint64_t max)
     return n;
 }
 
+const char *
+RequestEngine::checkFrames() const
+{
+    if (frames_.size() > kMaxDepth)
+        return "request engine: more frames than kMaxDepth";
+    const Program &program = app_->program;
+    for (const Frame &frame : frames_) {
+        if (frame.func >= program.numFunctions() ||
+            program.func(frame.func).stub)
+            return "request engine: a frame names no function a request "
+                   "can run";
+        const std::vector<BodyOp> &body = program.func(frame.func).body;
+        if (frame.opIdx >= body.size())
+            return "request engine: a frame's op is past its body";
+        const BodyOp &op = body[frame.opIdx];
+        if (op.kind == OpKind::Run ? frame.intraRun >= op.length
+                                   : frame.intraRun != 0)
+            return "request engine: a frame's slot is outside its op";
+        for (const LoopState &loop : frame.loops) {
+            if (loop.opIdx >= body.size() ||
+                body[loop.opIdx].kind != OpKind::Loop)
+                return "request engine: a loop names an op that is not "
+                       "a Loop";
+        }
+    }
+    return nullptr;
+}
+
 template <class Ar>
 void
 RequestEngine::serializeState(Ar &ar)
 {
     rng_.serializeState(ar);
     io(ar, frames_);
+    if constexpr (Ar::loading) {
+        if (const char *bad = checkFrames()) {
+            ar.markFailed(bad);
+            frames_.clear();
+        }
+    }
     io(ar, requestType_);
     io(ar, pendingMarker_);
     io(ar, pendingMarkerArg_);
-    io(ar, stats_.instructions);
-    io(ar, stats_.requests);
-    io(ar, stats_.calls);
-    io(ar, stats_.returns);
-    io(ar, stats_.condBranches);
-    io(ar, stats_.taggedInsts);
 }
 
 template void RequestEngine::serializeState(StateWriter &);

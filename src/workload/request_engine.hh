@@ -78,7 +78,7 @@ class RequestEngine : public InstStream
      *  final return and the next call to next() starts a request. */
     bool idle() const { return frames_.empty(); }
 
-    /** Serializes/restores RNG, call frames, and counters. */
+    /** Serializes/restores RNG and call frames. */
     template <class Ar> void serializeState(Ar &ar);
 
   private:
@@ -126,6 +126,10 @@ class RequestEngine : public InstStream
     /** Jumps @p frame's cursor to the taken target of @p op, the
      *  branch or loop at its cursor, whose slot is @p slot. */
     void seek(Frame &frame, const BodyOp &op, std::uint32_t slot);
+
+    /** Why the restored frames cannot run on this image (an index
+     *  next() would read out of range, or a stub), or nullptr. */
+    const char *checkFrames() const;
 
     std::shared_ptr<const BuiltApp> app_;
     const AppProfile &profile_;

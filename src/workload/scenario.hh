@@ -212,6 +212,13 @@ class ArrivalProcess
         ar.value(t_);
         ar.value(phase_);
         rng_.serializeState(ar);
+        if constexpr (Ar::loading) {
+            if (scen_ && phase_ >= scen_->phases.size()) {
+                ar.markFailed("arrival process: the phase cursor is "
+                              "outside the scenario");
+                phase_ = 0;
+            }
+        }
     }
 
   private:

@@ -191,10 +191,18 @@ ScenarioEngine::serializeState(Ar &ar)
     tracker_.serializeState(ar);
     io(ar, curChain_);
     io(ar, hop_);
-    io(ar, requestsStarted_);
-    io(ar, phaseChanges_);
     io(ar, lastPhase_);
-    io(ar, chainRequests_);
+    if constexpr (Ar::loading) {
+        // No chain yet (-1), or a hop of one of the scenario's chains.
+        const std::size_t chain = std::size_t(curChain_);
+        if (curChain_ != -1 &&
+            (chain >= chainServices_.size() ||
+             hop_ >= chainServices_[chain].size())) {
+            ar.markFailed("scenario engine: the chain cursor is outside "
+                          "the scenario");
+            curChain_ = -1;
+        }
+    }
 }
 
 template void ScenarioEngine::serializeState(StateWriter &);

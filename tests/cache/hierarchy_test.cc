@@ -189,8 +189,8 @@ TEST(HierarchyTest, DistanceTrackedForUsefulPrefetch)
     for (int i = 0; i < 10; ++i)
         hier.noteFetchBlock();
     hier.demandAccess(blk(0), 1000);
-    EXPECT_EQ(hier.stats().extUsefulDistance.count(), 1u);
-    EXPECT_DOUBLE_EQ(hier.stats().extUsefulDistance.mean(), 10.0);
+    EXPECT_EQ(hier.stats().extUsefulDistanceSamples, 1u);
+    EXPECT_EQ(hier.stats().extUsefulDistanceSum, 10u);
 }
 
 TEST(HierarchyTest, MetadataReadLatencyAndTraffic)

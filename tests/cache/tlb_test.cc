@@ -44,8 +44,8 @@ TEST(TlbTest, CapacityRespected)
 
 TEST(TlbTest, EncodesRecencyOrderLikeAList)
 {
-    // The checkpoint layout: the page count, the pages MRU first,
-    // then the two counters.
+    // The checkpoint layout: the page count, then the pages MRU
+    // first. The counters are not in it.
     Tlb tlb(4, 10);
     for (Addr page : {0x1000, 0x2000, 0x3000, 0x1000, 0x4000, 0x5000})
         tlb.translate(page);
@@ -53,23 +53,30 @@ TEST(TlbTest, EncodesRecencyOrderLikeAList)
     tlb.serializeState(actual);
 
     std::vector<Addr> pages = {0x5000, 0x4000, 0x1000, 0x3000};
-    std::uint64_t accesses = 6;
-    std::uint64_t misses = 5;
     StateWriter expected;
     io(expected, pages);
-    io(expected, accesses);
-    io(expected, misses);
     const std::vector<std::uint8_t> bytes = actual.take();
     EXPECT_EQ(bytes, expected.take());
 
-    // Restoring reproduces the recency order: 0x3000 is the LRU page.
+    // Restoring into a used TLB reproduces the recency order (0x3000
+    // is the LRU page) and leaves its counters where they were, so
+    // from the restore on both TLBs count the same deltas.
     Tlb back(4, 10);
+    back.translate(0x9000);
     StateLoader loader(bytes.data(), bytes.size());
     back.serializeState(loader);
     ASSERT_FALSE(loader.failed());
-    back.translate(0x6000);
-    EXPECT_EQ(back.translate(0x1000), 0u);
-    EXPECT_EQ(back.translate(0x3000), 10u);
+    EXPECT_EQ(back.accesses(), 1u);
+    EXPECT_EQ(back.misses(), 1u);
+    for (Tlb *t : {&tlb, &back}) {
+        const std::uint64_t accesses = t->accesses();
+        const std::uint64_t misses = t->misses();
+        t->translate(0x6000);
+        EXPECT_EQ(t->translate(0x1000), 0u);
+        EXPECT_EQ(t->translate(0x3000), 10u);
+        EXPECT_EQ(t->accesses() - accesses, 3u);
+        EXPECT_EQ(t->misses() - misses, 2u);
+    }
 }
 
 } // namespace

@@ -254,9 +254,10 @@ TEST(HierarchicalPrefetcherTest, BundleStatsTrackJaccard)
     Cycle now = runBundle(pf, 0x1000, 0x400000, 10, 0);
     now = runBundle(pf, 0x1000, 0x400000, 10, now);
     now = runBundle(pf, 0x1000, 0x400000, 10, now);
-    // Identical executions -> Jaccard 1.0.
-    EXPECT_GT(pf.stats().bundleJaccard.count(), 0u);
-    EXPECT_DOUBLE_EQ(pf.stats().bundleJaccard.mean(), 1.0);
+    // Identical executions -> Jaccard 1.0, a million ppm each.
+    EXPECT_GT(pf.stats().bundleJaccardSamples, 0u);
+    EXPECT_EQ(pf.stats().bundleJaccardSumPpm,
+              pf.stats().bundleJaccardSamples * 1'000'000);
     EXPECT_EQ(pf.stats().dynamicBundles, 1u);
 }
 

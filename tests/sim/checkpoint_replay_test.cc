@@ -75,6 +75,44 @@ TEST_P(CheckpointReplayTest, RestoredRunMatchesColdRunExactly)
     expectBitIdentical(quickConfig(GetParam()));
 }
 
+TEST_P(CheckpointReplayTest, RestoreIntoAUsedSimulatorMatchesColdRun)
+{
+    // A blob holds no counters: a restore sets the state and the two
+    // clocks and leaves every counter where it was. A simulator that
+    // has finished a run of its own has counters far from the warm
+    // one's, yet its measurement must equal the cold run's, because
+    // every result is a delta from the snapshot taken after the
+    // restore, and every counter moves by whole steps. The simulator
+    // restores again and again, as a sampled run does, so each replay
+    // starts from other counter values: a counter whose steps depend
+    // on its base (a rounded double sum) differs in some of them.
+    SimConfig config = quickConfig(GetParam());
+    // Long enough that HP's Jaccard sum has a base at the boundary,
+    // so a sum whose steps depended on its base would show here.
+    config.warmupInsts = 600'000;
+    SimMetrics cold = Simulator(config).run();
+
+    Simulator warm(config);
+    warm.runWarmup();
+    if (config.prefetcher == PrefetcherKind::Hierarchical) {
+        ASSERT_GT(warm.stats().value("hier.bundle_jaccard_samples"), 0u);
+    }
+    Checkpoint ckpt = Checkpoint::capture(
+        warm, ExperimentRunner::configKey(warmupConfig(config)));
+
+    Simulator used(config);
+    (void)used.run();
+    for (int round = 0; round < 4; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        std::string error;
+        ASSERT_TRUE(ckpt.restoreInto(used, &error)) << error;
+        SimMetrics replay = used.finishRun();
+        EXPECT_EQ(cold.cycles, replay.cycles);
+        EXPECT_EQ(cold.instructions, replay.instructions);
+        expectSnapshotsIdentical(cold.stats, replay.stats);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllPrefetchers, CheckpointReplayTest,
     ::testing::Values(PrefetcherKind::None, PrefetcherKind::EFetch,

@@ -118,6 +118,40 @@ TEST(CheckpointGoldenTest, GoldenBlobMatchesCurrentEncoder)
     EXPECT_EQ(captureGolden().encode(), readFile(goldenPath()));
 }
 
+TEST(CheckpointFormatTest, CountersAreNotInTheBlob)
+{
+    // A simulator that has finished a run takes the warm state from a
+    // blob and keeps every counter it had (all but the two clocks,
+    // which are state). The two simulators then hold the same state
+    // with different counters, and capture the same bytes.
+    Simulator warm(goldenConfig());
+    warm.runWarmup();
+    const Checkpoint ckpt = Checkpoint::capture(warm, "k");
+
+    Simulator used(goldenConfig());
+    (void)used.run();
+    const StatsSnapshot before = used.stats().snapshot();
+    std::string error;
+    ASSERT_TRUE(ckpt.restoreInto(used, &error)) << error;
+
+    const StatsSnapshot after = used.stats().snapshot();
+    const StatsSnapshot warm_stats = warm.stats().snapshot();
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t i = 0; i < after.size(); ++i) {
+        const auto &[path, value] = after.entries()[i];
+        if (path == "sim.cycles" || path == "sim.committed") {
+            EXPECT_EQ(value, warm_stats.entries()[i].second) << path;
+        } else {
+            EXPECT_EQ(value, before.entries()[i].second)
+                << "the restore moved counter " << path;
+        }
+    }
+    for (const char *path : {"l1i.demand_accesses", "btb.lookups",
+                             "hier.bundles_started"})
+        EXPECT_NE(after.value(path), warm_stats.value(path)) << path;
+    EXPECT_EQ(Checkpoint::capture(used, "k").payload(), ckpt.payload());
+}
+
 TEST(CheckpointFormatTest, EncodeDecodeRoundTrip)
 {
     Checkpoint ckpt("some-key", {1, 2, 3, 250, 251, 252});

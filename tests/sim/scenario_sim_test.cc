@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "sim/runner.hh"
 #include "sim/simulator.hh"
+#include "util/serialize.hh"
 #include "workload/latency_tracker.hh"
 #include "workload/scenario_engine.hh"
 
@@ -185,6 +187,50 @@ TEST(ScenarioEngineTest, StatsExposeChainBreakdown)
     EXPECT_EQ(snap.value("latency.generated"), chains);
     EXPECT_GE(snap.value("scenario.hops"), chains);
     EXPECT_LE(snap.value("scenario.hops"), 2 * chains);
+}
+
+TEST(ScenarioEngineTest, RestoreRejectsAChainCursorOutsideTheScenario)
+{
+    // The engine's stream ends with the chain cursor: curChain_ (-1
+    // before the first chain), hop_ and lastPhase_, four bytes each.
+    // next() indexes the chains and their hops with the first two, so
+    // a restore must reject values outside the scenario.
+    ScenarioEngine engine(cachedScenario(kChainScenario));
+    DynInst inst;
+    for (int i = 0; i < 100'000; ++i)
+        ASSERT_TRUE(engine.next(inst));
+    StateWriter writer;
+    engine.serializeState(writer);
+    const std::vector<std::uint8_t> good = writer.take();
+    const std::size_t chain_at = good.size() - 12;
+    const std::size_t hop_at = good.size() - 8;
+    auto word = [&good](std::size_t at) {
+        std::int32_t v = 0;
+        std::memcpy(&v, &good[at], sizeof(v));
+        return v;
+    };
+    ASSERT_EQ(word(chain_at), 0); // the scenario's one chain
+    ASSERT_LT(word(hop_at), 2);   // of two hops
+
+    ScenarioEngine restored(cachedScenario(kChainScenario));
+    {
+        StateLoader loader(good.data(), good.size());
+        restored.serializeState(loader);
+        ASSERT_FALSE(loader.failed());
+    }
+    const std::pair<std::size_t, std::int32_t> corruptions[] = {
+        {chain_at, 1}, {chain_at, -2}, {hop_at, 2}};
+    for (const auto &[at, value] : corruptions) {
+        std::vector<std::uint8_t> bad = good;
+        std::memcpy(&bad[at], &value, sizeof(value));
+        StateLoader loader(bad.data(), bad.size());
+        restored.serializeState(loader);
+        EXPECT_TRUE(loader.failed()) << "value " << value << " at " << at;
+        ASSERT_NE(loader.failReason(), nullptr);
+        EXPECT_NE(std::string(loader.failReason()).find("chain cursor"),
+                  std::string::npos)
+            << loader.failReason();
+    }
 }
 
 } // namespace

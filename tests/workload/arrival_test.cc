@@ -219,5 +219,24 @@ TEST(ArrivalProcessTest, SerializedStateResumesIdentically)
     }
 }
 
+TEST(ArrivalProcessTest, RestoreRejectsAPhaseOutsideTheScenario)
+{
+    // The stream is the clock (8 bytes), the phase cursor (4), then
+    // the RNG. next() indexes the phases with the cursor.
+    const Scenario s = makeScenario("phase p arrival=poisson rate=0.02\n");
+    ArrivalProcess orig(&s);
+    orig.next();
+    StateWriter writer;
+    orig.serializeState(writer);
+    std::vector<std::uint8_t> bytes = writer.take();
+    bytes[8] = 1;
+
+    ArrivalProcess resumed(&s);
+    StateLoader loader(bytes.data(), bytes.size());
+    resumed.serializeState(loader);
+    EXPECT_TRUE(loader.failed());
+    EXPECT_NE(loader.failReason(), nullptr);
+}
+
 } // namespace
 } // namespace hp

@@ -195,8 +195,10 @@ TEST(LatencyTrackerTest, ReportDeltaExcludesWarmupCompletions)
 TEST(LatencyTrackerTest, SerializedStateResumesQueueExactly)
 {
     // Queue up two unfinished-by-arrival requests, snapshot the
-    // tracker mid-stream, and verify the restored copy continues the
-    // recurrence with the same numbers as the original.
+    // tracker mid-stream, and restore it into a tracker that has
+    // already completed a request of its own: the copy continues the
+    // recurrence with the same samples and counter deltas as the
+    // original. The restore leaves the counters where they were.
     LatencyTracker a;
     pushRequest(a, 0, 5000, 5100);
     pushRequest(a, 10, 5100, 5200);
@@ -205,25 +207,35 @@ TEST(LatencyTrackerTest, SerializedStateResumesQueueExactly)
     a.serializeState(writer);
 
     LatencyTracker b;
+    pushRequest(b, 0, 100, 400);
+    StatsRegistry reg_b;
+    b.registerStats(reg_b);
+    const StatsSnapshot used = reg_b.snapshot();
     const std::vector<std::uint8_t> bytes = writer.take();
     StateLoader loader(bytes.data(), bytes.size());
     b.serializeState(loader);
+    ASSERT_FALSE(loader.failed());
+    EXPECT_EQ(reg_b.snapshot().entries(), used.entries());
 
     auto finish = [](LatencyTracker &t) {
+        StatsRegistry reg;
+        t.registerStats(reg);
+        const StatsSnapshot begin = reg.snapshot();
         t.beginRecording();
         t.onBegin(5200, true);
         t.onEnd(5300, true);
-        StatsRegistry reg;
-        t.registerStats(reg);
-        return t.report(reg.snapshot());
+        return t.report(StatsSnapshot::delta(reg.snapshot(), begin));
     };
     const LatencyReport ra = finish(a);
     const LatencyReport rb = finish(b);
     ASSERT_EQ(ra.latencySamples.size(), 1u);
     EXPECT_EQ(ra.latencySamples, rb.latencySamples);
     EXPECT_EQ(ra.latencySamples[0], 280u); // queued behind finish 200
-    EXPECT_EQ(ra.queueDepthSum, rb.queueDepthSum);
-    EXPECT_EQ(ra.completed, rb.completed);
+    EXPECT_EQ(ra.completed, 1u);
+    EXPECT_EQ(rb.completed, 1u);
+    EXPECT_EQ(ra.latencyCycles, rb.latencyCycles);
+    EXPECT_EQ(ra.queueDepthSum, 2u);
+    EXPECT_EQ(rb.queueDepthSum, 2u);
 }
 
 TEST(LatencyReportTest, MergeAccumulatesWindows)

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <unordered_map>
 
+#include "util/serialize.hh"
 #include "workload/request_engine.hh"
 
 namespace hp
@@ -24,6 +26,61 @@ struct EngineFixture : public ::testing::Test
     std::shared_ptr<const BuiltApp> app;
     std::unique_ptr<RequestEngine> engine;
 };
+
+TEST_F(EngineFixture, RestoreRejectsFramesOutsideTheImage)
+{
+    // The stream holds the RNG (four words), the frame count, then
+    // each frame from the bottom: func, opIdx, intraRun (four bytes
+    // each), its return address and its loops. next() indexes the
+    // image with them, so a restore must reject a function past the
+    // image, a stub, an op past the body and a slot outside the op,
+    // with a reason.
+    DynInst inst;
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_TRUE(engine->next(inst));
+    ASSERT_FALSE(engine->idle());
+    StateWriter writer;
+    engine->serializeState(writer);
+    const std::vector<std::uint8_t> good = writer.take();
+    constexpr std::size_t kFunc = 4 * 8 + 8;
+    constexpr std::size_t kOpIdx = kFunc + 4;
+    constexpr std::size_t kIntraRun = kOpIdx + 4;
+    std::uint32_t bottom = 0;
+    std::memcpy(&bottom, &good[kFunc], sizeof(bottom));
+    ASSERT_EQ(bottom, app->requestDriver);
+
+    const Program &program = app->program;
+    std::uint32_t stub = 0;
+    while (stub < program.numFunctions() && !program.func(stub).stub)
+        ++stub;
+    ASSERT_LT(stub, program.numFunctions());
+    const std::uint32_t body = std::uint32_t(
+        program.func(app->requestDriver).body.size());
+
+    RequestEngine restored(app, *profile);
+    {
+        StateLoader loader(good.data(), good.size());
+        restored.serializeState(loader);
+        ASSERT_FALSE(loader.failed());
+    }
+    const std::pair<std::size_t, std::uint32_t> corruptions[] = {
+        {kFunc, std::uint32_t(program.numFunctions())},
+        {kFunc, stub},
+        {kOpIdx, body},
+        {kIntraRun, 1u << 30}};
+    for (const auto &[at, value] : corruptions) {
+        std::vector<std::uint8_t> bad = good;
+        std::memcpy(&bad[at], &value, sizeof(value));
+        StateLoader loader(bad.data(), bad.size());
+        restored.serializeState(loader);
+        EXPECT_TRUE(loader.failed()) << "value " << value << " at " << at;
+        EXPECT_NE(loader.failReason(), nullptr)
+            << "value " << value << " at " << at;
+    }
+    // A rejected restore leaves no frame to run: the engine starts a
+    // new request.
+    EXPECT_TRUE(restored.idle());
+}
 
 TEST_F(EngineFixture, StreamNeverEnds)
 {
