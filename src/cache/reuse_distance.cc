@@ -25,13 +25,12 @@ ReuseDistanceTracker::bitAdd(std::size_t pos, int delta)
         while (capacity <= pos)
             capacity *= 2;
         tree_.assign(capacity, 0);
-        for (const auto &[block, last] : lastSeq_) {
-            (void)block;
+        lastSeq_.forEach([this, capacity](Addr, std::uint64_t last) {
             for (std::size_t i = static_cast<std::size_t>(last) + 1;
                  i <= capacity; i += i & (~i + 1)) {
                 tree_[i - 1] += 1;
             }
-        }
+        });
         // The mark being re-added right now was already re-inserted by
         // the loop above iff it is present in lastSeq_; compensate by
         // falling through to the normal add only for new marks. The
@@ -65,18 +64,15 @@ ReuseDistanceTracker::access(Addr block)
     std::uint64_t now = seq_++;
 
     std::uint64_t distance = kColdAccess;
-    auto it = lastSeq_.find(block);
-    if (it != lastSeq_.end()) {
-        std::uint64_t last = it->second;
+    auto [last, fresh] = lastSeq_.insert(block);
+    if (!fresh) {
         // Unique blocks accessed strictly after `last`, excluding the
         // mark of `block` itself at `last`.
         distance = bitPrefix(static_cast<std::size_t>(now)) -
-                   bitPrefix(static_cast<std::size_t>(last));
-        bitAdd(static_cast<std::size_t>(last), -1);
-        it->second = now;
-    } else {
-        lastSeq_.emplace(block, now);
+                   bitPrefix(static_cast<std::size_t>(*last));
+        bitAdd(static_cast<std::size_t>(*last), -1);
     }
+    *last = now;
     bitAdd(static_cast<std::size_t>(now), +1);
     return distance;
 }

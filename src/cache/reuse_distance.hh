@@ -13,9 +13,9 @@
 #define HP_CACHE_REUSE_DISTANCE_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "util/flat_map.hh"
 #include "util/types.hh"
 
 namespace hp
@@ -47,7 +47,7 @@ class ReuseDistanceTracker
     void bitAdd(std::size_t pos, int delta);
     std::uint64_t bitPrefix(std::size_t pos) const;
 
-    std::unordered_map<Addr, std::uint64_t> lastSeq_;
+    FlatMap<Addr, std::uint64_t> lastSeq_;
     std::vector<std::int32_t> tree_;
     std::uint64_t seq_ = 0;
 };

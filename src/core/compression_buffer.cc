@@ -8,7 +8,7 @@ namespace hp
 {
 
 CompressionBuffer::CompressionBuffer(unsigned entries)
-    : capacity_(entries)
+    : capacity_(entries), fifo_(entries)
 {
     fatalIf(entries == 0, "CompressionBuffer needs at least one entry");
 }
@@ -18,9 +18,9 @@ CompressionBuffer::touch(Addr block_addr)
 {
     // Fully-associative search: newest-first, since retired blocks hit
     // the most recently opened region almost always.
-    for (auto it = fifo_.rbegin(); it != fifo_.rend(); ++it) {
-        if (it->covers(block_addr)) {
-            it->touch(block_addr);
+    for (std::size_t i = fifo_.size(); i-- > 0;) {
+        if (fifo_[i].covers(block_addr)) {
+            fifo_[i].touch(block_addr);
             return std::nullopt;
         }
     }
@@ -41,8 +41,10 @@ CompressionBuffer::touch(Addr block_addr)
 std::vector<SpatialRegion>
 CompressionBuffer::flush()
 {
-    std::vector<SpatialRegion> drained(fifo_.begin(), fifo_.end());
-    fifo_.clear();
+    std::vector<SpatialRegion> drained;
+    drained.reserve(fifo_.size());
+    for (; !fifo_.empty(); fifo_.pop_front())
+        drained.push_back(fifo_.front());
     return drained;
 }
 
@@ -51,6 +53,13 @@ void
 CompressionBuffer::serializeState(Ar &ar)
 {
     io(ar, fifo_);
+    if constexpr (Ar::loading) {
+        if (fifo_.size() > capacity_) {
+            ar.markFailed("compression buffer holds more regions than "
+                          "its entries");
+            fifo_.clear();
+        }
+    }
 }
 
 template void CompressionBuffer::serializeState(StateWriter &);

@@ -8,11 +8,11 @@
 #ifndef HP_CORE_COMPRESSION_BUFFER_HH
 #define HP_CORE_COMPRESSION_BUFFER_HH
 
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "core/spatial_region.hh"
+#include "util/ring_buffer.hh"
 
 namespace hp
 {
@@ -49,7 +49,8 @@ class CompressionBuffer
 
   private:
     unsigned capacity_;
-    std::deque<SpatialRegion> fifo_;
+    /** Sized to capacity_ entries, so it never grows. */
+    RingBuffer<SpatialRegion> fifo_;
 };
 
 } // namespace hp

@@ -235,10 +235,10 @@ HierarchicalPrefetcher::endRecord(Cycle now)
         const std::vector<Addr> &cur = curBlocks_;
         stats_.bundleFootprintBlocksSum += cur.size();
 
-        auto it = prevFootprint_.find(recordId_);
-        if (it != prevFootprint_.end() && !cur.empty()) {
+        std::vector<Addr> *prev_blocks = prevFootprint_.find(recordId_);
+        if (prev_blocks && !cur.empty()) {
             std::size_t inter = 0;
-            const auto &prev = it->second;
+            const std::vector<Addr> &prev = *prev_blocks;
             std::size_t i = 0, j = 0;
             while (i < prev.size() && j < cur.size()) {
                 if (prev[i] < cur[j]) {
@@ -260,11 +260,11 @@ HierarchicalPrefetcher::endRecord(Cycle now)
                     (std::uint64_t(inter) * 1'000'000 + uni / 2) / uni;
             }
         }
-        if (it == prevFootprint_.end()) {
+        if (!prev_blocks) {
             ++stats_.dynamicBundles;
-            it = prevFootprint_.try_emplace(recordId_).first;
+            prev_blocks = &prevFootprint_[recordId_];
         }
-        it->second.assign(cur.begin(), cur.end());
+        prev_blocks->assign(cur.begin(), cur.end());
         clearFootprint();
     }
 
@@ -537,6 +537,16 @@ HierarchicalPrefetcher::serializeState(Ar &ar)
     io(ar, recordId_);
     io(ar, recordHead_);
     io(ar, recordCur_);
+    if constexpr (Ar::loading) {
+        // endRecord and appendRegion write through recordCur_.
+        const SegIdx segments = SegIdx(buffer_.numSegments());
+        if ((recordHead_ != kNoSeg && recordHead_ >= segments) ||
+            (recordCur_ != kNoSeg && recordCur_ >= segments)) {
+            ar.markFailed("hierarchical prefetcher: the record names a "
+                          "segment past its buffer");
+            recordHead_ = recordCur_ = kNoSeg;
+        }
+    }
     io(ar, supersedeNext_);
     io(ar, recordSegments_);
     io(ar, recordInsts_);

@@ -17,7 +17,6 @@
 #define HP_CORE_HIERARCHICAL_PREFETCHER_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/compression_buffer.hh"
@@ -279,7 +278,7 @@ class HierarchicalPrefetcher final : public Prefetcher
     bool tenantPartitioned_ = false;
     /** Previous execution footprint per Bundle (sorted distinct
      *  blocks), for Jaccard. */
-    std::unordered_map<BundleId, std::vector<Addr>> prevFootprint_;
+    FlatMap<BundleId, std::vector<Addr>> prevFootprint_;
     /** The current record's distinct blocks in first-touch order
      *  (curBlocks_), so endRecord sorts only those; curBlockSet_
      *  deduplicates on insert and is rebuilt from curBlocks_ on

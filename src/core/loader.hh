@@ -10,11 +10,11 @@
 #define HP_CORE_LOADER_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "binary/program.hh"
 #include "core/bundle_analysis.hh"
+#include "util/flat_map.hh"
 
 namespace hp
 {
@@ -49,16 +49,17 @@ class TagMap
     TagMap() = default;
 
     explicit TagMap(const BundleInfoSection &section)
-        : tags_(section.taggedInstructions.begin(),
-                section.taggedInstructions.end())
-    {}
+    {
+        for (Addr pc : section.taggedInstructions)
+            tags_.insert(pc);
+    }
 
-    bool isTagged(Addr pc) const { return tags_.count(pc) != 0; }
+    bool isTagged(Addr pc) const { return tags_.contains(pc); }
 
     std::size_t size() const { return tags_.size(); }
 
   private:
-    std::unordered_set<Addr> tags_;
+    FlatSet<Addr> tags_;
 };
 
 /** Everything the link+load pipeline produces for one program. */

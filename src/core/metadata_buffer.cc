@@ -95,10 +95,22 @@ template <class Ar>
 void
 MetadataBuffer::serializeState(Ar &ar)
 {
-    if (!checkShape(ar, segments_))
+    // The segment count twice (the list's own count is checked too,
+    // never resized to), the segments, the cursor allocate() indexes.
+    if (!checkShape(ar, segments_) ||
+        !checkShape(ar, segments_,
+                    "metadata buffer: the segment list's count differs "
+                    "from its geometry"))
         return;
-    io(ar, segments_);
+    ioElements(ar, segments_);
     io(ar, cursor_);
+    if constexpr (Ar::loading) {
+        if (cursor_ >= segments_.size()) {
+            ar.markFailed("metadata buffer: the cursor is past its "
+                          "segments");
+            cursor_ = 0;
+        }
+    }
 }
 
 template void MetadataBuffer::serializeState(StateWriter &);

@@ -43,12 +43,10 @@ Btb::lookup(Addr pc)
 {
     ++lookups_;
     if (infinite_) {
-        auto it = infTable_.find(pc);
-        if (it == infTable_.end()) {
-            ++misses_;
-            return std::nullopt;
-        }
-        return it->second;
+        if (const Addr *target = infTable_.find(pc))
+            return *target;
+        ++misses_;
+        return std::nullopt;
     }
 
     const std::size_t slot = table_.find(setIndex(pc), pc);

@@ -10,10 +10,10 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "stats/registry.hh"
+#include "util/flat_map.hh"
 #include "util/set_assoc_table.hh"
 #include "util/types.hh"
 
@@ -63,7 +63,7 @@ class Btb
      *  indexed by slot. */
     SetAssocTable<Addr> table_;
     std::vector<Addr> targets_;
-    std::unordered_map<Addr, Addr> infTable_;
+    FlatMap<Addr, Addr> infTable_;
 
     std::uint64_t lookups_ = 0;
     std::uint64_t misses_ = 0;

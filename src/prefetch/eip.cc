@@ -24,7 +24,8 @@ setsFor(const EipConfig &config)
 Eip::Eip(const EipConfig &config)
     : config_(config), table_(setsFor(config), config.tableWays),
       targets_(table_.size() * config.maxTargets),
-      targetCount_(table_.size(), 0)
+      targetCount_(table_.size(), 0),
+      history_(std::size_t(config.historyEntries) + 1)
 {
 }
 
@@ -110,7 +111,7 @@ Eip::observeFetch(Addr block, Cycle now)
 
     if (!history_.empty() && history_.back().first == block)
         return;
-    history_.emplace_back(block, now);
+    history_.push_back({block, now});
     if (history_.size() > config_.historyEntries)
         history_.pop_front();
 }
@@ -123,9 +124,9 @@ Eip::onDemandAccess(Addr block, bool hit, Cycle now, Cycle fill_latency)
         // at least one miss latency before the miss, so a prefetch
         // issued at its fetch would have arrived on time.
         Addr source = 0;
-        for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
-            if (it->second + fill_latency <= now) {
-                source = it->first;
+        for (std::size_t i = history_.size(); i-- > 0;) {
+            if (history_[i].second + fill_latency <= now) {
+                source = history_[i].first;
                 break;
             }
         }

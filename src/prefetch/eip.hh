@@ -15,10 +15,11 @@
 #define HP_PREFETCH_EIP_HH
 
 #include <cstdint>
-#include <deque>
+#include <utility>
 #include <vector>
 
 #include "prefetch/prefetcher.hh"
+#include "util/ring_buffer.hh"
 #include "util/set_assoc_table.hh"
 
 namespace hp
@@ -109,8 +110,9 @@ class Eip final : public Prefetcher
     std::vector<Target> targets_;
     std::vector<unsigned> targetCount_;
 
-    /** Recently fetched blocks with their fetch cycles (newest last). */
-    std::deque<std::pair<Addr, Cycle>> history_;
+    /** Recently fetched blocks with their fetch cycles (newest last);
+     *  sized to hold historyEntries + 1, so it never grows. */
+    RingBuffer<std::pair<Addr, Cycle>> history_;
 };
 
 } // namespace hp

@@ -112,7 +112,22 @@ template <class Ar>
 void
 Rdip::serializeState(Ar &ar)
 {
-    io(ar, table_);
+    // entryFor divides by the table's size; onDemandAccess writes
+    // blocks[fifoPos] once an entry holds blocksPerEntry blocks.
+    if (!checkShape(ar, table_, "RDIP table size differs from "
+                                "tableEntries"))
+        return;
+    for (Entry &entry : table_) {
+        io(ar, entry);
+        if constexpr (Ar::loading) {
+            if (entry.blocks.size() > config_.blocksPerEntry)
+                return ar.markFailed("RDIP entry holds more than "
+                                     "blocksPerEntry blocks");
+            if (entry.fifoPos != 0 && entry.fifoPos >= entry.blocks.size())
+                return ar.markFailed("RDIP entry's FIFO position is "
+                                     "outside its blocks");
+        }
+    }
     io(ar, ras_);
     io(ar, activeSignature_);
     io(ar, haveSignature_);

@@ -86,6 +86,7 @@ class Executor
     void workerLoop();
 
     std::vector<std::thread> workers_;
+    /** One move-only task per run, off the simulation path. */
     std::deque<std::packaged_task<SimMetrics()>> queue_;
     std::mutex mutex_;
     std::condition_variable cv_;

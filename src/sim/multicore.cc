@@ -166,6 +166,7 @@ MultiCoreSimulator::combineResults() const
     // so it takes the max (cores retire their quota at different
     // rates under contention).
     std::vector<std::pair<std::string, std::uint64_t>> acc;
+    // String keys (counter paths), merged once per run.
     std::unordered_map<std::string, std::size_t> index;
     for (const SimMetrics &r : results_) {
         for (const auto &[path, value] : r.stats.entries()) {

@@ -248,8 +248,7 @@ void
 Simulator::registerStats()
 {
     registry_.add("sim.cycles", [this] { return cycle_; });
-    registry_.add("sim.instructions",
-                  [this] { return measuredInsts_; });
+    registry_.add("sim.instructions", [this] { return committed_; });
     registry_.add("sim.committed", [this] { return committed_; });
     registry_.add("sim.fetch_stall_cycles",
                   [this] { return fetchStallCycles_; });
@@ -547,9 +546,8 @@ Simulator::stepFetch()
                     HP_EMIT(obs_.get(),
                             emitSpan(EventKind::FetchStall, cycle_,
                                      res.readyAt, entry.block));
-                    if (measuring() && res.readyAt > cycle_) {
+                    if (res.readyAt > cycle_)
                         fetchStallCycles_ += res.readyAt - cycle_;
-                    }
                     return;
                 }
             }
@@ -597,8 +595,7 @@ Simulator::backendStall(Addr pc)
     HP_EMIT(obs_.get(),
             emitSpan(EventKind::BackendStall, cycle_, commitBlockedUntil_,
                      blockAlign(pc)));
-    if (measuring())
-        backendStallCycles_ += cfg_.backendStallCycles;
+    backendStallCycles_ += cfg_.backendStallCycles;
 }
 
 bool
@@ -657,8 +654,6 @@ Simulator::commitSpan(std::uint64_t limit)
     }
     windowBase_ += k;
     committed_ += k;
-    if (measuring())
-        measuredInsts_ += k;
 
     if (was_blocking_mispredict) {
         // Flush and resteer: the prediction unit resumes after the

@@ -440,9 +440,9 @@ class Simulator
 
     // Core counters. Like every component's, they are plain fields
     // the hot path increments and the registry reads; they only ever
-    // grow, and the warmup boundary is one registry snapshot. The
-    // first five advance only while measuring.
-    std::uint64_t measuredInsts_ = 0;
+    // grow, and the warmup boundary is one registry snapshot. The two
+    // long-range ones advance only while measuring: their threshold
+    // exists only once beginMeasurement has set it.
     std::uint64_t fetchStallCycles_ = 0;
     std::uint64_t backendStallCycles_ = 0;
     std::uint64_t longRangeAccesses_ = 0;

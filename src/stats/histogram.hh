@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/serialize.hh"
+
 namespace hp
 {
 
@@ -66,17 +68,16 @@ class Histogram
 
     void reset();
 
-    /** Serializes/restores bucket populations (width is config). */
+    /** Serializes/restores bucket populations (width and bucket
+     *  count are config). */
     template <class Ar>
     void
     serializeState(Ar &ar)
     {
-        std::uint64_t n = buckets_.size();
-        ar.value(n);
-        if constexpr (Ar::loading)
-            buckets_.assign(n, 0);
-        for (std::uint64_t &b : buckets_)
-            ar.value(b);
+        if (!checkShape(ar, buckets_, "histogram bucket count differs "
+                                      "from its own"))
+            return;
+        ioElements(ar, buckets_);
         ar.value(count_);
         ar.value(sum_);
     }

@@ -136,6 +136,7 @@ StatsSnapshot
 StatsSnapshot::fromJson(const std::string &text)
 {
     StatsSnapshot out;
+    // String keys, checked once per parsed report.
     std::unordered_set<std::string> seen;
     std::size_t pos = 0;
     expect(text, pos, '{');

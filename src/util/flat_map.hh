@@ -14,7 +14,7 @@
  *
  * Iteration order is a function of the table's history, so nothing
  * may depend on it: serialization (util/serialize.hh) emits the keys
- * sorted, byte for byte like std::unordered_map / std::unordered_set.
+ * in increasing order.
  */
 
 #ifndef HP_UTIL_FLAT_MAP_HH
@@ -199,7 +199,7 @@ class FlatMap
     std::size_t size_ = 0;
 };
 
-/** FlatMap with keys only; serializes like std::unordered_set. */
+/** FlatMap with keys only. */
 template <typename K>
 using FlatSet = FlatMap<K, FlatNoValue>;
 

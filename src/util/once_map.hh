@@ -79,6 +79,7 @@ class OnceMap
 
   private:
     mutable std::mutex mutex_;
+    /** Keyed by configs and strings, which FlatMap cannot hold. */
     std::unordered_map<K, std::shared_future<V>, Hash> map_;
 };
 

@@ -8,10 +8,11 @@
  * never drift apart. The encoding is canonical and padding-free:
  * scalars are written field by field as fixed-width little-endian
  * values (never whole-struct memcpy, whose padding bytes would break
- * byte-identical round-trips), unordered containers are emitted sorted
- * by key, and ordered containers in iteration order. The result is
- * that capturing the same microarchitectural state always yields the
- * same bytes — the property the golden checkpoint test pins down.
+ * byte-identical round-trips), hashed tables (FlatMap / FlatSet) are
+ * emitted sorted by key, and sequences (vectors, RingBuffer FIFOs) in
+ * order. The result is that capturing the same microarchitectural
+ * state always yields the same bytes — the property the golden
+ * checkpoint test pins down.
  */
 
 #ifndef HP_UTIL_SERIALIZE_HH
@@ -22,12 +23,9 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -154,6 +152,8 @@ class StateLoader
     void
     bytes(void *out, std::size_t n)
     {
+        if (n == 0)
+            return; // an empty container's data() may be null
         if (size_ - pos_ < n) {
             failed_ = true;
             std::memset(out, 0, n);
@@ -211,17 +211,20 @@ class StateLoader
  * capture and, on restore, fails the stream when it does not match the
  * constructed container — a blob captured under a different geometry
  * must be rejected, never silently reshape the component.
+ * @param why The failure reason a mismatch reports.
  * @return false when the load must stop (shape mismatch).
  */
 template <class Ar, typename C>
 bool
-checkShape(Ar &ar, const C &c)
+checkShape(Ar &ar, const C &c,
+           const char *why = "a table's size differs from its "
+                             "configured geometry")
 {
     std::uint64_t n = c.size();
     ar.value(n);
     if constexpr (Ar::loading) {
         if (n != c.size()) {
-            ar.markFailed();
+            ar.markFailed(why);
             return false;
         }
     }
@@ -289,19 +292,6 @@ io(Ar &ar, std::array<T, N> &a)
         io(ar, e);
 }
 
-template <class Ar, typename T>
-void
-io(Ar &ar, std::deque<T> &d)
-{
-    const std::uint64_t n = ioCount(ar, d.size());
-    if constexpr (Ar::loading) {
-        d.clear();
-        d.resize(n);
-    }
-    for (auto &e : d)
-        io(ar, e);
-}
-
 template <class Ar, typename A, typename B>
 void
 io(Ar &ar, std::pair<A, B> &p)
@@ -310,58 +300,13 @@ io(Ar &ar, std::pair<A, B> &p)
     io(ar, p.second);
 }
 
-/** Unordered maps are emitted sorted by key so the encoding is
- *  canonical regardless of hash-table history. */
-template <class Ar, typename K, typename V>
-void
-io(Ar &ar, std::unordered_map<K, V> &m)
-{
-    const std::uint64_t n = ioCount(ar, m.size());
-    if constexpr (Ar::loading) {
-        m.clear();
-        m.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            K k{};
-            io(ar, k);
-            io(ar, m[k]);
-        }
-    } else {
-        std::vector<K> keys;
-        keys.reserve(m.size());
-        for (const auto &kv : m)
-            keys.push_back(kv.first);
-        std::sort(keys.begin(), keys.end());
-        for (K &k : keys) {
-            io(ar, k);
-            io(ar, m.at(k));
-        }
-    }
-}
-
-template <class Ar, typename K>
-void
-io(Ar &ar, std::unordered_set<K> &s)
-{
-    const std::uint64_t n = ioCount(ar, s.size());
-    if constexpr (Ar::loading) {
-        s.clear();
-        s.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            K k{};
-            io(ar, k);
-            s.insert(std::move(k));
-        }
-    } else {
-        std::vector<K> keys(s.begin(), s.end());
-        std::sort(keys.begin(), keys.end());
-        for (K &k : keys)
-            io(ar, k);
-    }
-}
-
-/** Flat maps and sets encode canonically, as the unordered ones do:
- *  the count, then the keys sorted, each followed by its value (maps
- *  only). */
+/**
+ * Flat maps and sets encode canonically: the count, then the keys in
+ * increasing order, each followed by its value (maps only). The
+ * writer sorts the keys and writes each value where it lies; the
+ * loader rejects keys that are not strictly increasing, so a stream
+ * is accepted only in the order the writer emits.
+ */
 template <class Ar, typename K, typename V>
 void
 io(Ar &ar, FlatMap<K, V> &m)
@@ -371,25 +316,29 @@ io(Ar &ar, FlatMap<K, V> &m)
     if constexpr (Ar::loading) {
         m.clear();
         m.reserve(n);
+        K prev{};
         for (std::uint64_t i = 0; i < n; ++i) {
             K k{};
             io(ar, k);
-            V &v = m[k];
+            if (i > 0 && k <= prev) {
+                ar.markFailed("a hashed table's keys are not in "
+                              "increasing order");
+                return;
+            }
+            prev = k;
+            V &v = *m.insert(k).first;
             if constexpr (kHasValue)
                 io(ar, v);
         }
     } else {
-        std::vector<std::pair<K, V>> entries;
-        entries.reserve(m.size());
-        m.forEach([&entries](K k, const V &v) { entries.emplace_back(k, v); });
-        std::sort(entries.begin(), entries.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
-        for (auto &[k, v] : entries) {
+        std::vector<K> keys;
+        keys.reserve(m.size());
+        m.forEach([&keys](K k, const V &) { keys.push_back(k); });
+        std::sort(keys.begin(), keys.end());
+        for (K k : keys) {
             io(ar, k);
             if constexpr (kHasValue)
-                io(ar, v);
+                io(ar, *m.find(k));
         }
     }
 }
@@ -420,11 +369,8 @@ io(Ar &ar, RingBuffer<T> &rb)
     const std::uint64_t n = ioCount(ar, rb.size());
     if constexpr (Ar::loading) {
         rb.clear();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            T t{};
-            io(ar, t);
-            rb.push_back(std::move(t));
-        }
+        for (std::uint64_t i = 0; i < n; ++i)
+            io(ar, rb.emplace_back());
     } else {
         for (std::uint64_t i = 0; i < n; ++i)
             io(ar, rb[i]);

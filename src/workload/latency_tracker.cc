@@ -69,7 +69,7 @@ LatencyTracker::onEnd(std::uint64_t cycle, bool detailed)
     const std::uint64_t arrival = curArrival_;
 
     // Prune requests already finished by this arrival instant; what
-    // remains of the deque is the queue ahead of this request.
+    // remains of the FIFO is the queue ahead of this request.
     while (!finishes_.empty() && finishes_.front() <= arrival)
         finishes_.pop_front();
 

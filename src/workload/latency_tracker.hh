@@ -29,10 +29,10 @@
 #define HP_WORKLOAD_LATENCY_TRACKER_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "stats/registry.hh"
+#include "util/ring_buffer.hh"
 #include "util/serialize.hh"
 
 namespace hp
@@ -151,7 +151,7 @@ class LatencyTracker
 
   private:
     /** Arrival cycles of requests generated but not yet begun. */
-    std::deque<std::uint64_t> pendingArrivals_;
+    RingBuffer<std::uint64_t> pendingArrivals_;
 
     bool inFlight_ = false;
     bool beganDetailed_ = false;
@@ -163,7 +163,7 @@ class LatencyTracker
 
     /** Finish times of completed requests, pruned at each arrival
      *  (the queue-depth probe). */
-    std::deque<std::uint64_t> finishes_;
+    RingBuffer<std::uint64_t> finishes_;
 
     // Monotone counters (registry; snapshot-delta gives the phase).
     std::uint64_t generated_ = 0;

@@ -32,10 +32,9 @@ RequestEngine::pushFrame(FuncId func, Addr return_addr)
     frame.returnAddr = return_addr;
     frames_.push_back(std::move(frame));
 
-    auto it = dispatcherStage_.find(func);
-    if (it != dispatcherStage_.end()) {
+    if (const std::uint16_t *stage = dispatcherStage_.find(func)) {
         pendingMarker_ = StreamMarker::StageBegin;
-        pendingMarkerArg_ = it->second;
+        pendingMarkerArg_ = *stage;
     }
 }
 

@@ -16,11 +16,11 @@
 #define HP_WORKLOAD_REQUEST_ENGINE_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "isa/inst.hh"
 #include "stats/registry.hh"
+#include "util/flat_map.hh"
 #include "util/rng.hh"
 #include "workload/program_builder.hh"
 
@@ -143,7 +143,7 @@ class RequestEngine : public InstStream
     std::uint16_t pendingMarkerArg_ = 0;
 
     /** Dispatcher func -> stage index (for StageBegin markers). */
-    std::unordered_map<FuncId, std::uint16_t> dispatcherStage_;
+    FlatMap<FuncId, std::uint16_t> dispatcherStage_;
 
     EngineStats stats_;
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/compression_buffer.hh"
+#include "../test_helpers.hh"
 
 namespace hp
 {
@@ -89,6 +90,20 @@ TEST(CompressionBufferTest, StorageBitsScaleWithCapacity)
 {
     CompressionBuffer a(16), b(32);
     EXPECT_EQ(b.storageBits(), 2 * a.storageBits());
+}
+
+TEST(CompressionBufferTest, RestoreRejectsMoreRegionsThanEntries)
+{
+    // touch() evicts only when the FIFO is exactly full, so a restored
+    // FIFO over its entries would never shrink back.
+    CompressionBuffer from(16);
+    for (unsigned i = 0; i < 16; ++i)
+        from.touch(kBase + Addr(i) * kRegionBlocks * kBlockBytes);
+    ASSERT_EQ(from.size(), 16u);
+    CompressionBuffer into(8);
+    EXPECT_EQ(test::restoreError(into, test::saved(from)),
+              "compression buffer holds more regions than its entries");
+    EXPECT_LE(into.size(), into.capacity());
 }
 
 TEST(SpatialRegionTest, CoversAndTouch)

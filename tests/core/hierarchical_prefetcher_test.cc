@@ -1,12 +1,29 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/hierarchical_prefetcher.hh"
+#include "../test_helpers.hh"
 
 namespace hp
 {
+
+/** Test-only access to the record cursors a restore must bound. */
+class HierarchicalPrefetcherProbe
+{
+  public:
+    static SegIdx &recordHead(HierarchicalPrefetcher &pf)
+    {
+        return pf.recordHead_;
+    }
+    static SegIdx &recordCur(HierarchicalPrefetcher &pf)
+    {
+        return pf.recordCur_;
+    }
+};
+
 namespace
 {
 
@@ -276,6 +293,49 @@ TEST(HierarchicalPrefetcherTest, BufferWrapInvalidatesTableEntries)
                         now);
     }
     EXPECT_GT(pf.stats().matInvalidations, 0u);
+}
+
+/**
+ * Saves a prefetcher in mid-record whose @p cursor (recordHead_ or
+ * recordCur_) is set to @p value, and returns why a fresh prefetcher
+ * rejects the blob, or "" when it restores.
+ */
+std::string
+restoreErrorWith(SegIdx &(*cursor)(HierarchicalPrefetcher &), SegIdx value)
+{
+    HierFixture fx;
+    HierarchicalPrefetcher from(fx.config, fx.memory);
+    runBundle(from, 0x1000, 0x80000, 4, 0);
+    cursor(from) = value;
+    HierarchicalPrefetcher into(fx.config, fx.memory);
+    return test::restoreError<Prefetcher>(into,
+                                          test::saved<Prefetcher>(from));
+}
+
+/** Segments of the default 512 KB Metadata Buffer. */
+const SegIdx kSegments = SegIdx(512 * 1024 / kSegmentEncodedBytes);
+
+TEST(HierarchicalPrefetcherTest, RestoreRejectsARecordCursorPastTheBuffer)
+{
+    // endRecord and appendRegion write through recordCur_.
+    EXPECT_EQ(restoreErrorWith(HierarchicalPrefetcherProbe::recordCur,
+                               kSegments - 1),
+              "");
+    EXPECT_EQ(restoreErrorWith(HierarchicalPrefetcherProbe::recordCur,
+                               kSegments),
+              "hierarchical prefetcher: the record names a segment past "
+              "its buffer");
+}
+
+TEST(HierarchicalPrefetcherTest, RestoreRejectsARecordHeadPastTheBuffer)
+{
+    EXPECT_EQ(restoreErrorWith(HierarchicalPrefetcherProbe::recordHead,
+                               kNoSeg),
+              "");
+    EXPECT_EQ(restoreErrorWith(HierarchicalPrefetcherProbe::recordHead,
+                               kSegments + 7),
+              "hierarchical prefetcher: the record names a segment past "
+              "its buffer");
 }
 
 } // namespace

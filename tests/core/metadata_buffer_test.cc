@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/metadata_buffer.hh"
+#include "../test_helpers.hh"
 
 namespace hp
 {
@@ -86,6 +89,53 @@ TEST(MetadataBufferTest, SegmentEncodedSizeMatchesPaper)
 {
     // 32 regions x 11 B + 16 B header = 368 B ~ the paper's 0.36 KB.
     EXPECT_EQ(kSegmentEncodedBytes, 368u);
+}
+
+/**
+ * A blob of empty segments: the geometry guard's count @p guard, the
+ * list's own count @p listed, that many segments, then the cursor.
+ */
+std::vector<std::uint8_t>
+emptyBufferBlob(std::uint64_t guard, std::uint64_t listed)
+{
+    StateWriter writer;
+    writer.value(guard);
+    writer.value(listed);
+    for (std::uint64_t i = 0; i < listed; ++i) {
+        Segment seg;
+        seg.serializeState(writer);
+    }
+    writer.value(SegIdx(0));
+    return writer.take();
+}
+
+TEST(MetadataBufferTest, RestoreRejectsASegmentListOfAnotherCount)
+{
+    // The blob writes the segment count twice, and a restore must not
+    // resize the buffer to the second one.
+    MetadataBuffer buffer(8 * 1024);
+    const std::uint64_t n = buffer.numSegments();
+    ASSERT_EQ(test::restoreError(buffer, emptyBufferBlob(n, n)), "");
+    EXPECT_EQ(test::restoreError(buffer, emptyBufferBlob(n, n - 1)),
+              "metadata buffer: the segment list's count differs from "
+              "its geometry");
+    EXPECT_EQ(buffer.numSegments(), n);
+}
+
+TEST(MetadataBufferTest, RestoreRejectsACursorPastItsSegments)
+{
+    // allocate() indexes the segments with the circular cursor, the
+    // blob's last field.
+    MetadataBuffer from(8 * 1024);
+    from.allocate(0x1234, true);
+    std::vector<std::uint8_t> bytes = test::saved(from);
+    MetadataBuffer into(8 * 1024);
+    ASSERT_EQ(test::restoreError(into, bytes), "");
+    const SegIdx past = SegIdx(from.numSegments());
+    std::memcpy(bytes.data() + bytes.size() - sizeof(past), &past,
+                sizeof(past));
+    EXPECT_EQ(test::restoreError(into, bytes),
+              "metadata buffer: the cursor is past its segments");
 }
 
 } // namespace

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <set>
 
 #include "prefetch/rdip.hh"
+#include "../test_helpers.hh"
 
 namespace hp
 {
@@ -118,6 +121,64 @@ TEST(RdipTest, StorageIsMetadataHungry)
     // The paper quotes 60 KB/core for RDIP.
     EXPECT_GT(kb, 40.0);
     EXPECT_LT(kb, 300.0);
+}
+
+/** Records misses on blk(100)..blk(100 + misses - 1) under one call
+ *  context. */
+void
+recordMisses(Rdip &pf, unsigned misses)
+{
+    Cycle now = 0;
+    pf.onCommit(call(0x1000, 0x10000), 1, now++);
+    for (unsigned i = 0; i < misses; ++i)
+        pf.onDemandAccess(blk(100 + i), false, now++, 20);
+}
+
+TEST(RdipTest, RestoreRejectsAnotherTableSize)
+{
+    // entryFor divides by the table size, which is tableEntries.
+    RdipConfig small;
+    small.tableEntries = 16;
+    Rdip from(small);
+    recordMisses(from, 2);
+    Rdip into;
+    EXPECT_EQ(test::restoreError<Prefetcher>(
+                  into, test::saved<Prefetcher>(from)),
+              "RDIP table size differs from tableEntries");
+}
+
+TEST(RdipTest, RestoreRejectsAnEntryOverBlocksPerEntry)
+{
+    RdipConfig wide;
+    wide.blocksPerEntry = 8;
+    Rdip from(wide);
+    recordMisses(from, 8);
+    Rdip into; // four blocks per entry, the same table size
+    EXPECT_EQ(test::restoreError<Prefetcher>(
+                  into, test::saved<Prefetcher>(from)),
+              "RDIP entry holds more than blocksPerEntry blocks");
+}
+
+TEST(RdipTest, RestoreRejectsAFifoPositionOutsideTheBlocks)
+{
+    // A full entry of four blocks whose FIFO position, the 8 bytes
+    // after its last block, reads 9: the next miss under its context
+    // would write blocks[9].
+    Rdip from;
+    recordMisses(from, 4);
+    std::vector<std::uint8_t> bytes = test::saved<Prefetcher>(from);
+    const Addr last = blk(103);
+    std::uint8_t pattern[sizeof(last)];
+    std::memcpy(pattern, &last, sizeof(last));
+    auto at = std::search(bytes.begin(), bytes.end(), pattern,
+                          pattern + sizeof(pattern));
+    ASSERT_NE(at, bytes.end());
+    const std::uint64_t fifo_pos = 9;
+    std::memcpy(&*at + sizeof(last), &fifo_pos, sizeof(fifo_pos));
+
+    Rdip into;
+    EXPECT_EQ(test::restoreError<Prefetcher>(into, bytes),
+              "RDIP entry's FIFO position is outside its blocks");
 }
 
 } // namespace

@@ -140,6 +140,15 @@ TEST(CheckpointReplayTest, FullManaIndexReplaysExactly)
     expectBitIdentical(config);
 }
 
+TEST(CheckpointReplayTest, UnboundedBtbReplaysExactly)
+{
+    // btbEntries = 0 keeps every branch in the BTB's hashed table
+    // (Figure 14) instead of the set-associative one.
+    SimConfig config = quickConfig(PrefetcherKind::Hierarchical);
+    config.btbEntries = 0;
+    expectBitIdentical(config);
+}
+
 TEST(CheckpointReplayTest, ProducerContinuationMatchesColdRun)
 {
     // The checkpoint owner captures and then continues the same

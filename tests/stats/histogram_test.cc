@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "stats/histogram.hh"
+#include "../test_helpers.hh"
 
 namespace hp
 {
@@ -113,6 +114,18 @@ TEST(HistogramTest, ResetClears)
     hist.reset();
     EXPECT_EQ(hist.count(), 0u);
     EXPECT_EQ(hist.buckets()[2], 0u);
+}
+
+TEST(HistogramTest, RestoreRejectsAnotherBucketCount)
+{
+    // The bucket count is the histogram's own configuration: a blob of
+    // another count must not resize it.
+    Histogram from(1.0, 8);
+    from.sample(3.0);
+    Histogram into(1.0, 16);
+    EXPECT_EQ(test::restoreError(into, test::saved(from)),
+              "histogram bucket count differs from its own");
+    EXPECT_EQ(into.buckets().size(), 17u);
 }
 
 } // namespace

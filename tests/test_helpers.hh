@@ -1,15 +1,18 @@
 /**
  * @file
  * Shared helpers for unit tests: tiny hand-built programs with known
- * call-graph shapes, so analyses can be checked against exact values.
+ * call-graph shapes, so analyses can be checked against exact values,
+ * and a component's checkpoint bytes and restore verdict.
  */
 
 #ifndef HP_TESTS_TEST_HELPERS_HH
 #define HP_TESTS_TEST_HELPERS_HH
 
+#include <string>
 #include <vector>
 
 #include "binary/program.hh"
+#include "util/serialize.hh"
 
 namespace hp::test
 {
@@ -70,6 +73,28 @@ addCaller(Program &program, const std::string &name,
     ret.offset = cursor;
     fn.body.push_back(ret);
     return id;
+}
+
+/** The bytes @p state's serializeState writes. */
+template <typename T>
+std::vector<std::uint8_t>
+saved(T &state)
+{
+    StateWriter writer;
+    state.serializeState(writer);
+    return writer.take();
+}
+
+/** Why @p bytes do not restore into @p state, or "" when they do. */
+template <typename T>
+std::string
+restoreError(T &state, const std::vector<std::uint8_t> &bytes)
+{
+    StateLoader loader(bytes.data(), bytes.size());
+    state.serializeState(loader);
+    if (!loader.failed())
+        return "";
+    return loader.failReason() ? loader.failReason() : "truncated";
 }
 
 } // namespace hp::test

@@ -4,15 +4,17 @@
  * of insert / find / erase / clear must leave the same contents as a
  * std::unordered_map, including backward-shift erases whose probe
  * runs wrap past the end of the slot array; and the StateWriter
- * encoding must be byte-identical to that of a std::unordered_map /
- * std::unordered_set of the same contents: the count, then the keys
- * sorted, whatever the insertion history.
+ * encoding must be the canonical stream written here from a std::map
+ * / std::set of the same contents: the count, then the keys in
+ * increasing order (each with its value), whatever the insertion
+ * history. The loader accepts keys only in that order.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "util/flat_map.hh"
@@ -180,11 +182,25 @@ encode(T &container)
     return writer.take();
 }
 
-TEST(FlatMapTest, EncodesLikeUnorderedMap)
+/** The canonical stream of @p ref: the count, then each key in
+ *  increasing order followed by its value. */
+std::vector<std::uint8_t>
+canonical(const std::map<std::uint64_t, std::uint64_t> &ref)
+{
+    StateWriter writer;
+    writer.value(std::uint64_t(ref.size()));
+    for (const auto &[key, value] : ref) {
+        writer.value(key);
+        writer.value(value);
+    }
+    return writer.take();
+}
+
+TEST(FlatMapTest, EncodesLikeSortedMap)
 {
     Rng rng(42);
     Map map;
-    Ref ref;
+    std::map<std::uint64_t, std::uint64_t> ref;
     for (int i = 0; i < 500; ++i) {
         const std::uint64_t key = rng.nextUint(2000);
         if (rng.nextBool(0.3)) {
@@ -196,28 +212,32 @@ TEST(FlatMapTest, EncodesLikeUnorderedMap)
         }
     }
     const std::vector<std::uint8_t> bytes = encode(map);
-    EXPECT_EQ(bytes, encode(ref));
+    EXPECT_EQ(bytes, canonical(ref));
 
-    // Either container restores the other's blob to equal contents.
+    // The stream restores to equal contents.
     Map back;
     back[12345] = 1; // a restore replaces existing contents
     StateLoader loader(bytes.data(), bytes.size());
     io(loader, back);
     EXPECT_FALSE(loader.failed());
     EXPECT_EQ(loader.remaining(), 0u);
-    expectSameContents(back, ref);
+    expectSameContents(back, Ref(ref.begin(), ref.end()));
     EXPECT_EQ(encode(back), bytes);
 }
 
-TEST(FlatMapTest, SetEncodesLikeUnorderedSet)
+TEST(FlatMapTest, SetEncodesLikeSortedSet)
 {
     FlatSet<std::uint64_t> set;
-    std::unordered_set<std::uint64_t> ref;
+    std::set<std::uint64_t> ref;
     for (std::uint64_t k : {90ull, 3ull, 77ull, 3ull, 1ull << 40, 0ull}) {
         EXPECT_EQ(set.insert(k).second, ref.insert(k).second);
     }
+    StateWriter canonical;
+    canonical.value(std::uint64_t(ref.size()));
+    for (std::uint64_t k : ref)
+        canonical.value(k);
     const std::vector<std::uint8_t> bytes = encode(set);
-    EXPECT_EQ(bytes, encode(ref));
+    EXPECT_EQ(bytes, canonical.take());
 
     FlatSet<std::uint64_t> back;
     StateLoader loader(bytes.data(), bytes.size());
@@ -226,6 +246,28 @@ TEST(FlatMapTest, SetEncodesLikeUnorderedSet)
     EXPECT_EQ(back.size(), ref.size());
     for (std::uint64_t k : ref)
         EXPECT_TRUE(back.contains(k));
+}
+
+TEST(FlatMapTest, LoaderRejectsKeysOutOfOrder)
+{
+    // The writer emits each key once, in increasing order; a stream
+    // with a key out of order or repeated is not one it wrote.
+    using Keys = std::vector<std::uint64_t>;
+    for (const Keys &keys : {Keys{5, 3}, Keys{4, 4}}) {
+        StateWriter writer;
+        writer.value(std::uint64_t(keys.size()));
+        for (std::uint64_t k : keys) {
+            writer.value(k);
+            writer.value(k * 10);
+        }
+        const std::vector<std::uint8_t> bytes = writer.take();
+        Map map;
+        StateLoader loader(bytes.data(), bytes.size());
+        io(loader, map);
+        EXPECT_TRUE(loader.failed()) << keys[0] << ", " << keys[1];
+        EXPECT_STREQ(loader.failReason(),
+                     "a hashed table's keys are not in increasing order");
+    }
 }
 
 TEST(FlatMapTest, TruncatedBlobStopsLoading)
