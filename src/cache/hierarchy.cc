@@ -634,15 +634,17 @@ CacheHierarchy::serializeMshrs(Ar &ar)
     if constexpr (Ar::loading) {
         io(ar, mshrs_);
         if (mshrs_.size() > params_.l1iMshrs) {
-            ar.markFailed();
+            ar.markFailed("more L1-I misses in flight than MSHRs");
             return;
         }
         // Position is completion order, so it becomes the sequence.
         nextFillAt_ = kNever;
         for (std::size_t i = 0; i < mshrs_.size(); ++i) {
+            checkBlock(ar, mshrs_[i].block,
+                       "an MSHR's block is not block-aligned");
             for (std::size_t j = 0; j < i; ++j) {
                 if (mshrs_[j].block == mshrs_[i].block) {
-                    ar.markFailed();
+                    ar.markFailed("two MSHRs hold the same block");
                     return;
                 }
             }

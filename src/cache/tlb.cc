@@ -40,7 +40,7 @@ Tlb::serializeState(Ar &ar)
     io(ar, lru_);
     if constexpr (Ar::loading) {
         if (lru_.size() > entries_)
-            ar.markFailed();
+            ar.markFailed("I-TLB holds more pages than its entries");
     }
 }
 

@@ -561,7 +561,8 @@ HierarchicalPrefetcher::serializeState(Ar &ar)
         curBlockSet_.clear();
         for (Addr block : curBlocks_) {
             if (!curBlockSet_.insert(block).second)
-                ar.markFailed();
+                ar.markFailed("hierarchical prefetcher: a block is "
+                              "twice in the current footprint");
         }
     }
 }

@@ -95,10 +95,9 @@ template <class Ar>
 void
 MetadataBuffer::serializeState(Ar &ar)
 {
-    // The segment count twice (the list's own count is checked too,
-    // never resized to), the segments, the cursor allocate() indexes.
-    if (!checkShape(ar, segments_) ||
-        !checkShape(ar, segments_,
+    // The segment count (checked, never resized to), the segments,
+    // the cursor allocate() indexes.
+    if (!checkShape(ar, segments_,
                     "metadata buffer: the segment list's count differs "
                     "from its geometry"))
         return;

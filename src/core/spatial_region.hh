@@ -11,6 +11,7 @@
 
 #include <cstdint>
 
+#include "util/serialize.hh"
 #include "util/types.hh"
 
 namespace hp
@@ -58,6 +59,8 @@ struct SpatialRegion
     serializeState(Ar &ar)
     {
         ar.value(base);
+        checkBlock(ar, base, "a spatial region's base is not "
+                             "block-aligned");
         ar.value(bits);
     }
 

@@ -112,8 +112,19 @@ template <class Ar>
 void
 IndirectPredictor::serializeState(Ar &ar)
 {
-    io(ar, base_);
-    io(ar, tagged_);
+    // The lookups index the tables by the configured geometry, so a
+    // blob of another table size is rejected, never resized to.
+    const char *why = "ITTAGE table size differs from its geometry";
+    if (!checkShape(ar, base_, why))
+        return;
+    ioElements(ar, base_);
+    if (!checkShape(ar, tagged_, why))
+        return;
+    for (std::vector<Entry> &table : tagged_) {
+        if (!checkShape(ar, table, why))
+            return;
+        ioElements(ar, table);
+    }
     io(ar, pathHistory_);
     io(ar, providerTable_);
     io(ar, providerIndex_);

@@ -244,7 +244,8 @@ EFetch::serializeState(Ar &ar)
         // A FIFO that disagrees with the table would evict entries
         // that are not there: reject the blob as a shape mismatch.
         if (!fifoMatchesFootprints()) {
-            ar.markFailed();
+            ar.markFailed("EFetch footprint FIFO disagrees with its "
+                          "table");
             return;
         }
     }

@@ -87,6 +87,7 @@ class Eip final : public Prefetcher
         serializeState(Ar &ar)
         {
             ar.value(block);
+            checkBlock(ar, block, "an EIP target is not block-aligned");
             ar.value(confidence);
         }
     };

@@ -94,6 +94,8 @@ class Mana final : public Prefetcher
         serializeState(Ar &ar)
         {
             ar.value(base);
+            checkBlock(ar, base, "a MANA region's base is not "
+                                 "block-aligned");
             ar.value(bits);
         }
     };

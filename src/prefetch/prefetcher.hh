@@ -172,10 +172,19 @@ class Prefetcher
     serializeState(Ar &ar)
     {
         io(ar, queue_);
-        if constexpr (Ar::loading)
+        if constexpr (Ar::loading) {
+            if (queue_.size() > maxQueue_) {
+                ar.markFailed("prefetch queue longer than its maxQueue");
+                queue_.clear();
+                return;
+            }
+            for (std::size_t i = 0; i < queue_.size(); ++i)
+                checkBlock(ar, queue_[i],
+                           "a queued prefetch is not block-aligned");
             restoreOwnState(ar);
-        else
+        } else {
             saveOwnState(ar);
+        }
     }
 
   protected:

@@ -126,6 +126,8 @@ Rdip::serializeState(Ar &ar)
             if (entry.fifoPos != 0 && entry.fifoPos >= entry.blocks.size())
                 return ar.markFailed("RDIP entry's FIFO position is "
                                      "outside its blocks");
+            for (Addr block : entry.blocks)
+                checkBlock(ar, block, "an RDIP block is not block-aligned");
         }
     }
     io(ar, ras_);

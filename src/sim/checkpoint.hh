@@ -44,7 +44,7 @@ class Simulator;
  * component's serializeState layout changes — a version mismatch
  * rejects the blob instead of misinterpreting it.
  */
-constexpr std::uint32_t kCheckpointFormatVersion = 4;
+constexpr std::uint32_t kCheckpointFormatVersion = 5;
 
 /**
  * The warmup-equivalence twin of @p config: every field the warmup

@@ -319,6 +319,15 @@ Simulator::appendRun(const DynInst &first, std::uint64_t n)
     window_.push_back({first, n});
 }
 
+Addr
+Simulator::windowEndPc() const
+{
+    const Run &back = window_.back();
+    return isControl(back.first.kind)
+        ? back.first.nextFetchPc()
+        : back.first.pc + back.n * kInstBytes;
+}
+
 void
 Simulator::pull(std::uint64_t max, Addr pc)
 {
@@ -350,10 +359,7 @@ Simulator::stepPredict()
             if (window_.empty()) {
                 pull(1, kNever);
             } else {
-                const Run &back = window_.back();
-                const Addr pc = isControl(back.first.kind)
-                    ? back.first.nextFetchPc()
-                    : back.first.pc + back.n * kInstBytes;
+                const Addr pc = windowEndPc();
                 pull((blockAlign(pc) + kBlockBytes - pc) / kInstBytes, pc);
             }
         }
@@ -1107,6 +1113,13 @@ Simulator::checkWindow(const std::vector<DynInst> &slots,
         }
         if (ftq_.back().endSeq != bpSeq_)
             return "last FTQ entry does not end at the prediction cursor";
+        // Fetch accesses the entry's block for its instructions.
+        for (std::size_t i = 0; i < ftq_.size(); ++i) {
+            if (ftq_[i].block !=
+                blockAlign(slots[ftq_[i].endSeq - 1 - windowBase_].pc))
+                return "an FTQ entry's block does not hold its "
+                       "instructions";
+        }
     }
     for (std::uint64_t i = 0; i < slots.size(); ++i) {
         if (windowBase_ + i >= fetchSeq_) {
@@ -1200,10 +1213,19 @@ Simulator::serializeState(Ar &ar)
     io(ar, nextSwitchAt_);
     if constexpr (Ar::loading) {
         if (activeTenant_ >= tenants_.size()) {
-            ar.markFailed();
+            ar.markFailed("the active tenant is past the tenant list");
             return;
         }
         bindTenant(activeTenant_);
+        // The active stream's next instruction must follow the
+        // window's last one, as every pull checks.
+        if (!ar.failed() && !window_.empty() &&
+            (scenEngine_ ? scenEngine_->resumePc()
+                         : engine_->resumePc()) != windowEndPc()) {
+            ar.markFailed("the workload stream does not resume where the "
+                          "window ends");
+            return;
+        }
     }
     if (pf_)
         pf_->serializeState(ar);

@@ -251,6 +251,10 @@ class Simulator
     /** Appends @p n instructions starting with @p first to the window. */
     void appendRun(const DynInst &first, std::uint64_t n);
 
+    /** The pc the next pull continues at: past the window's last
+     *  instruction, which must exist. */
+    Addr windowEndPc() const;
+
     /** The front-end invariants the run window relies on, checked on
      *  a restored per-slot window; the violated one, or nullptr. */
     const char *checkWindow(const std::vector<DynInst> &slots,

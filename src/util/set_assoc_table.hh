@@ -8,7 +8,7 @@
  * (set * ways + way):
  *  - the tags: each way's key, with its valid state in the key's top
  *    bit. Invalidating a way clears only that bit, so the stale key
- *    stays, and a checkpoint records the word as it is;
+ *    stays, and a checkpoint records the whole word;
  *  - the LRU stamps, taken from one table-wide use clock.
  * Owners keep their payload (origins, targets, pointers) in their own
  * arrays, indexed by the same slot.
@@ -193,10 +193,11 @@ class SetAssocTable
 
     /**
      * Checkpointing: the slot count (the one geometry field the
-     * encoding records), the use clock, the tag words as stored, then
-     * the stamps. Every tag word is a legal encoding: its top bit is
-     * the valid state and the rest the (possibly stale) key. Owners
-     * write their payload arrays after it.
+     * encoding records), the use clock, the tag words, then the
+     * stamps. Every tag word is a legal encoding: its top bit is the
+     * valid state and the rest the (possibly stale) key. The words are
+     * packed with the valid bit rotated down to bit 0, so that small
+     * keys stay small. Owners write their payload arrays after it.
      * @return false when the blob's table has another slot count.
      */
     template <class Ar>
@@ -206,7 +207,9 @@ class SetAssocTable
         if (!checkShape(ar, tags_))
             return false;
         ar.value(clock_);
-        ioElements(ar, tags_);
+        ioElements(
+            ar, tags_, [](Tag t) { return std::rotl(t, 1); },
+            [](Tag t) { return std::rotr(t, 1); });
         ioElements(ar, stamps_);
         return true;
     }

@@ -230,13 +230,33 @@ RequestEngine::next(DynInst &inst, std::uint64_t max)
     return n;
 }
 
+Addr
+RequestEngine::framePc(const Frame &frame) const
+{
+    const Function &fn = app_->program.func(frame.func);
+    const BodyOp &op = fn.body[frame.opIdx];
+    return fn.instAddr(op.offset +
+                       (op.kind == OpKind::Run ? frame.intraRun : 0));
+}
+
+Addr
+RequestEngine::resumePc() const
+{
+    if (!frames_.empty())
+        return framePc(frames_.back());
+    Frame start; // the frame startRequest() pushes
+    start.func = app_->requestDriver;
+    return framePc(start);
+}
+
 const char *
 RequestEngine::checkFrames() const
 {
     if (frames_.size() > kMaxDepth)
         return "request engine: more frames than kMaxDepth";
     const Program &program = app_->program;
-    for (const Frame &frame : frames_) {
+    for (std::size_t i = 0; i < frames_.size(); ++i) {
+        const Frame &frame = frames_[i];
         if (frame.func >= program.numFunctions() ||
             program.func(frame.func).stub)
             return "request engine: a frame names no function a request "
@@ -254,6 +274,10 @@ RequestEngine::checkFrames() const
                 return "request engine: a loop names an op that is not "
                        "a Loop";
         }
+        // The caller was checked above; its cursor is past the call.
+        if (i > 0 && frame.returnAddr != framePc(frames_[i - 1]))
+            return "request engine: a frame does not return where its "
+                   "caller resumes";
     }
     return nullptr;
 }

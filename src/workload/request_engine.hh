@@ -78,6 +78,9 @@ class RequestEngine : public InstStream
      *  final return and the next call to next() starts a request. */
     bool idle() const { return frames_.empty(); }
 
+    /** The pc of the next instruction next() emits. */
+    Addr resumePc() const;
+
     /** Serializes/restores RNG and call frames. */
     template <class Ar> void serializeState(Ar &ar);
 
@@ -127,8 +130,12 @@ class RequestEngine : public InstStream
      *  branch or loop at its cursor, whose slot is @p slot. */
     void seek(Frame &frame, const BodyOp &op, std::uint32_t slot);
 
+    /** The pc @p frame's function continues at: its op's next slot. */
+    Addr framePc(const Frame &frame) const;
+
     /** Why the restored frames cannot run on this image (an index
-     *  next() would read out of range, or a stub), or nullptr. */
+     *  next() would read out of range, a stub, or a return that does
+     *  not land where its caller resumes), or nullptr. */
     const char *checkFrames() const;
 
     std::shared_ptr<const BuiltApp> app_;

@@ -144,6 +144,16 @@ ScenarioEngine::next(DynInst &inst, std::uint64_t max)
     return n;
 }
 
+Addr
+ScenarioEngine::resumePc() const
+{
+    if (curChain_ < 0)
+        return kNever;
+    const Service &svc = services_[static_cast<std::size_t>(
+        chainServices_[static_cast<std::size_t>(curChain_)][hop_])];
+    return svc.engine->resumePc() + svc.base;
+}
+
 void
 ScenarioEngine::registerStats(StatsRegistry &reg)
 {

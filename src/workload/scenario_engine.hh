@@ -55,6 +55,10 @@ class ScenarioEngine : public InstStream
 
     const Scenario &scenario() const { return *scen_; }
 
+    /** The translated pc of the next instruction next() emits, or
+     *  kNever before the first chain is drawn. */
+    Addr resumePc() const;
+
     /** Serializes/restores every sub-engine, the arrival process,
      *  the mix RNG, the tracker, and the chain cursor. */
     template <class Ar> void serializeState(Ar &ar);

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <functional>
+#include <string>
 
 #include "cache/hierarchy.hh"
 #include "util/serialize.hh"
+#include "../test_helpers.hh"
 
 namespace hp
 {
@@ -343,32 +345,80 @@ TEST(HierarchyTest, LiveMshrsAndItlbRestoreAndReencodeIdentically)
     EXPECT_EQ(encodeHierarchy(restored), encodeHierarchy(hier));
 }
 
-TEST(HierarchyTest, RestoreRejectsDuplicateMshrBlocks)
+/** One MSHR as the blob holds it (CacheHierarchy::Mshr's fields). */
+struct MshrEntry
 {
-    CacheHierarchy hier(smallParams());
-    driveToLiveMshrs(hier);
-    std::vector<std::uint8_t> bytes = encodeHierarchy(hier);
+    Addr block = 0;
+    Origin origin = Origin::Demand;
+    Cycle readyAt = 0;
+    bool flags[5] = {};
 
-    // The MSHR file follows the caches and the I-TLB: its count, then
-    // one entry per MSHR, each led by its block.
+    template <class Ar>
+    void
+    serializeState(Ar &ar)
+    {
+        ar.value(block);
+        ar.value(origin);
+        ar.value(readyAt);
+        for (bool &f : flags)
+            ar.value(f);
+    }
+};
+
+/** Why @p hier's blob, with its MSHR list changed by @p edit, does
+ *  not restore (or "" when it does). The list follows the caches and
+ *  the I-TLB. */
+std::string
+restoreWithMshrs(CacheHierarchy &hier,
+                 const std::function<void(std::vector<MshrEntry> &)> &edit)
+{
+    const std::vector<std::uint8_t> bytes = encodeHierarchy(hier);
     StateWriter prefix;
     hier.l1i().serializeState(prefix);
     hier.l2().serializeState(prefix);
     hier.llc().serializeState(prefix);
     hier.itlb().serializeState(prefix);
-    const std::size_t count_at = prefix.take().size();
-    std::uint64_t count = 0;
-    std::memcpy(&count, bytes.data() + count_at, sizeof(count));
-    ASSERT_EQ(count, smallParams().l1iMshrs - hier.freeMshrs());
-    ASSERT_GE(count, 2u);
+    const std::size_t list_at = prefix.take().size();
+    StateLoader list(bytes.data() + list_at, bytes.size() - list_at);
+    std::vector<MshrEntry> mshrs;
+    io(list, mshrs);
+    EXPECT_FALSE(list.failed());
+    EXPECT_EQ(mshrs.size(), smallParams().l1iMshrs - hier.freeMshrs());
+    edit(mshrs);
 
-    // Entry 1 takes entry 0's block (8 + 1 + 8 + 5 bytes per entry).
-    const std::size_t entry0 = count_at + sizeof(count);
-    std::memcpy(bytes.data() + entry0 + 22, bytes.data() + entry0, 8);
+    StateWriter edited;
+    edited.bytes(bytes.data(), list_at);
+    io(edited, mshrs);
+    edited.bytes(bytes.data() + bytes.size() - list.remaining(),
+                 list.remaining());
     CacheHierarchy restored(smallParams());
-    StateLoader loader(bytes.data(), bytes.size());
-    restored.serializeState(loader);
-    EXPECT_TRUE(loader.failed());
+    return test::restoreError(restored, edited.take());
+}
+
+TEST(HierarchyTest, RestoreRejectsDuplicateMshrBlocks)
+{
+    CacheHierarchy hier(smallParams());
+    driveToLiveMshrs(hier);
+    EXPECT_EQ(restoreWithMshrs(hier, [](std::vector<MshrEntry> &) {}), "");
+    EXPECT_EQ(restoreWithMshrs(hier,
+                               [](std::vector<MshrEntry> &m) {
+                                   ASSERT_GE(m.size(), 2u);
+                                   m[1].block = m[0].block;
+                               }),
+              "two MSHRs hold the same block");
+}
+
+TEST(HierarchyTest, RestoreRejectsAnUnalignedMshrBlock)
+{
+    // The fill of an unaligned block panics in the cache's insert.
+    CacheHierarchy hier(smallParams());
+    driveToLiveMshrs(hier);
+    EXPECT_EQ(restoreWithMshrs(hier,
+                               [](std::vector<MshrEntry> &m) {
+                                   ASSERT_GE(m.size(), 2u);
+                                   m[1].block += 4;
+                               }),
+              "an MSHR's block is not block-aligned");
 }
 
 TEST(HierarchyTest, RestoreRejectsMoreMshrsThanTheFileHolds)

@@ -106,6 +106,18 @@ TEST(CompressionBufferTest, RestoreRejectsMoreRegionsThanEntries)
     EXPECT_LE(into.size(), into.capacity());
 }
 
+TEST(SpatialRegionTest, RestoreRejectsAnUnalignedBase)
+{
+    // HP's replay pushes each block of a region from its base, and the
+    // fill of an unaligned block panics in the cache's insert.
+    SpatialRegion region;
+    region.base = kBase + 4;
+    region.bits = 1;
+    SpatialRegion into;
+    EXPECT_EQ(test::restoreError(into, test::saved(region)),
+              "a spatial region's base is not block-aligned");
+}
+
 TEST(SpatialRegionTest, CoversAndTouch)
 {
     SpatialRegion region;

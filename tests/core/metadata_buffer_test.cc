@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "core/metadata_buffer.hh"
 #include "../test_helpers.hh"
 
@@ -92,14 +90,13 @@ TEST(MetadataBufferTest, SegmentEncodedSizeMatchesPaper)
 }
 
 /**
- * A blob of empty segments: the geometry guard's count @p guard, the
- * list's own count @p listed, that many segments, then the cursor.
+ * A blob of @p listed empty segments: their count, the segments, then
+ * the cursor.
  */
 std::vector<std::uint8_t>
-emptyBufferBlob(std::uint64_t guard, std::uint64_t listed)
+emptyBufferBlob(std::uint64_t listed)
 {
     StateWriter writer;
-    writer.value(guard);
     writer.value(listed);
     for (std::uint64_t i = 0; i < listed; ++i) {
         Segment seg;
@@ -111,12 +108,12 @@ emptyBufferBlob(std::uint64_t guard, std::uint64_t listed)
 
 TEST(MetadataBufferTest, RestoreRejectsASegmentListOfAnotherCount)
 {
-    // The blob writes the segment count twice, and a restore must not
-    // resize the buffer to the second one.
+    // The blob writes the segment count once, and a restore must not
+    // resize the buffer to it.
     MetadataBuffer buffer(8 * 1024);
     const std::uint64_t n = buffer.numSegments();
-    ASSERT_EQ(test::restoreError(buffer, emptyBufferBlob(n, n)), "");
-    EXPECT_EQ(test::restoreError(buffer, emptyBufferBlob(n, n - 1)),
+    ASSERT_EQ(test::restoreError(buffer, emptyBufferBlob(n)), "");
+    EXPECT_EQ(test::restoreError(buffer, emptyBufferBlob(n - 1)),
               "metadata buffer: the segment list's count differs from "
               "its geometry");
     EXPECT_EQ(buffer.numSegments(), n);
@@ -125,15 +122,18 @@ TEST(MetadataBufferTest, RestoreRejectsASegmentListOfAnotherCount)
 TEST(MetadataBufferTest, RestoreRejectsACursorPastItsSegments)
 {
     // allocate() indexes the segments with the circular cursor, the
-    // blob's last field.
+    // blob's last field: a one-byte varint here.
     MetadataBuffer from(8 * 1024);
     from.allocate(0x1234, true);
     std::vector<std::uint8_t> bytes = test::saved(from);
     MetadataBuffer into(8 * 1024);
     ASSERT_EQ(test::restoreError(into, bytes), "");
-    const SegIdx past = SegIdx(from.numSegments());
-    std::memcpy(bytes.data() + bytes.size() - sizeof(past), &past,
-                sizeof(past));
+    ASSERT_EQ(bytes.back(), 1u);
+    bytes.pop_back();
+    StateWriter past;
+    past.value(SegIdx(from.numSegments()));
+    for (std::uint8_t b : past.take())
+        bytes.push_back(b);
     EXPECT_EQ(test::restoreError(into, bytes),
               "metadata buffer: the cursor is past its segments");
 }

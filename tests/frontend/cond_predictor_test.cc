@@ -145,5 +145,19 @@ TEST(CondPredictorTest, RestoreContinuesTheSequenceExactly)
     EXPECT_EQ(stateOf(second), stateOf(whole));
 }
 
+TEST(CondPredictorTest, RestoreRejectsAnotherGeometry)
+{
+    // predict() indexes the tables with the configured geometry, so a
+    // smaller blob must not shrink them.
+    CondPredictor small(12, 10);
+    CondPredictor into;
+    const std::vector<std::uint8_t> bytes = stateOf(small);
+    StateLoader loader(bytes.data(), bytes.size());
+    into.serializeState(loader);
+    ASSERT_NE(loader.failReason(), nullptr);
+    EXPECT_STREQ(loader.failReason(),
+                 "TAGE table size differs from its geometry");
+}
+
 } // namespace
 } // namespace hp

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "frontend/indirect_predictor.hh"
+#include "../test_helpers.hh"
 
 namespace hp
 {
@@ -64,6 +65,16 @@ TEST(IndirectPredictorTest, StatsTrackMispredicts)
     pred.update(0x1000, 0x42);
     EXPECT_EQ(pred.predictions(), 1u);
     EXPECT_EQ(pred.mispredicts(), 1u); // cold prediction was 0
+}
+
+TEST(IndirectPredictorTest, RestoreRejectsAnotherGeometry)
+{
+    // predict() indexes the tables with the configured geometry, so a
+    // smaller blob must not shrink them.
+    IndirectPredictor small(10, 8);
+    IndirectPredictor into;
+    EXPECT_EQ(test::restoreError(into, test::saved(small)),
+              "ITTAGE table size differs from its geometry");
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 #include "prefetch/eip.hh"
 #include "sim/simulator.hh"
 #include "util/serialize.hh"
+#include "../test_helpers.hh"
 
 namespace hp
 {
@@ -217,6 +218,22 @@ TEST(EipTest, RestoreRejectsALongerHistory)
     shorter.historyEntries = 8;
     Eip into(shorter);
     EXPECT_FALSE(restores(into, saved(from)));
+}
+
+TEST(EipTest, RestoreRejectsAnUnalignedTarget)
+{
+    // Fetching the source pushes its targets as prefetches, and the
+    // fill of an unaligned block panics in the cache's insert.
+    Eip from;
+    Cycle now = 0;
+    for (unsigned i = 0; i < 32; ++i) {
+        from.onDemandAccess(blk(i), true, now, 0);
+        now += 10;
+    }
+    from.onDemandAccess(blk(500) + 4, false, now, 40);
+    Eip into;
+    EXPECT_EQ(test::restoreError<Prefetcher>(into, saved(from)),
+              "an EIP target is not block-aligned");
 }
 
 TEST(EipTest, StorageMatchesPaperClass)

@@ -3,6 +3,7 @@
 #include <set>
 
 #include "prefetch/mana.hh"
+#include "../test_helpers.hh"
 
 namespace hp
 {
@@ -126,6 +127,18 @@ TEST(ManaTest, RegionCompressionMergesNearbyBlocks)
     std::set<Addr> unique(blocks.begin(), blocks.end());
     // The dense region's blocks are all issued together.
     EXPECT_TRUE(unique.count(blk(100)));
+}
+
+TEST(ManaTest, RestoreRejectsAnUnalignedRegionBase)
+{
+    // A replay pushes each block of a recorded region from its base,
+    // and the fill of an unaligned block panics in the cache's insert.
+    Mana from;
+    from.onDemandAccess(blk(3) + 4, true, 0, 0);
+    Mana into;
+    EXPECT_EQ(test::restoreError<Prefetcher>(into,
+                                             test::saved<Prefetcher>(from)),
+              "a MANA region's base is not block-aligned");
 }
 
 TEST(ManaTest, StorageInPaperClass)

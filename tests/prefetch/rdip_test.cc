@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <set>
 
 #include "prefetch/rdip.hh"
@@ -159,26 +158,48 @@ TEST(RdipTest, RestoreRejectsAnEntryOverBlocksPerEntry)
               "RDIP entry holds more than blocksPerEntry blocks");
 }
 
+/** The encoding of an entry's block list @p blocks. */
+std::vector<std::uint8_t>
+blockList(std::vector<Addr> blocks)
+{
+    StateWriter writer;
+    io(writer, blocks);
+    return writer.take();
+}
+
 TEST(RdipTest, RestoreRejectsAFifoPositionOutsideTheBlocks)
 {
-    // A full entry of four blocks whose FIFO position, the 8 bytes
-    // after its last block, reads 9: the next miss under its context
-    // would write blocks[9].
+    // A full entry of four blocks whose FIFO position, the one-byte
+    // varint after its block list, reads 9: the next miss under its
+    // context would write blocks[9].
     Rdip from;
     recordMisses(from, 4);
     std::vector<std::uint8_t> bytes = test::saved<Prefetcher>(from);
-    const Addr last = blk(103);
-    std::uint8_t pattern[sizeof(last)];
-    std::memcpy(pattern, &last, sizeof(last));
-    auto at = std::search(bytes.begin(), bytes.end(), pattern,
-                          pattern + sizeof(pattern));
+    const std::vector<std::uint8_t> list =
+        blockList({blk(100), blk(101), blk(102), blk(103)});
+    auto at = std::search(bytes.begin(), bytes.end(), list.begin(),
+                          list.end());
     ASSERT_NE(at, bytes.end());
-    const std::uint64_t fifo_pos = 9;
-    std::memcpy(&*at + sizeof(last), &fifo_pos, sizeof(fifo_pos));
+    at += std::ptrdiff_t(list.size());
+    ASSERT_EQ(*at, 0u);
+    *at = 9;
 
     Rdip into;
     EXPECT_EQ(test::restoreError<Prefetcher>(into, bytes),
               "RDIP entry's FIFO position is outside its blocks");
+}
+
+TEST(RdipTest, RestoreRejectsAnUnalignedBlock)
+{
+    // A return to the entry's context pushes its blocks as prefetches,
+    // and the fill of an unaligned block panics in the cache's insert.
+    Rdip from;
+    from.onCommit(call(0x1000, 0x10000), 1, 0);
+    from.onDemandAccess(blk(100) + 4, false, 1, 20);
+    Rdip into;
+    EXPECT_EQ(test::restoreError<Prefetcher>(into,
+                                             test::saved<Prefetcher>(from)),
+              "an RDIP block is not block-aligned");
 }
 
 } // namespace

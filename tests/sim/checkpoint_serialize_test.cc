@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -34,7 +35,7 @@ namespace
 
 /**
  * The golden config: deliberately tiny structures and a short warmup
- * so the checked-in blob stays small (~200 KB, dominated by the
+ * so the checked-in blob stays small (~100 KB, dominated by the
  * fixed-size TAGE/ITTAGE tables) while still exercising the
  * hierarchical prefetcher's compression/metadata path. The reuse
  * probe is excluded — its tree spans the binary's whole block
@@ -184,6 +185,20 @@ TEST(CheckpointFormatTest, RejectsVersionMismatchWithClearError)
     EXPECT_NE(error.find(std::to_string(kCheckpointFormatVersion + 1)),
               std::string::npos)
         << error;
+}
+
+TEST(CheckpointFormatTest, RejectsAFormat4BlobByItsVersion)
+{
+    // The header keeps its fixed-width fields in every format, so a
+    // blob of the previous format is named by its version, not
+    // misread as varints.
+    std::vector<std::uint8_t> image = Checkpoint("k", {7}).encode();
+    const std::uint32_t four = 4;
+    std::memcpy(&image[8], &four, sizeof(four));
+    std::string error;
+    EXPECT_EQ(Checkpoint::decode(image, &error), nullptr);
+    EXPECT_EQ(error, "checkpoint format version 4, this build expects " +
+                         std::to_string(kCheckpointFormatVersion));
 }
 
 TEST(CheckpointFormatTest, RejectsTruncation)

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <set>
 
 #include "sim/runner.hh"
@@ -192,9 +191,9 @@ TEST(ScenarioEngineTest, StatsExposeChainBreakdown)
 TEST(ScenarioEngineTest, RestoreRejectsAChainCursorOutsideTheScenario)
 {
     // The engine's stream ends with the chain cursor: curChain_ (-1
-    // before the first chain), hop_ and lastPhase_, four bytes each.
-    // next() indexes the chains and their hops with the first two, so
-    // a restore must reject values outside the scenario.
+    // before the first chain), hop_ and lastPhase_, one varint byte
+    // each here. next() indexes the chains and their hops with the
+    // first two, so a restore must reject values outside the scenario.
     ScenarioEngine engine(cachedScenario(kChainScenario));
     DynInst inst;
     for (int i = 0; i < 100'000; ++i)
@@ -202,15 +201,19 @@ TEST(ScenarioEngineTest, RestoreRejectsAChainCursorOutsideTheScenario)
     StateWriter writer;
     engine.serializeState(writer);
     const std::vector<std::uint8_t> good = writer.take();
-    const std::size_t chain_at = good.size() - 12;
-    const std::size_t hop_at = good.size() - 8;
-    auto word = [&good](std::size_t at) {
-        std::int32_t v = 0;
-        std::memcpy(&v, &good[at], sizeof(v));
-        return v;
-    };
-    ASSERT_EQ(word(chain_at), 0); // the scenario's one chain
-    ASSERT_LT(word(hop_at), 2);   // of two hops
+    const std::size_t cursor_at = good.size() - 3;
+    std::int32_t chain = -1;
+    std::uint32_t hop = 0;
+    std::uint32_t phase = 0;
+    {
+        StateLoader tail(good.data() + cursor_at, 3);
+        tail.value(chain);
+        tail.value(hop);
+        tail.value(phase);
+        ASSERT_FALSE(tail.failed());
+    }
+    ASSERT_EQ(chain, 0); // the scenario's one chain
+    ASSERT_LT(hop, 2u);  // of two hops
 
     ScenarioEngine restored(cachedScenario(kChainScenario));
     {
@@ -218,14 +221,19 @@ TEST(ScenarioEngineTest, RestoreRejectsAChainCursorOutsideTheScenario)
         restored.serializeState(loader);
         ASSERT_FALSE(loader.failed());
     }
-    const std::pair<std::size_t, std::int32_t> corruptions[] = {
-        {chain_at, 1}, {chain_at, -2}, {hop_at, 2}};
-    for (const auto &[at, value] : corruptions) {
-        std::vector<std::uint8_t> bad = good;
-        std::memcpy(&bad[at], &value, sizeof(value));
+    const std::pair<std::int32_t, std::uint32_t> corruptions[] = {
+        {1, hop}, {-2, hop}, {chain, 2}};
+    for (const auto &[bad_chain, bad_hop] : corruptions) {
+        StateWriter edited;
+        edited.bytes(good.data(), cursor_at);
+        edited.value(bad_chain);
+        edited.value(bad_hop);
+        edited.value(phase);
+        const std::vector<std::uint8_t> bad = edited.take();
         StateLoader loader(bad.data(), bad.size());
         restored.serializeState(loader);
-        EXPECT_TRUE(loader.failed()) << "value " << value << " at " << at;
+        EXPECT_TRUE(loader.failed())
+            << "chain " << bad_chain << ", hop " << bad_hop;
         ASSERT_NE(loader.failReason(), nullptr);
         EXPECT_NE(std::string(loader.failReason()).find("chain cursor"),
                   std::string::npos)

@@ -165,6 +165,15 @@ class SimulatorProbe
         return sim.window_.empty() ? 0 : sim.window_.front().first.pc;
     }
 
+    /** Takes one instruction from the active stream that the window
+     *  never sees. */
+    static void
+    skipStream(Simulator &sim)
+    {
+        DynInst inst;
+        sim.stream_->next(inst, 1);
+    }
+
     static std::uint64_t &committed(Simulator &sim) { return sim.committed_; }
     static std::uint64_t windowBase(const Simulator &sim)
     {
@@ -193,6 +202,10 @@ class SimulatorProbe
     static std::uint64_t &ftqEnd(Simulator &sim, std::size_t i)
     {
         return sim.ftq_[i].endSeq;
+    }
+    static Addr &ftqBlock(Simulator &sim, std::size_t i)
+    {
+        return sim.ftq_[i].block;
     }
     static void clearFtq(Simulator &sim) { sim.ftq_.clear(); }
 

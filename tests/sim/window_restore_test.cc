@@ -174,6 +174,18 @@ const Violation kViolations[] = {
          Probe::feBlock(sim) = static_cast<Probe::FeBlock>(7);
      },
      "unknown front-end block kind"},
+    {"FtqBlockMissesItsInstructions",
+     [](Simulator &sim) {
+         busyFrontEnd(sim);
+         Probe::ftqBlock(sim, 1) += kBlockBytes / 2;
+     },
+     "an FTQ entry's block does not hold its instructions"},
+    {"StreamPastWindowEnd",
+     [](Simulator &sim) {
+         ASSERT_GT(Probe::frontRunInsts(sim), 0u);
+         Probe::skipStream(sim);
+     },
+     "the workload stream does not resume where the window ends"},
 };
 
 INSTANTIATE_TEST_SUITE_P(

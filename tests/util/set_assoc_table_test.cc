@@ -104,19 +104,23 @@ class Reference
         return flushed;
     }
 
-    /** The table's encoding: the entry count, the clock, each
-     *  entry's tag with its valid state in the top bit, then each
-     *  entry's stamp. */
+    /** The table's encoding: the entry count, the clock, then two
+     *  packed arrays: each entry's tag shifted up past its valid
+     *  state in bit 0, and each entry's stamp. */
     std::vector<std::uint8_t>
     bytes()
     {
+        std::vector<std::uint64_t> tags;
+        std::vector<std::uint64_t> stamps;
+        for (const Entry &e : entries_) {
+            tags.push_back(e.tag << 1 | std::uint64_t(e.valid));
+            stamps.push_back(e.lastUse);
+        }
         StateWriter ar;
         ar.value(std::uint64_t(entries_.size()));
         ar.value(clock_);
-        for (const Entry &e : entries_)
-            ar.value(e.tag | (e.valid ? Table::kValid : 0));
-        for (const Entry &e : entries_)
-            ar.value(e.lastUse);
+        ioElements(ar, tags);
+        ioElements(ar, stamps);
         return ar.take();
     }
 

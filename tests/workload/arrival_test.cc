@@ -221,8 +221,9 @@ TEST(ArrivalProcessTest, SerializedStateResumesIdentically)
 
 TEST(ArrivalProcessTest, RestoreRejectsAPhaseOutsideTheScenario)
 {
-    // The stream is the clock (8 bytes), the phase cursor (4), then
-    // the RNG. next() indexes the phases with the cursor.
+    // The stream is the clock (a double, 8 bytes), the phase cursor
+    // (a one-byte varint here), then the RNG. next() indexes the
+    // phases with the cursor.
     const Scenario s = makeScenario("phase p arrival=poisson rate=0.02\n");
     ArrivalProcess orig(&s);
     orig.next();

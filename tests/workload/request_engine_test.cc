@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <array>
+#include <functional>
 #include <set>
+#include <string>
 #include <unordered_map>
 
 #include "util/serialize.hh"
@@ -27,27 +29,104 @@ struct EngineFixture : public ::testing::Test
     std::unique_ptr<RequestEngine> engine;
 };
 
+/** The engine's blob as RequestEngine::serializeState writes it: the
+ *  RNG's four words, the frames from the bottom, the request type and
+ *  the pending marker. */
+struct EngineBlob
+{
+    struct Loop
+    {
+        std::uint32_t opIdx = 0;
+        std::uint16_t remaining = 0;
+
+        template <class Ar>
+        void
+        serializeState(Ar &ar)
+        {
+            ar.value(opIdx);
+            ar.value(remaining);
+        }
+    };
+
+    struct Frame
+    {
+        FuncId func = 0;
+        std::uint32_t opIdx = 0;
+        std::uint32_t intraRun = 0;
+        Addr returnAddr = 0;
+        std::vector<Loop> loops;
+
+        template <class Ar>
+        void
+        serializeState(Ar &ar)
+        {
+            ar.value(func);
+            ar.value(opIdx);
+            ar.value(intraRun);
+            ar.value(returnAddr);
+            io(ar, loops);
+        }
+    };
+
+    std::array<std::uint64_t, 4> rng{};
+    std::vector<Frame> frames;
+    unsigned requestType = 0;
+    StreamMarker marker = StreamMarker::None;
+    std::uint16_t markerArg = 0;
+
+    template <class Ar>
+    void
+    serializeState(Ar &ar)
+    {
+        io(ar, rng);
+        io(ar, frames);
+        ar.value(requestType);
+        ar.value(marker);
+        ar.value(markerArg);
+    }
+};
+
+/** @p engine's blob, decoded. */
+EngineBlob
+decodeEngine(RequestEngine &engine)
+{
+    StateWriter writer;
+    engine.serializeState(writer);
+    const std::vector<std::uint8_t> bytes = writer.take();
+    EngineBlob blob;
+    StateLoader loader(bytes.data(), bytes.size());
+    blob.serializeState(loader);
+    EXPECT_FALSE(loader.failed());
+    EXPECT_EQ(loader.remaining(), 0u);
+    return blob;
+}
+
+/** Why @p blob does not restore into @p engine, or "" when it does. */
+std::string
+restoreEngine(RequestEngine &engine, EngineBlob blob)
+{
+    StateWriter writer;
+    blob.serializeState(writer);
+    const std::vector<std::uint8_t> bytes = writer.take();
+    StateLoader loader(bytes.data(), bytes.size());
+    engine.serializeState(loader);
+    if (!loader.failed())
+        return "";
+    return loader.failReason() ? loader.failReason() : "truncated";
+}
+
 TEST_F(EngineFixture, RestoreRejectsFramesOutsideTheImage)
 {
-    // The stream holds the RNG (four words), the frame count, then
-    // each frame from the bottom: func, opIdx, intraRun (four bytes
-    // each), its return address and its loops. next() indexes the
-    // image with them, so a restore must reject a function past the
-    // image, a stub, an op past the body and a slot outside the op,
-    // with a reason.
+    // next() indexes the image with each frame's function, op and
+    // slot, so a restore must reject a function past the image, a
+    // stub, an op past the body and a slot outside the op, with a
+    // reason.
     DynInst inst;
     for (int i = 0; i < 1000; ++i)
         ASSERT_TRUE(engine->next(inst));
     ASSERT_FALSE(engine->idle());
-    StateWriter writer;
-    engine->serializeState(writer);
-    const std::vector<std::uint8_t> good = writer.take();
-    constexpr std::size_t kFunc = 4 * 8 + 8;
-    constexpr std::size_t kOpIdx = kFunc + 4;
-    constexpr std::size_t kIntraRun = kOpIdx + 4;
-    std::uint32_t bottom = 0;
-    std::memcpy(&bottom, &good[kFunc], sizeof(bottom));
-    ASSERT_EQ(bottom, app->requestDriver);
+    const EngineBlob good = decodeEngine(*engine);
+    ASSERT_EQ(good.frames[0].func, app->requestDriver);
 
     const Program &program = app->program;
     std::uint32_t stub = 0;
@@ -58,28 +137,68 @@ TEST_F(EngineFixture, RestoreRejectsFramesOutsideTheImage)
         program.func(app->requestDriver).body.size());
 
     RequestEngine restored(app, *profile);
-    {
-        StateLoader loader(good.data(), good.size());
-        restored.serializeState(loader);
-        ASSERT_FALSE(loader.failed());
-    }
-    const std::pair<std::size_t, std::uint32_t> corruptions[] = {
-        {kFunc, std::uint32_t(program.numFunctions())},
-        {kFunc, stub},
-        {kOpIdx, body},
-        {kIntraRun, 1u << 30}};
-    for (const auto &[at, value] : corruptions) {
-        std::vector<std::uint8_t> bad = good;
-        std::memcpy(&bad[at], &value, sizeof(value));
-        StateLoader loader(bad.data(), bad.size());
-        restored.serializeState(loader);
-        EXPECT_TRUE(loader.failed()) << "value " << value << " at " << at;
-        EXPECT_NE(loader.failReason(), nullptr)
-            << "value " << value << " at " << at;
+    ASSERT_EQ(restoreEngine(restored, good), "");
+    const std::function<void(EngineBlob::Frame &)> corruptions[] = {
+        [&](EngineBlob::Frame &f) { f.func = program.numFunctions(); },
+        [&](EngineBlob::Frame &f) { f.func = stub; },
+        [&](EngineBlob::Frame &f) { f.opIdx = body; },
+        [&](EngineBlob::Frame &f) { f.intraRun = 1u << 30; }};
+    for (std::size_t i = 0; i < std::size(corruptions); ++i) {
+        EngineBlob bad = good;
+        corruptions[i](bad.frames[0]);
+        const std::string why = restoreEngine(restored, bad);
+        EXPECT_EQ(why.rfind("request engine: ", 0), 0u)
+            << "corruption " << i << ": " << why;
     }
     // A rejected restore leaves no frame to run: the engine starts a
     // new request.
     EXPECT_TRUE(restored.idle());
+}
+
+TEST_F(EngineFixture, RestoreRejectsAReturnThatMissesItsCaller)
+{
+    // A frame's return lands on its caller's next slot. A caller moved
+    // to another function whose body still holds its op, or a changed
+    // return address, would make the stream jump on that return.
+    DynInst inst;
+    EngineBlob good;
+    for (int i = 0; i < 100'000 && good.frames.size() < 3; ++i) {
+        ASSERT_TRUE(engine->next(inst));
+        if (i % 97 == 0)
+            good = decodeEngine(*engine);
+    }
+    ASSERT_GE(good.frames.size(), 3u);
+    RequestEngine restored(app, *profile);
+    ASSERT_EQ(restoreEngine(restored, good), "");
+
+    const char *const kWhy =
+        "request engine: a frame does not return where its caller resumes";
+    EngineBlob moved = good;
+    moved.frames[2].returnAddr += kInstBytes;
+    EXPECT_EQ(restoreEngine(restored, moved), kWhy);
+
+    // The middle frame becomes a frame of another function that a
+    // request can run and whose body holds the same op (its loops
+    // dropped, which alone restores).
+    const Program &program = app->program;
+    EngineBlob other = good;
+    EngineBlob::Frame &caller = other.frames[1];
+    caller.loops.clear();
+    ASSERT_EQ(restoreEngine(restored, other), "");
+    const FuncId from = caller.func;
+    for (FuncId f = 0; f < program.numFunctions(); ++f) {
+        const Function &fn = program.func(f);
+        if (f == from || fn.stub || caller.opIdx >= fn.body.size())
+            continue;
+        const BodyOp &op = fn.body[caller.opIdx];
+        if (op.kind == OpKind::Run ? caller.intraRun < op.length
+                                   : caller.intraRun == 0) {
+            caller.func = f;
+            break;
+        }
+    }
+    ASSERT_NE(caller.func, from);
+    EXPECT_EQ(restoreEngine(restored, other), kWhy);
 }
 
 TEST_F(EngineFixture, StreamNeverEnds)
