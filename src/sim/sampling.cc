@@ -335,7 +335,7 @@ runSampled(const SimConfig &config)
             // "infinite" BTB sweep point, say) would pay more for K
             // captures than sampling saves; detect that on the first
             // capture and run exactly instead. Normal fork blobs are
-            // ~1 MB.
+            // 0.3-0.6 MB, far below the limit.
             if (info->intervals.empty() &&
                 fork.payload().size() > kMaxIntervalBlobBytes)
                 return runCheckpointed(full);
