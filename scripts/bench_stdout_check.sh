@@ -7,13 +7,17 @@
 # the working tree is built in build-stdout-check/work/. Only the
 # bench targets are built. The benches are the first block of
 # hp_add_bench() lines in bench/CMakeLists.txt (one per paper table
-# and figure). Each runs once per tree in exact mode: every HP_*
-# variable is unset, so no sampling, scenario, checkpoint directory or
-# observability output applies. Outputs stay in
-# build-stdout-check/{ref,work}/out/<bench>.txt for diffing.
+# and figure). Each runs twice per tree with every other HP_* variable
+# unset, so no scenario, checkpoint directory or observability output
+# applies: in exact mode, and in sampled mode with
+# HP_SAMPLE=12,30000,10000,1 (the tier1.sh --fast spec), the only mode
+# that fast-forwards. Outputs stay in
+# build-stdout-check/{ref,work}/out/{exact,sampled}/<bench>.txt for
+# diffing.
 #
-# Prints "identical" or "differs" per bench (a bench whose exit status
-# differs between the trees also differs) and exits 1 if any differs.
+# Prints "identical" or "differs" per bench and mode (a bench whose
+# exit status differs between the trees also differs) and exits 1 if
+# any differs.
 #
 # Usage: scripts/bench_stdout_check.sh <git-ref>
 
@@ -47,6 +51,7 @@ fi
 
 root="$PWD/build-stdout-check"
 jobs="$(nproc)"
+modes=(exact sampled)
 
 rm -rf "$root/ref-src"
 mkdir -p "$root/ref-src"
@@ -59,12 +64,17 @@ build_and_run() {
     cmake -B "$dir" -S "$src" >/dev/null
     cmake --build "$dir" -j "$jobs" --target "${benches[@]}" >/dev/null
     rm -rf "$dir/out"
-    mkdir -p "$dir/out"
-    local b
-    for b in "${benches[@]}"; do
-        local status=0
-        (cd "$dir/out" && "$dir/bench/$b" >"$b.txt") || status=$?
-        echo "$status" >"$dir/out/$b.status"
+    local mode b
+    for mode in "${modes[@]}"; do
+        local out="$dir/out/$mode" sample=()
+        [[ "$mode" == sampled ]] && sample=(HP_SAMPLE=12,30000,10000,1)
+        mkdir -p "$out"
+        for b in "${benches[@]}"; do
+            local status=0
+            (cd "$out" && env "${sample[@]}" "$dir/bench/$b" >"$b.txt") ||
+                status=$?
+            echo "$status" >"$out/$b.status"
+        done
     done
 }
 
@@ -73,15 +83,21 @@ build_and_run "$root/ref-src" ref
 echo "bench_stdout_check: building and running the working tree" >&2
 build_and_run "$PWD" work
 
-differs=0
-for b in "${benches[@]}"; do
-    if cmp -s "$root/ref/out/$b.txt" "$root/work/out/$b.txt" &&
-       cmp -s "$root/ref/out/$b.status" "$root/work/out/$b.status"; then
-        echo "$b identical"
-    else
-        echo "$b differs"
-        differs=$((differs + 1))
-    fi
+failed=0
+for mode in "${modes[@]}"; do
+    differs=0
+    for b in "${benches[@]}"; do
+        ref_out="$root/ref/out/$mode/$b" work_out="$root/work/out/$mode/$b"
+        if cmp -s "$ref_out.txt" "$work_out.txt" &&
+           cmp -s "$ref_out.status" "$work_out.status"; then
+            echo "$b $mode identical"
+        else
+            echo "$b $mode differs"
+            differs=$((differs + 1))
+        fi
+    done
+    echo "$((${#benches[@]} - differs))/${#benches[@]} bench stdout" \
+        "identical in $mode mode"
+    failed=$((failed + differs))
 done
-echo "$((${#benches[@]} - differs))/${#benches[@]} bench stdout identical"
-[[ $differs -eq 0 ]]
+[[ $failed -eq 0 ]]

@@ -44,6 +44,13 @@ struct EvictInfo
     Origin origin = Origin::Demand;
     bool used = false;
     bool valid = false;
+
+    /** True when the victim is a prefetched block no demand used. */
+    bool
+    unusedPrefetch() const
+    {
+        return valid && origin != Origin::Demand && !used;
+    }
 };
 
 /** A single cache level (block-grain, LRU, no data payload). */

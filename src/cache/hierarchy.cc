@@ -48,6 +48,8 @@ Cycle
 CacheHierarchy::dramQueueDelay(Cycle now)
 {
     SharedLevels &lvl = *lvl_;
+    if (lvl.dramGapCycles == 0)
+        return 0;
     const Cycle start = std::max(now, lvl.dramNextFree);
     lvl.dramNextFree = start + lvl.dramGapCycles;
     const Cycle delay = start - now;
@@ -135,47 +137,55 @@ CacheHierarchy::tick(Cycle now)
         completeEarliestFill();
 }
 
-void
-CacheHierarchy::completeFill(const Mshr &mshr)
+EvictInfo
+CacheHierarchy::landFill(const Mshr &fill)
 {
-    if (mshr.fromMem) {
+    if (fill.fromMem) {
         std::uint64_t &bucket =
-            mshr.origin == Origin::Demand ? stats_.dramDemandBytes :
-            mshr.origin == Origin::Fdip ? stats_.dramFdipBytes :
+            fill.origin == Origin::Demand ? stats_.dramDemandBytes :
+            fill.origin == Origin::Fdip ? stats_.dramFdipBytes :
             stats_.dramExtBytes;
         bucket += kBlockBytes;
     }
 
-    if (mshr.fillLlc)
-        llc_.insert(mshr.block, mshr.origin);
-    if (mshr.fillL2)
-        l2_.insert(mshr.block, mshr.origin);
+    if (fill.fillLlc)
+        llc_.insert(fill.block, fill.origin);
+    if (fill.fillL2)
+        l2_.insert(fill.block, fill.origin);
 
-    if (mshr.toL2Only)
-        return;
+    if (fill.toL2Only)
+        return {};
 
-    // A prefetched block that a demand merged into counts as serving
-    // demand; insert it as used so eviction does not call it useless.
-    Origin l1_origin = mshr.origin;
-    EvictInfo evicted = l1i_.insert(mshr.block, l1_origin);
-    if (mshr.origin != Origin::Demand) {
-        ++statsFor(mshr.origin).inserted;
+    const EvictInfo evicted = l1i_.insert(fill.block, fill.origin);
+    if (fill.origin != Origin::Demand) {
+        ++statsFor(fill.origin).inserted;
+        // A prefetched block that a demand merged into counts as
+        // serving demand: mark it used so eviction does not call it
+        // useless.
+        if (fill.demandMerged)
+            l1i_.markUsed(fill.block);
+    }
+    if (evicted.unusedPrefetch()) {
+        ++statsFor(evicted.origin).uselessEvicted;
+        if (evicted.origin == Origin::Ext)
+            recordExtOutcome(evicted.block, /*useful=*/false);
+    }
+    return evicted;
+}
+
+void
+CacheHierarchy::completeFill(const Mshr &mshr)
+{
+    const EvictInfo evicted = landFill(mshr);
+    if (!mshr.toL2Only && mshr.origin != Origin::Demand) {
         HP_EMIT(obs_, emit(EventKind::PrefetchFill, mshr.readyAt,
                            mshr.block, 0, mshr.demandMerged,
                            static_cast<std::uint8_t>(mshr.origin)));
-        if (mshr.demandMerged) {
-            // Mark used immediately: the merged demand consumes it.
-            l1i_.markUsed(mshr.block);
-        }
     }
-    if (evicted.valid && evicted.origin != Origin::Demand &&
-        !evicted.used) {
-        ++statsFor(evicted.origin).uselessEvicted;
+    if (evicted.unusedPrefetch()) {
         HP_EMIT(obs_, emit(EventKind::PrefetchEvictedUnused,
                            mshr.readyAt, evicted.block, 0, 0,
                            static_cast<std::uint8_t>(evicted.origin)));
-        if (evicted.origin == Origin::Ext)
-            recordExtOutcome(evicted.block, /*useful=*/false);
     }
     if (evicted.valid && attr_.enabled()) {
         attr_.onEvicted(evicted.block,
@@ -183,75 +193,98 @@ CacheHierarchy::completeFill(const Mshr &mshr)
     }
 }
 
+bool
+CacheHierarchy::l1Access(Addr block)
+{
+    ++stats_.demandAccesses;
+    const auto hit = l1i_.access(block);
+    if (!hit) {
+        ++stats_.demandL1Misses;
+        return false;
+    }
+    if (hit->firstUse && hit->origin != Origin::Demand) {
+        ++statsFor(hit->origin).usefulL1;
+        if (hit->origin == Origin::Ext)
+            recordExtOutcome(block, /*useful=*/true);
+    }
+    return true;
+}
+
 CacheHierarchy::ProbeResult
-CacheHierarchy::probeBeyondL1(Addr block, bool demand, Cycle now)
+CacheHierarchy::probeBeyondL1(Addr block, Origin origin, bool to_l2)
 {
     ProbeResult result;
-    if (!demand) {
+    Mshr &fill = result.fill;
+    fill.block = block;
+    fill.origin = origin;
+    fill.toL2Only = to_l2;
+    if (origin != Origin::Demand) {
         // Prefetch-side probes must not disturb recency or the
         // first-use tracking of resident blocks.
-        if (l2_.contains(block)) {
-            result.latency = params_.l2Latency;
-            result.level = ServiceLevel::L2;
-            return result;
+        fill.fillL2 = !l2_.contains(block);
+        fill.fillLlc = fill.fillL2 && !llc_.contains(block);
+    } else if (auto hit = l2_.access(block)) {
+        ++stats_.servedByL2;
+        if (hit->firstUse && hit->origin == Origin::Ext) {
+            ++stats_.ext.usefulL2;
+            // In prefetch-to-L2 mode this is the prefetch's payoff point.
+            recordExtOutcome(block, /*useful=*/true);
+        } else if (hit->firstUse && hit->origin == Origin::Fdip) {
+            ++stats_.fdip.usefulL2;
         }
-        result.fillL2 = true;
-        if (llc_.contains(block)) {
-            result.latency = params_.llcLatency;
-            result.level = ServiceLevel::Llc;
-            return result;
+    } else {
+        ++stats_.demandL2Misses;
+        fill.fillL2 = true;
+        fill.fillLlc = !llc_.access(block);
+        if (fill.fillLlc) {
+            ++stats_.demandLlcMisses;
+            ++stats_.servedByMem;
+        } else {
+            ++stats_.servedByLlc;
         }
-        result.fillLlc = true;
-        result.fromMem = true;
-        result.latency = params_.memLatency;
-        // Consolidated cores share the DRAM fill port: a fill may
-        // queue behind fills from other cores (inert at gap 0).
-        if (lvl_->dramGapCycles > 0)
-            result.latency += dramQueueDelay(now);
-        result.level = ServiceLevel::Mem;
-        return result;
     }
-    if (auto hit = l2_.access(block)) {
-        result.latency = params_.l2Latency;
+    // A demand fill serves its own demand.
+    fill.demandMerged = origin == Origin::Demand;
+    fill.fromMem = fill.fillLlc;
+    if (!fill.fillL2) {
         result.level = ServiceLevel::L2;
-        if (demand && hit->firstUse) {
-            if (hit->origin == Origin::Ext)
-                result.extServedAtL2 = true;
-            else if (hit->origin == Origin::Fdip)
-                result.fdipServedAtL2 = true;
-        }
-        return result;
-    }
-    result.fillL2 = true;
-    if (llc_.access(block)) {
-        result.latency = params_.llcLatency;
+        result.latency = params_.l2Latency;
+    } else if (!fill.fillLlc) {
         result.level = ServiceLevel::Llc;
-        return result;
+        result.latency = params_.llcLatency;
+    } else {
+        result.level = ServiceLevel::Mem;
+        result.latency = params_.memLatency;
     }
-    result.fillLlc = true;
-    result.fromMem = true;
-    result.latency = params_.memLatency;
-    if (lvl_->dramGapCycles > 0)
-        result.latency += dramQueueDelay(now);
-    result.level = ServiceLevel::Mem;
     return result;
+}
+
+bool
+CacheHierarchy::prefetchResident(Addr block, Origin origin, bool to_l2)
+{
+    PrefetchStats &ps = statsFor(origin);
+    ++ps.issued;
+    if (!(to_l2 ? l2_.contains(block) : l1i_.contains(block)))
+        return false;
+    ++ps.redundant;
+    return true;
+}
+
+void
+CacheHierarchy::notePrefetchIssued(Addr block, Origin origin, bool to_l2)
+{
+    // An L2-targeted prefetch counts its insertion when issued.
+    if (to_l2)
+        ++statsFor(origin).inserted;
+    if (origin == Origin::Ext)
+        extIssueSeq_[block] = fetchBlockSeq_;
 }
 
 DemandResult
 CacheHierarchy::demandAccess(Addr block, Cycle now)
 {
-    ++stats_.demandAccesses;
-
-    if (auto hit = l1i_.access(block)) {
-        if (hit->firstUse && hit->origin != Origin::Demand) {
-            ++statsFor(hit->origin).usefulL1;
-            if (hit->origin == Origin::Ext)
-                recordExtOutcome(block, /*useful=*/true);
-        }
+    if (l1Access(block))
         return {false, now + params_.l1iLatency, ServiceLevel::L1};
-    }
-
-    ++stats_.demandL1Misses;
 
     if (Mshr *merged = findMshr(block)) {
         Mshr &mshr = *merged;
@@ -290,43 +323,18 @@ CacheHierarchy::demandAccess(Addr block, Cycle now)
         return {true, now + 1, ServiceLevel::Mshr};
     }
 
-    ProbeResult probe = probeBeyondL1(block, /*demand=*/true, now);
-    if (probe.extServedAtL2) {
-        ++stats_.ext.usefulL2;
-        // In prefetch-to-L2 mode this is the prefetch's payoff point.
-        recordExtOutcome(block, /*useful=*/true);
-    }
-    if (probe.fdipServedAtL2)
-        ++stats_.fdip.usefulL2;
-
-    switch (probe.level) {
-      case ServiceLevel::L2:
-        ++stats_.servedByL2;
-        stats_.missCyclesL2 += probe.latency;
-        break;
-      case ServiceLevel::Llc:
-        ++stats_.servedByLlc;
-        stats_.missCyclesLlc += probe.latency;
-        ++stats_.demandL2Misses;
-        break;
-      case ServiceLevel::Mem:
-        ++stats_.servedByMem;
-        stats_.missCyclesMem += probe.latency;
-        ++stats_.demandL2Misses;
-        ++stats_.demandLlcMisses;
-        break;
-      default:
-        break;
-    }
-
-    Mshr mshr;
-    mshr.block = block;
-    mshr.origin = Origin::Demand;
-    mshr.readyAt = now + probe.latency;
-    mshr.fillL2 = probe.fillL2;
-    mshr.fillLlc = probe.fillLlc;
-    mshr.fromMem = probe.fromMem;
-    mshr.demandMerged = true;
+    ProbeResult probe = probeBeyondL1(block, Origin::Demand);
+    Mshr &mshr = probe.fill;
+    // Consolidated cores share the DRAM fill port: a fill may queue
+    // behind fills from other cores.
+    const Cycle latency =
+        probe.latency + (mshr.fromMem ? dramQueueDelay(now) : 0);
+    std::uint64_t &miss_cycles =
+        probe.level == ServiceLevel::L2 ? stats_.missCyclesL2 :
+        probe.level == ServiceLevel::Llc ? stats_.missCyclesLlc :
+        stats_.missCyclesMem;
+    miss_cycles += latency;
+    mshr.readyAt = now + latency;
     allocMshr(mshr);
     if (obs_) {
         EventKind kind = probe.level == ServiceLevel::L2
@@ -336,7 +344,7 @@ CacheHierarchy::demandAccess(Addr block, Cycle now)
         obs_->emitSpan(kind, now, mshr.readyAt, block);
     }
     if (attr_.enabled())
-        attr_.onMissFill(block, probe.latency);
+        attr_.onMissFill(block, latency);
     return {false, mshr.readyAt, probe.level};
 }
 
@@ -344,11 +352,9 @@ bool
 CacheHierarchy::prefetch(Addr block, Origin origin, Cycle now, bool to_l2)
 {
     PrefetchStats &ps = statsFor(origin);
-    ++ps.issued;
     const std::uint8_t org = static_cast<std::uint8_t>(origin);
 
-    if (to_l2 ? l2_.contains(block) : l1i_.contains(block)) {
-        ++ps.redundant;
+    if (prefetchResident(block, origin, to_l2)) {
         HP_EMIT(obs_, emit(EventKind::PrefetchRedundant, now, block,
                            0, 0, org));
         return false;
@@ -369,128 +375,38 @@ CacheHierarchy::prefetch(Addr block, Origin origin, Cycle now, bool to_l2)
         return false;
     }
 
-    ProbeResult probe = probeBeyondL1(block, /*demand=*/false, now);
-    if (to_l2 && probe.level == ServiceLevel::L2) {
-        // Already in the L2: nothing to do for an L2-targeted prefetch.
-        ++ps.redundant;
-        HP_EMIT(obs_, emit(EventKind::PrefetchRedundant, now, block,
-                           0, 2, org));
-        return false;
-    }
-
-    Mshr mshr;
-    mshr.block = block;
-    mshr.origin = origin;
-    mshr.readyAt = now + probe.latency;
-    mshr.fillL2 = probe.fillL2;
-    mshr.fillLlc = probe.fillLlc;
-    mshr.fromMem = probe.fromMem;
-    mshr.toL2Only = to_l2;
-    allocMshr(mshr);
+    ProbeResult probe = probeBeyondL1(block, origin, to_l2);
+    const Cycle latency =
+        probe.latency + (probe.fill.fromMem ? dramQueueDelay(now) : 0);
+    probe.fill.readyAt = now + latency;
+    allocMshr(probe.fill);
     HP_EMIT(obs_, emit(EventKind::PrefetchIssued, now, block, 0,
-                       probe.latency, org));
+                       latency, org));
     if (attr_.enabled() && !to_l2)
         attr_.onPrefetchAccepted(block);
-    if (to_l2)
-        ++ps.inserted;
-    if (origin == Origin::Ext)
-        extIssueSeq_[block] = fetchBlockSeq_;
+    notePrefetchIssued(block, origin, to_l2);
     return true;
 }
 
 Cycle
 CacheHierarchy::functionalTouch(Addr block)
 {
-    ++stats_.demandAccesses;
-
-    if (auto hit = l1i_.access(block)) {
-        if (hit->firstUse && hit->origin != Origin::Demand) {
-            ++statsFor(hit->origin).usefulL1;
-            if (hit->origin == Origin::Ext)
-                recordExtOutcome(block, /*useful=*/true);
-        }
+    if (l1Access(block))
         return 0;
-    }
-
-    ++stats_.demandL1Misses;
-
-    // Timeless pull through the lower levels: recency and first-use
-    // tracking move exactly as the detailed demand path would move
-    // them, fills land immediately instead of via an MSHR. Miss
-    // attribution hooks are timing observability and stay off here.
-    Cycle latency = params_.l2Latency;
-    if (auto hit = l2_.access(block)) {
-        if (hit->firstUse) {
-            if (hit->origin == Origin::Ext) {
-                ++stats_.ext.usefulL2;
-                recordExtOutcome(block, /*useful=*/true);
-            } else if (hit->origin == Origin::Fdip) {
-                ++stats_.fdip.usefulL2;
-            }
-        }
-        ++stats_.servedByL2;
-    } else {
-        ++stats_.demandL2Misses;
-        if (llc_.access(block)) {
-            ++stats_.servedByLlc;
-            latency = params_.llcLatency;
-        } else {
-            ++stats_.demandLlcMisses;
-            latency = params_.memLatency;
-            ++stats_.servedByMem;
-            stats_.dramDemandBytes += kBlockBytes;
-            llc_.insert(block, Origin::Demand);
-        }
-        l2_.insert(block, Origin::Demand);
-    }
-
-    EvictInfo evicted = l1i_.insert(block, Origin::Demand);
-    if (evicted.valid && evicted.origin != Origin::Demand &&
-        !evicted.used) {
-        ++statsFor(evicted.origin).uselessEvicted;
-        if (evicted.origin == Origin::Ext)
-            recordExtOutcome(evicted.block, /*useful=*/false);
-    }
-    return latency;
+    const ProbeResult probe = probeBeyondL1(block, Origin::Demand);
+    landFill(probe.fill);
+    return probe.latency;
 }
 
 void
 CacheHierarchy::functionalPrefetch(Addr block, Origin origin,
                                    bool to_l2)
 {
-    PrefetchStats &ps = statsFor(origin);
-    ++ps.issued;
-
-    if (to_l2 ? l2_.contains(block) : l1i_.contains(block)) {
-        ++ps.redundant;
+    if (prefetchResident(block, origin, to_l2))
         return;
-    }
-
-    // Same fill decisions as probeBeyondL1(demand=false) followed by
-    // an immediate completeFill, with no MSHR in between.
-    if (!l2_.contains(block)) {
-        if (!llc_.contains(block)) {
-            llc_.insert(block, origin);
-            std::uint64_t &bucket = origin == Origin::Fdip
-                ? stats_.dramFdipBytes : stats_.dramExtBytes;
-            bucket += kBlockBytes;
-        }
-        l2_.insert(block, origin);
-    }
-    ++ps.inserted;
-
-    if (!to_l2) {
-        EvictInfo evicted = l1i_.insert(block, origin);
-        if (evicted.valid && evicted.origin != Origin::Demand &&
-            !evicted.used) {
-            ++statsFor(evicted.origin).uselessEvicted;
-            if (evicted.origin == Origin::Ext)
-                recordExtOutcome(evicted.block, /*useful=*/false);
-        }
-    }
-
-    if (origin == Origin::Ext)
-        extIssueSeq_[block] = fetchBlockSeq_;
+    const ProbeResult probe = probeBeyondL1(block, origin, to_l2);
+    notePrefetchIssued(block, origin, to_l2);
+    landFill(probe.fill);
 }
 
 void

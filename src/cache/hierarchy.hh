@@ -281,14 +281,15 @@ class CacheHierarchy : public MetadataMemory
                   bool to_l2 = false);
 
     // ---- Timeless (functional) interface for fast-forward mode.
-    // Contents, recency, and first-use tracking evolve exactly as on
-    // the timing path, but no MSHR is allocated, no latency accrues,
-    // and fills land immediately. ----
+    // The same L1-I access, L2/LLC probe and fill routines as the
+    // timing path, so contents, recency, first-use tracking and every
+    // counter but l1i.miss_cycles_* evolve as demandAccess/prefetch
+    // followed by drainInFlight() would move them. What differs: the
+    // fill lands at once, and there is no MSHR, DRAM-port queueing,
+    // miss-cycle count, event or miss attribution. ----
 
     /**
-     * Functional demand access: on an L1-I miss the block is pulled
-     * through L2/LLC (updating their recency) and inserted everywhere
-     * it would eventually fill. @return 0 on an L1-I hit, else the
+     * Functional demand access. @return 0 on an L1-I hit, else the
      * latency of the level that served the block (l2Latency,
      * llcLatency or memLatency), for the prefetchers' miss training.
      */
@@ -355,6 +356,9 @@ class CacheHierarchy : public MetadataMemory
     template <class Ar> void serializeState(Ar &ar);
 
   private:
+    /** One L1-I fill: the block, who asked for it and where it lands.
+     *  The timing path holds it in an MSHR until readyAt; the
+     *  functional path lands it at once. */
     struct Mshr
     {
         Addr block = 0;
@@ -386,7 +390,41 @@ class CacheHierarchy : public MetadataMemory
     };
 
     PrefetchStats &statsFor(Origin origin);
+
+    /** One demand L1-I access: counts it, a prefetched block's first
+     *  use and a miss. @return true on a hit. */
+    bool l1Access(Addr block);
+
+    /** The fill an L1-I miss needs, the level that holds the block
+     *  and that level's latency (before any DRAM-port queueing). */
+    struct ProbeResult
+    {
+        Mshr fill;
+        ServiceLevel level = ServiceLevel::L2;
+        Cycle latency = 0;
+    };
+    /**
+     * Looks @p block up in the L2 and LLC for @p origin. A demand
+     * probe moves their recency and counts the level that served it
+     * and a prefetched L2 block's first use; a prefetch probe changes
+     * nothing.
+     */
+    ProbeResult probeBeyondL1(Addr block, Origin origin,
+                              bool to_l2 = false);
+
+    /** Lands @p fill: its DRAM bytes, its L2/LLC inserts and, unless
+     *  it is L2-only, its L1-I insert with a prefetch's insertion and
+     *  any useless eviction. @return The L1-I victim. */
+    EvictInfo landFill(const Mshr &fill);
+    /** landFill plus the timing path's events and attribution. */
     void completeFill(const Mshr &mshr);
+
+    /** Counts a prefetch request, and as redundant when the level it
+     *  targets holds @p block already. @return true if it does. */
+    bool prefetchResident(Addr block, Origin origin, bool to_l2);
+    /** An accepted prefetch's insertion (L2-targeted prefetches
+     *  count it at issue) and Ext issue sequence. */
+    void notePrefetchIssued(Addr block, Origin origin, bool to_l2);
 
     /** The live MSHR for @p block, or null. */
     Mshr *findMshr(Addr block);
@@ -397,20 +435,6 @@ class CacheHierarchy : public MetadataMemory
     /** The MSHR file, each MSHR once in completion order; a load
      *  renumbers seq by position. */
     template <class Ar> void serializeMshrs(Ar &ar);
-
-    /** Looks up L2/LLC/mem and returns (latency, fill flags, fromMem). */
-    struct ProbeResult
-    {
-        Cycle latency = 0;
-        bool fillL2 = false;
-        bool fillLlc = false;
-        bool fromMem = false;
-        ServiceLevel level = ServiceLevel::L2;
-        /** Set when a demand L1 miss was served by an Ext block in L2. */
-        bool extServedAtL2 = false;
-        bool fdipServedAtL2 = false;
-    };
-    ProbeResult probeBeyondL1(Addr block, bool demand, Cycle now);
 
     /** Fill-port queueing delay for a DRAM fill starting at @p now
      *  (0 when the bandwidth model is off). */

@@ -23,6 +23,15 @@ follower(const DynInst &first, std::uint64_t i)
     return inst;
 }
 
+/** True for a taken direct transfer: only the BTB supplies its
+ *  target before decode. */
+bool
+takenDirect(const DynInst &inst)
+{
+    return inst.kind == InstKind::Jump || inst.kind == InstKind::Call ||
+           (inst.kind == InstKind::CondBranch && inst.taken);
+}
+
 } // namespace
 
 const char *
@@ -110,6 +119,14 @@ Simulator::Simulator(const SimConfig &config, const CoreInit &init)
             "btbMissPenalty (" + std::to_string(cfg_.btbMissPenalty) +
                 ") must not exceed pipelineDepth (" +
                 std::to_string(cfg_.pipelineDepth) + ")");
+    // Prefetches may not take the reserved MSHRs: with no MSHR left
+    // for them they never issue, and with no MSHR at all every demand
+    // miss retries forever.
+    fatalIf(cfg_.mem.mshrsReservedForDemand >= cfg_.mem.l1iMshrs,
+            "mem.mshrsReservedForDemand (" +
+                std::to_string(cfg_.mem.mshrsReservedForDemand) +
+                ") must be below mem.l1iMshrs (" +
+                std::to_string(cfg_.mem.l1iMshrs) + ")");
 
     if (init.tenants.empty()) {
         // Classic single-core run: one implicit tenant from the
@@ -339,6 +356,35 @@ Simulator::pull(std::uint64_t max, Addr pc)
     appendRun(first, n);
 }
 
+bool
+Simulator::trainPredictors(const DynInst &inst)
+{
+    // predict() must precede update(): it latches the provider entry
+    // and the history.
+    switch (inst.kind) {
+      case InstKind::CondBranch: {
+        const bool predicted = condPred_.predict(inst.pc);
+        condPred_.update(inst.pc, inst.taken);
+        return predicted == inst.taken;
+      }
+      case InstKind::Call:
+        ras_.push(inst.nextPc());
+        return true;
+      case InstKind::IndirectCall:
+        ras_.push(inst.nextPc());
+        [[fallthrough]];
+      case InstKind::IndirectJump: {
+        const Addr predicted = indirectPred_.predict(inst.pc);
+        indirectPred_.update(inst.pc, inst.target);
+        return predicted == inst.target;
+      }
+      case InstKind::Return:
+        return ras_.pop() == inst.target;
+      default:
+        return true;
+    }
+}
+
 void
 Simulator::stepPredict()
 {
@@ -378,46 +424,12 @@ Simulator::stepPredict()
                 next_pc = inst.pc + window_.back().n * kInstBytes;
             } else {
                 ++end;
-                switch (inst.kind) {
-                  case InstKind::CondBranch: {
-                    bool predicted = condPred_.predict(inst.pc);
-                    condPred_.update(inst.pc, inst.taken);
-                    if (predicted != inst.taken) {
-                        blocker = FeBlock::Mispredict;
-                    } else if (inst.taken) {
-                        if (!btb_.lookup(inst.pc))
-                            blocker = FeBlock::BtbMiss;
-                    }
-                    break;
-                  }
-                  case InstKind::Jump:
-                  case InstKind::Call: {
-                    if (inst.kind == InstKind::Call)
-                        ras_.push(inst.nextPc());
-                    if (!btb_.lookup(inst.pc))
-                        blocker = FeBlock::BtbMiss;
-                    break;
-                  }
-                  case InstKind::IndirectJump:
-                  case InstKind::IndirectCall: {
-                    if (inst.kind == InstKind::IndirectCall)
-                        ras_.push(inst.nextPc());
-                    Addr predicted = indirectPred_.predict(inst.pc);
-                    indirectPred_.update(inst.pc, inst.target);
-                    if (predicted != inst.target)
-                        blocker = FeBlock::Mispredict;
-                    break;
-                  }
-                  case InstKind::Return: {
-                    Addr predicted = ras_.pop();
-                    if (predicted != inst.target) {
-                        blocker = FeBlock::Mispredict;
+                if (!trainPredictors(inst)) {
+                    blocker = FeBlock::Mispredict;
+                    if (inst.kind == InstKind::Return)
                         ++rasMispredicts_;
-                    }
-                    break;
-                  }
-                  default:
-                    break;
+                } else if (takenDirect(inst) && !btb_.lookup(inst.pc)) {
+                    blocker = FeBlock::BtbMiss;
                 }
 
                 // Any taken transfer ends the fetch block; a blocker
@@ -979,36 +991,11 @@ Simulator::ffRun(DynInst inst, std::uint64_t n, Addr &cur_block)
         }
 
         // Predictors train on the architectural path exactly as the
-        // prediction unit would train them (predict() must precede
-        // update(): it latches the provider entry and the history). A
-        // control instruction is always a run of one.
-        switch (inst.kind) {
-          case InstKind::CondBranch:
-            condPred_.predict(inst.pc);
-            condPred_.update(inst.pc, inst.taken);
-            if (inst.taken && !btb_.lookup(inst.pc))
-                btb_.update(inst.pc, inst.target);
-            break;
-          case InstKind::Jump:
-          case InstKind::Call:
-            if (inst.kind == InstKind::Call)
-                ras_.push(inst.nextPc());
-            if (!btb_.lookup(inst.pc))
-                btb_.update(inst.pc, inst.target);
-            break;
-          case InstKind::IndirectJump:
-          case InstKind::IndirectCall:
-            if (inst.kind == InstKind::IndirectCall)
-                ras_.push(inst.nextPc());
-            indirectPred_.predict(inst.pc);
-            indirectPred_.update(inst.pc, inst.target);
-            break;
-          case InstKind::Return:
-            ras_.pop();
-            break;
-          case InstKind::Plain:
-            break;
-        }
+        // prediction unit trains them, and a missing BTB entry fills
+        // at once. A control instruction is always a run of one.
+        trainPredictors(inst);
+        if (takenDirect(inst) && !btb_.lookup(inst.pc))
+            btb_.update(inst.pc, inst.target);
 
         if (hierPf_)
             hierPf_->onCommit(inst, in_block, cycle_);

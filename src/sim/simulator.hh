@@ -270,6 +270,14 @@ class Simulator
      *  span; returns false when commit must stop for this cycle. */
     bool commitSpan(std::uint64_t limit);
 
+    /**
+     * Trains the predictors on @p inst as the prediction unit meets
+     * it: the conditional or indirect predictor's predict-then-update,
+     * the RAS push of a call and pop of a return. @return true when
+     * the direction or target was predicted (the BTB aside).
+     */
+    bool trainPredictors(const DynInst &inst);
+
     void stepPredict();
     void stepExtPrefetch();
     void stepFetch();

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
 #include <string>
 
 #include "cache/hierarchy.hh"
+#include "util/rng.hh"
 #include "util/serialize.hh"
 #include "../test_helpers.hh"
 
@@ -433,6 +435,83 @@ TEST(HierarchyTest, RestoreRejectsMoreMshrsThanTheFileHolds)
     StateLoader loader(bytes.data(), bytes.size());
     small.serializeState(loader);
     EXPECT_TRUE(loader.failed());
+}
+
+TEST(HierarchyTest, FunctionalPathMatchesDrainedTimingPath)
+{
+    // Fast-forward's functional calls are the timing calls with every
+    // fill landing at once. One random stream of demand accesses and
+    // FDIP/Ext prefetches (L1- and L2-targeted), fed to a functional
+    // hierarchy and to a timing one that drains its MSHRs after each
+    // call, must leave the same state and the same counters, all but
+    // the miss cycles only the timing path counts.
+    std::uint64_t misses = 0, ext_inserted = 0, useless = 0, distances = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        CacheHierarchy functional(smallParams());
+        CacheHierarchy timing(smallParams());
+        Rng rng(seed);
+        Cycle now = 0;
+        for (unsigned op = 0; op < 20'000; ++op) {
+            // Half the traffic within the L1-I's reach, a third within
+            // the L2's, the rest over four times the LLC.
+            const std::uint64_t region = rng.nextUint(6);
+            const Addr block = blk(unsigned(rng.nextUint(
+                region < 3 ? 48 : region < 5 ? 384 : 4096)));
+            now += 1 + rng.nextUint(8);
+            const std::uint64_t kind = rng.nextUint(4);
+            if (kind < 2) {
+                const Cycle fill = functional.functionalTouch(block);
+                const DemandResult res = timing.demandAccess(block, now);
+                ASSERT_FALSE(res.retry);
+                ASSERT_EQ(fill, res.level == ServiceLevel::L1
+                                    ? 0 : res.readyAt - now)
+                    << "seed " << seed << ", op " << op;
+                misses += fill != 0;
+            } else {
+                const Origin origin = kind == 2 ? Origin::Fdip : Origin::Ext;
+                const bool to_l2 = rng.nextBool(0.25);
+                functional.functionalPrefetch(block, origin, to_l2);
+                timing.prefetch(block, origin, now, to_l2);
+            }
+            timing.drainInFlight();
+            if (rng.nextBool(0.5)) {
+                functional.noteFetchBlock();
+                timing.noteFetchBlock();
+            }
+        }
+        ASSERT_EQ(encodeHierarchy(functional), encodeHierarchy(timing))
+            << "seed " << seed;
+
+        StatsRegistry functional_reg, timing_reg;
+        functional.registerStats(functional_reg);
+        timing.registerStats(timing_reg);
+        const StatsSnapshot got = functional_reg.snapshot();
+        const StatsSnapshot want = timing_reg.snapshot();
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            const auto &[path, value] = got.entries()[i];
+            ASSERT_EQ(path, want.entries()[i].first);
+            if (!path.starts_with("l1i.miss_cycles_")) {
+                EXPECT_EQ(value, want.entries()[i].second)
+                    << path << ", seed " << seed;
+            }
+        }
+        ext_inserted += got.value("ext.inserted");
+        useless += got.value("fdip.useless_evicted") +
+                   got.value("ext.useless_evicted");
+        distances += got.value("ext.useful_distance_samples");
+    }
+    // The stream reaches every fill decision the paths share.
+    EXPECT_GT(misses, 1000u);
+    EXPECT_GT(ext_inserted, 1000u);
+    EXPECT_GT(useless, 1000u);
+    EXPECT_GT(distances, 100u);
+    std::printf("%llu misses, %llu Ext inserts, %llu useless evictions, "
+                "%llu distance samples\n",
+                (unsigned long long)misses,
+                (unsigned long long)ext_inserted,
+                (unsigned long long)useless,
+                (unsigned long long)distances);
 }
 
 } // namespace

@@ -190,6 +190,27 @@ TEST(SimulatorConfigDeathTest, RejectsBtbResumeAfterCommit)
                    "pipelineDepth \\(10\\)");
 }
 
+TEST(SimulatorConfigDeathTest, RejectsNoMshrs)
+{
+    // Every demand miss would retry forever.
+    expectRejected([](SimConfig &c) { c.mem.l1iMshrs = 0; },
+                   "mem.mshrsReservedForDemand \\(4\\) must be below "
+                   "mem.l1iMshrs \\(0\\)");
+}
+
+TEST(SimulatorConfigDeathTest, RejectsNoMshrsForPrefetches)
+{
+    // Every prefetch would be dropped in the detailed loop, while
+    // fast-forward, which has no MSHRs, would still issue them.
+    expectRejected(
+        [](SimConfig &c) {
+            c.mem.l1iMshrs = 4;
+            c.mem.mshrsReservedForDemand = 4;
+        },
+        "mem.mshrsReservedForDemand \\(4\\) must be below "
+        "mem.l1iMshrs \\(4\\)");
+}
+
 TEST(SimulatorTest, BtbResumeAtPipelineDepthRuns)
 {
     // The largest accepted penalty: the resume lands in the cycle the
